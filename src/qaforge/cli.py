@@ -10,9 +10,10 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Any
 
-from .corpus import Passage, filter_by_length, parse_passage_stream, sample_passages
 from .dataset import build_training_mix, emit_squad, read_squad, write_squad
 from .errors import (
     ConfigurationError,
@@ -21,7 +22,6 @@ from .errors import (
     QAForgeError,
     TransportError,
 )
-from .generator import Candidate, GenerationRequest, derive_seed, train_reference
 from .metrics import (
     bleu,
     evaluate_dataset,
@@ -29,16 +29,23 @@ from .metrics import (
     make_profile,
     tokenize_for_f1,
 )
-from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
+from .parsefilter import SyntheticExample
 from .pipeline import (
     PipelineConfig,
     PipelineReport,
-    default_seed,
-    read_training_corpus,
+    build_backend,
+    candidate_records,
+    filter_candidates,
+    generate,
+    ingest,
+    read_candidates,
+    read_jsonl,
+    read_passages,
     run_pipeline,
     stats_summary,
+    write_json,
+    write_jsonl,
 )
-from .remote import RemoteGeneratorClient
 
 logger = logging.getLogger(__name__)
 
@@ -48,153 +55,59 @@ EXIT_DATA = 2
 EXIT_TRANSPORT = 3
 
 
-class _UsageError(ConfigurationError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return records
+def _flag_values(args) -> dict:
+    """The config keys given on the command line; a flag left out is None."""
+    return {
+        f.name: getattr(args, f.name)
+        for f in fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    }
 
 
-def _write_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _load_passages(path: str) -> list[Passage]:
-    passages = []
-    for line_number, record in enumerate(_read_jsonl(path), start=1):
-        try:
-            passages.append(Passage.build(record["id"], record["text"], record["language"]))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}: record {line_number}: {exc}") from exc
-    return passages
+def _stage_config(args) -> PipelineConfig:
+    """Config of a stage subcommand, whose flags are stored under config key names."""
+    return PipelineConfig(output_dir=str(Path(args.output).parent), **_flag_values(args))
 
 
 def cmd_ingest(args) -> int:
-    errors = []
-    try:
-        stream = open(args.input, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {args.input}: {exc}") from exc
-    with stream:
-        passages = list(parse_passage_stream(stream, on_error=errors.append))
-    for error in errors:
-        logger.warning("skipped record at line %d: %s", error.line_number, error.message)
-    if args.language:
-        passages = [p for p in passages if p.language == args.language.lower()]
-    passages = list(filter_by_length(passages, args.min_tokens, args.max_tokens))
-    if args.sample is not None:
-        passages = sample_passages(passages, args.sample, args.seed)
-    _write_jsonl(args.output, (p.to_record() for p in passages))
-    print(f"wrote {len(passages)} passages to {args.output} ({len(errors)} records skipped)")
+    passages, _, skipped = ingest(_stage_config(args))
+    write_jsonl(args.output, (p.to_record() for p in passages))
+    print(f"wrote {len(passages)} passages to {args.output} ({skipped} records skipped)")
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    passages = _load_passages(args.passages)
-    if args.backend == "reference":
-        if not args.train_corpus:
-            raise ConfigurationError("--backend reference requires --train-corpus")
-        backend = train_reference(read_training_corpus(args.train_corpus), order=args.order)
-    else:
-        backend = RemoteGeneratorClient(args.endpoint)
-    rows = []
-    for passage in passages:
-        request = GenerationRequest(
-            passage=passage.text,
-            language=passage.language,
-            num_samples=args.num_samples,
-            top_k=args.top_k,
-            max_output_tokens=args.max_output_tokens,
-            target_language=args.target_language,
-        )
-        for candidate in backend.generate(request, seed=derive_seed(args.seed, passage.id)):
-            rows.append(
-                {"passage_id": passage.id, "text": candidate.text, "lm_score": candidate.lm_score}
-            )
-    _write_jsonl(args.output, rows)
-    print(f"wrote {len(rows)} candidates for {len(passages)} passages to {args.output}")
+    config = _stage_config(args)
+    config.validate()
+    request = config.request_template()
+    passages = read_passages(config.input)
+    candidates = generate(passages, build_backend(config), request, config.resolved_seed())
+    write_jsonl(args.output, candidate_records(candidates))
+    total = sum(len(group) for group in candidates.values())
+    print(f"wrote {total} candidates for {len(passages)} passages to {args.output}")
     return EXIT_OK
 
 
 def cmd_filter(args) -> int:
-    passages = {p.id: p for p in _load_passages(args.passages)}
-    grouped: dict[str, list[Candidate]] = {}
-    for line_number, record in enumerate(_read_jsonl(args.candidates), start=1):
-        try:
-            passage_id = record["passage_id"]
-            candidate = Candidate(text=record["text"], lm_score=record["lm_score"])
-        except (TypeError, KeyError) as exc:
-            raise DataError(
-                f"{args.candidates}: record {line_number}: needs passage_id/text/lm_score"
-            ) from exc
-        if passage_id not in passages:
-            raise DataError(
-                f"{args.candidates}: record {line_number}: unknown passage id {passage_id!r}"
-            )
-        grouped.setdefault(passage_id, []).append(candidate)
-
-    config = FilterConfig(
-        samples_per_passage=args.per_passage,
-        keep_per_passage=args.keep,
-        require_extractive=not args.no_extractive,
-        dedup=not args.no_dedup,
-        length_normalize=args.length_normalize,
-    )
-    totals = FilterStats()
-    examples: list[SyntheticExample] = []
-    for passage_id in sorted(grouped):
-        kept, stats = run_filter_pipeline(passages[passage_id], grouped[passage_id], config)
-        examples.extend(kept)
-        totals.merge(stats)
-    _write_jsonl(args.output, (e.to_record() for e in examples))
+    config = _stage_config(args).filter_config()
+    passages = {p.id: p for p in read_passages(args.input)}
+    candidates = read_candidates(args.candidates, passages)
+    examples, totals = filter_candidates(passages, candidates, config)
+    write_jsonl(args.output, (e.to_record() for e in examples))
     if args.stats:
-        Path(args.stats).write_text(
-            json.dumps(
-                {
-                    "candidates": totals.candidates,
-                    "parsed": totals.parsed,
-                    "extractive": totals.extractive,
-                    "deduped": totals.deduped,
-                    "kept": totals.kept,
-                    "parse_failures": dict(sorted(totals.parse_failures.items())),
-                },
-                ensure_ascii=False,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        write_json(args.stats, totals.to_record())
     print(f"kept {totals.kept} of {totals.candidates} candidates -> {args.output}")
     return EXIT_OK
 
 
 def cmd_emit(args) -> int:
-    passages = {p.id: p for p in _load_passages(args.passages)}
-    examples = []
-    for line_number, record in enumerate(_read_jsonl(args.examples), start=1):
-        try:
-            examples.append(SyntheticExample.from_record(record))
-        except (TypeError, KeyError) as exc:
-            raise DataError(f"{args.examples}: record {line_number}: {exc}") from exc
+    passages = {p.id: p for p in read_passages(args.passages)}
+    examples = read_jsonl(args.examples, SyntheticExample.from_record)
     dataset = emit_squad(examples, passages)
     write_squad(dataset, args.output)
     total = sum(len(p.qas) for a in dataset.articles for p in a.paragraphs)
@@ -220,25 +133,29 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
-def _read_squad_file(path: str):
+def _read_text(path: str) -> str:
     try:
-        with open(path, "rb") as handle:
-            return read_squad(handle)
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
+    """A JSON document; invalid JSON raises ``invalid``."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise invalid(f"{path}: invalid JSON: {exc.msg}") from exc
+
+
 def cmd_eval(args) -> int:
-    result = _read_squad_file(args.dataset)
+    result = read_squad(_read_text(args.dataset))
     for violation in result.violations:
         logger.warning("dataset violation (%s): %s", violation.qa_id, violation.message)
-    try:
-        predictions = json.loads(Path(args.predictions).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {args.predictions}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.predictions}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(predictions, dict):
+    predictions = _read_json(args.predictions)
+    if not isinstance(predictions, dict) or not all(
+        isinstance(answer, str) for answer in predictions.values()
+    ):
         raise DataError(f"{args.predictions}: predictions must be an object of id -> answer")
     table = load_profile_table(args.profile_config) if args.profile_config else None
     profile = make_profile(args.mode, args.language, table)
@@ -247,25 +164,14 @@ def cmd_eval(args) -> int:
     )
     print(json.dumps(report.to_json_dict(include_per_example=False), ensure_ascii=False))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json(args.output, report.to_json_dict(), indent=2)
     return EXIT_OK
-
-
-def _read_token_lines(path: str, profile) -> list[list[str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return [tokenize_for_f1(line, profile) for line in text.splitlines()]
 
 
 def cmd_bleu(args) -> int:
     profile = make_profile("mlqa", args.language)
-    hypotheses = _read_token_lines(args.hyp, profile)
-    references = _read_token_lines(args.ref, profile)
+    hypotheses = [tokenize_for_f1(line, profile) for line in _read_text(args.hyp).splitlines()]
+    references = [tokenize_for_f1(line, profile) for line in _read_text(args.ref).splitlines()]
     score = bleu(hypotheses, references, max_n=args.max_n)
     print(json.dumps({"bleu": score}))
     return EXIT_OK
@@ -274,43 +180,10 @@ def cmd_bleu(args) -> int:
 def cmd_run(args) -> int:
     mapping: dict = {}
     if args.config:
-        try:
-            raw = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {args.config}: {exc}") from exc
-        try:
-            mapping = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{args.config}: invalid JSON: {exc.msg}") from exc
+        mapping = _read_json(args.config, invalid=ConfigurationError)
         if not isinstance(mapping, dict):
             raise ConfigurationError(f"{args.config}: config must be a JSON object")
-    for key in (
-        "input",
-        "output_dir",
-        "language",
-        "min_tokens",
-        "max_tokens",
-        "sample_n",
-        "seed",
-        "backend",
-        "endpoint",
-        "train_corpus",
-        "order",
-        "num_samples",
-        "top_k",
-        "max_output_tokens",
-        "keep_per_passage",
-        "require_extractive",
-        "dedup",
-        "length_normalize",
-        "target_language",
-        "workers",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = value
-    if args.resume:
-        mapping["resume"] = True
+    mapping.update(_flag_values(args))
     config = PipelineConfig.from_mapping(mapping)
     report = run_pipeline(config)
     print(stats_summary(report))
@@ -319,15 +192,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    try:
-        payload = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{args.report}: invalid JSON: {exc.msg}") from exc
-    counts = payload.get("counts", {})
-    if not isinstance(counts, dict):
-        raise DataError(f"{args.report}: 'counts' must be an object")
+    payload = _read_json(args.report)
+    counts = payload.get("counts", {}) if isinstance(payload, dict) else None
+    if not isinstance(counts, dict) or any(type(count) is not int for count in counts.values()):
+        raise DataError(f"{args.report}: 'counts' must be an object of integer counts")
     report = PipelineReport(counts=counts, record_errors=payload.get("record_errors", 0))
     print(stats_summary(report))
     return EXIT_OK
@@ -338,38 +206,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # Stage flags are stored under the matching config key; PipelineConfig
+    # supplies the default of every flag left out.
     p = subparsers.add_parser("ingest", help="parse, length-filter, and sample passages")
     p.add_argument("--input", required=True)
     p.add_argument("--language", help="keep only passages in this language")
-    p.add_argument("--min-tokens", type=int, default=30)
-    p.add_argument("--max-tokens", type=int, default=450)
-    p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--min-tokens", type=int)
+    p.add_argument("--max-tokens", type=int)
+    p.add_argument("--sample", dest="sample_n", metavar="SAMPLE", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = subparsers.add_parser("generate", help="sample candidates for each passage")
-    p.add_argument("--passages", required=True)
-    p.add_argument("--backend", choices=["reference", "remote"], default="reference")
+    p.add_argument("--passages", dest="input", metavar="PASSAGES", required=True)
+    p.add_argument("--backend", choices=["reference", "remote"])
     p.add_argument("--train-corpus", help="JSONL of passage/question/answer triples")
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int)
     p.add_argument("--endpoint", help="remote service base URL")
-    p.add_argument("--num-samples", type=int, default=20)
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--max-output-tokens", type=int, default=64)
-    p.add_argument("--target-language", default=None)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--num-samples", type=int)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--max-output-tokens", type=int)
+    p.add_argument("--target-language")
+    p.add_argument("--seed", type=int)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = subparsers.add_parser("filter", help="parse, validate, and rank candidates")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--passages", required=True)
-    p.add_argument("--keep", type=int, default=10)
-    p.add_argument("--per-passage", type=int, default=20)
-    p.add_argument("--no-extractive", action="store_true")
-    p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--length-normalize", action="store_true")
+    p.add_argument("--passages", dest="input", metavar="PASSAGES", required=True)
+    p.add_argument("--keep", dest="keep_per_passage", metavar="KEEP", type=int)
+    p.add_argument("--per-passage", dest="num_samples", metavar="PER_PASSAGE", type=int)
+    p.add_argument(
+        "--no-extractive", dest="require_extractive", action="store_false", default=None
+    )
+    p.add_argument("--no-dedup", dest="dedup", action="store_false", default=None)
+    p.add_argument("--length-normalize", action="store_true", default=None)
     p.add_argument("--stats")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_filter)
@@ -408,39 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config")
-    p.add_argument("--input")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--language")
-    p.add_argument("--min-tokens", dest="min_tokens", type=int)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int)
-    p.add_argument("--sample-n", dest="sample_n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--backend", choices=["reference", "remote"])
-    p.add_argument("--endpoint")
-    p.add_argument("--train-corpus", dest="train_corpus")
-    p.add_argument("--order", type=int)
-    p.add_argument("--num-samples", dest="num_samples", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--max-output-tokens", dest="max_output_tokens", type=int)
-    p.add_argument("--keep-per-passage", dest="keep_per_passage", type=int)
-    p.add_argument(
-        "--extractive",
-        dest="require_extractive",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument(
-        "--dedup", dest="dedup", action=argparse.BooleanOptionalAction, default=None
-    )
-    p.add_argument(
-        "--length-normalize",
-        dest="length_normalize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
-    p.add_argument("--target-language", dest="target_language")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--resume", action="store_true")
+    # Every config key k has the flag --k (underscores as dashes); booleans
+    # also take --no-k. A flag overrides the key from --config.
+    for name, types in PipelineConfig.field_types().items():
+        flag = "--" + name.replace("_", "-")
+        if types[0] is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, type=types[0])
     p.set_defaults(func=cmd_run)
 
     p = subparsers.add_parser("stats", help="print the stage funnel of a pipeline report")
@@ -451,33 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT if isinstance(exc.cause, TransportError) else EXIT_DATA
-    except TransportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except QAForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        cause = exc.cause if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, TransportError):
+            return EXIT_TRANSPORT
+        return EXIT_USAGE if isinstance(exc, ConfigurationError) else EXIT_DATA
 
 
 if __name__ == "__main__":

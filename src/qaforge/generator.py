@@ -14,8 +14,9 @@ import random
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 __all__ = [
     "EOS_TOKEN",
@@ -80,6 +81,20 @@ class Candidate:
 
     text: str
     lm_score: float
+
+    def to_record(self) -> dict:
+        return {"text": self.text, "lm_score": self.lm_score}
+
+    @classmethod
+    def from_record(cls, record: Any) -> "Candidate":
+        """Inverse of ``to_record``; a missing or wrong-typed field raises DataError."""
+        if (
+            not isinstance(record, dict)
+            or type(record.get("text")) is not str
+            or type(record.get("lm_score")) not in (int, float)
+        ):
+            raise DataError("candidate needs a string 'text' and a numeric 'lm_score'")
+        return cls(text=record["text"], lm_score=record["lm_score"])
 
 
 def conditioning_text(request: GenerationRequest) -> str:

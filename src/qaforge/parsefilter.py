@@ -5,11 +5,11 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TypeVar
+from dataclasses import asdict, dataclass, field
+from typing import Any, TypeVar
 
 from .corpus import Passage
-from .errors import ConfigurationError, QAForgeError
+from .errors import ConfigurationError, DataError, QAForgeError
 from .generator import Candidate
 
 __all__ = [
@@ -125,6 +125,17 @@ class FilterConfig:
             )
 
 
+# Example record keys in file order, with the JSON types each accepts.
+_EXAMPLE_FIELD_TYPES = {
+    "passage_id": (str,),
+    "question": (str,),
+    "answer": (str,),
+    "answer_start": (int,),
+    "lm_score": (int, float),
+    "language": (str,),
+}
+
+
 @dataclass(frozen=True)
 class SyntheticExample:
     """A validated question/answer pair anchored to its passage by character offset."""
@@ -137,25 +148,19 @@ class SyntheticExample:
     language: str
 
     def to_record(self) -> dict:
-        return {
-            "passage_id": self.passage_id,
-            "question": self.question,
-            "answer": self.answer,
-            "answer_start": self.answer_start,
-            "lm_score": self.lm_score,
-            "language": self.language,
-        }
+        return {key: getattr(self, key) for key in _EXAMPLE_FIELD_TYPES}
 
     @classmethod
-    def from_record(cls, record: dict) -> "SyntheticExample":
-        return cls(
-            passage_id=record["passage_id"],
-            question=record["question"],
-            answer=record["answer"],
-            answer_start=record["answer_start"],
-            lm_score=record["lm_score"],
-            language=record["language"],
-        )
+    def from_record(cls, record: Any) -> "SyntheticExample":
+        """Inverse of ``to_record``; a missing or wrong-typed field raises DataError."""
+        if not isinstance(record, dict) or any(
+            type(record.get(key)) not in types for key, types in _EXAMPLE_FIELD_TYPES.items()
+        ):
+            raise DataError(
+                "example needs string passage_id/question/answer/language, "
+                "an integer answer_start and a numeric lm_score"
+            )
+        return cls(**{key: record[key] for key in _EXAMPLE_FIELD_TYPES})
 
 
 @dataclass
@@ -177,6 +182,9 @@ class FilterStats:
         self.kept += other.kept
         for part, count in other.parse_failures.items():
             self.parse_failures[part] = self.parse_failures.get(part, 0) + count
+
+    def to_record(self) -> dict:
+        return {**asdict(self), "parse_failures": dict(sorted(self.parse_failures.items()))}
 
 
 @dataclass(frozen=True)

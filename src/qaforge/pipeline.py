@@ -4,6 +4,9 @@ One 64-bit seed drives every stochastic choice: passage subsampling uses it
 directly and each passage's sampler seed is derived from (seed, passage id),
 so results are identical under any worker schedule. All data artifacts are
 written in ascending passage-id order, making reruns byte-identical.
+
+``run_pipeline`` and the per-stage CLI subcommands call the same stage
+functions: ``ingest``, ``generate``, ``filter_candidates``, and the readers.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from .corpus import Passage, RecordError, filter_by_length, parse_passage_stream, sample_passages
 from .dataset import emit_squad, write_squad
@@ -72,13 +76,24 @@ class PipelineConfig:
     resume: bool = False
 
     @classmethod
+    def field_types(cls) -> dict[str, tuple[type, ...]]:
+        """The value types each key accepts, e.g. ``(int, NoneType)`` for ``int | None``."""
+        return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+
+    @classmethod
     def from_mapping(cls, mapping: dict[str, Any]) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        types = cls.field_types()
+        unknown = set(mapping) - set(types)
         if unknown:
             raise ConfigurationError(f"unknown config key(s): {sorted(unknown)}")
         if "input" not in mapping or "output_dir" not in mapping:
             raise ConfigurationError("config requires 'input' and 'output_dir'")
+        for key, value in mapping.items():
+            # Exact type match: JSON true is not an int, 2.0 is not an int.
+            if type(value) not in types[key]:
+                raise ConfigurationError(
+                    f"config key {key!r} must be {types[key][0].__name__}, got {value!r}"
+                )
         return cls(**mapping)
 
     def resolved_seed(self) -> int:
@@ -93,26 +108,28 @@ class PipelineConfig:
             length_normalize=self.length_normalize,
         )
 
+    def request_template(self) -> GenerationRequest:
+        """The generation request every passage fills in, checked before any I/O."""
+        try:
+            return GenerationRequest(
+                passage="",
+                language="",
+                num_samples=self.num_samples,
+                top_k=self.top_k,
+                max_output_tokens=self.max_output_tokens,
+                target_language=self.target_language,
+            )
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
     def validate(self) -> None:
+        """Checks no stage makes; stage knobs are checked by the stages themselves."""
         if self.backend not in ("reference", "remote"):
             raise ConfigurationError(f"unknown backend: {self.backend!r}")
         if self.backend == "reference" and not self.train_corpus:
             raise ConfigurationError("reference backend requires train_corpus")
-        if self.sample_n is not None and self.sample_n < 0:
-            raise ConfigurationError(f"sample_n must be >= 0, got {self.sample_n}")
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.top_k < 1:
-            raise ConfigurationError(f"top_k must be >= 1, got {self.top_k}")
-        if self.max_output_tokens < 1:
-            raise ConfigurationError(
-                f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
-            )
-        self.filter_config()
-        if self.min_tokens <= 0 or self.min_tokens > self.max_tokens:
-            raise ConfigurationError(
-                f"invalid token bounds ({self.min_tokens}, {self.max_tokens})"
-            )
 
 
 @dataclass
@@ -126,39 +143,131 @@ class PipelineReport:
     outputs: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "counts": self.counts,
-            "record_errors": self.record_errors,
-            "parse_failures": self.parse_failures,
-            "elapsed_seconds": self.elapsed_seconds,
-            "outputs": self.outputs,
-        }
+        return asdict(self)
+
+
+def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
+    """``parse(record)`` for each non-blank line of a JSONL file, in file order.
+
+    An unreadable file, a line that is not JSON, or a record that ``parse``
+    rejects with DataError raises DataError naming the path and line.
+    """
+    items = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    items.append(parse(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
+                except DataError as exc:
+                    raise DataError(f"{path}:{line_number}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return items
+
+
+def write_json(path: str | Path, value: Any, indent: int | None = None) -> None:
+    text = json.dumps(value, ensure_ascii=False, indent=indent)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def read_passages(
+    path: str | Path, on_error: Callable[[RecordError], None] | None = None
+) -> list[Passage]:
+    """Passages of a JSONL file, in file order.
+
+    Malformed records and duplicate ids are reported to ``on_error`` and
+    skipped; without ``on_error`` the first one raises DataError.
+    """
+
+    def reject(error: RecordError) -> None:
+        raise DataError(f"{path}:{error.line_number}: {error.message}")
+
+    try:
+        with open(path, "rb") as handle:
+            return list(parse_passage_stream(handle, on_error=on_error or reject))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def candidate_records(candidates: Mapping[str, Sequence[Candidate]]) -> Iterator[dict]:
+    """Candidate file rows, ``{"passage_id", "text", "lm_score"}``, in mapping order."""
+    for passage_id, group in candidates.items():
+        for candidate in group:
+            yield {"passage_id": passage_id, **candidate.to_record()}
+
+
+def read_candidates(
+    path: str | Path, passages: Mapping[str, Passage]
+) -> dict[str, list[Candidate]]:
+    """Candidates of a file written by ``candidate_records``, grouped by passage id.
+
+    Every row must name one of ``passages``; anything else is a DataError.
+    """
+
+    def parse(record: Any) -> tuple[str, Candidate]:
+        candidate = Candidate.from_record(record)
+        passage_id = record.get("passage_id")
+        if not isinstance(passage_id, str) or passage_id not in passages:
+            raise DataError(f"unknown passage id {passage_id!r}")
+        return passage_id, candidate
+
+    grouped: dict[str, list[Candidate]] = {}
+    for passage_id, candidate in read_jsonl(path, parse):
+        grouped.setdefault(passage_id, []).append(candidate)
+    return grouped
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
     """Load (passage, question, answer) triples from a JSONL file."""
-    triples = []
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
-            try:
-                triples.append((record["passage"], record["question"], record["answer"]))
-            except (TypeError, KeyError) as exc:
-                raise DataError(
-                    f"{path}:{line_number}: record needs passage/question/answer"
-                ) from exc
-    return triples
+
+    def parse(record: Any) -> tuple[str, str, str]:
+        try:
+            return record["passage"], record["question"], record["answer"]
+        except (TypeError, KeyError) as exc:
+            raise DataError("record needs passage/question/answer") from exc
+
+    return read_jsonl(path, parse)
 
 
 def build_backend(config: PipelineConfig):
     if config.backend == "remote":
         return RemoteGeneratorClient(config.endpoint)
     return train_reference(read_training_corpus(config.train_corpus), order=config.order)
+
+
+def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
+    """Parse ``config.input``, keep ``config.language``, length-filter, then sample.
+
+    Malformed records are logged and skipped. Returns the sampled passages,
+    the passage-stage funnel counts, and the number of skipped records.
+    """
+    record_errors: list[RecordError] = []
+    ingested = read_passages(config.input, on_error=record_errors.append)
+    for record_error in record_errors:
+        logger.warning(
+            "skipped record at line %d: %s", record_error.line_number, record_error.message
+        )
+    if config.language:
+        ingested = [p for p in ingested if p.language == config.language.lower()]
+
+    length_kept = list(filter_by_length(ingested, config.min_tokens, config.max_tokens))
+    sampled = (
+        sample_passages(length_kept, config.sample_n, config.resolved_seed())
+        if config.sample_n is not None
+        else length_kept
+    )
+    counts = {"ingested": len(ingested), "length_kept": len(length_kept), "sampled": len(sampled)}
+    return sampled, counts, len(record_errors)
 
 
 class _CheckpointJournal:
@@ -177,27 +286,19 @@ class _CheckpointJournal:
     def _load(self) -> None:
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
-                if not line.strip():
-                    continue
                 try:
                     entry = json.loads(line)
-                    candidates = [
-                        Candidate(text=c["text"], lm_score=c["lm_score"])
-                        for c in entry["candidates"]
-                    ]
-                except (json.JSONDecodeError, TypeError, KeyError):
-                    # A torn final line from an interrupted run is expected.
+                    passage_id = entry["passage_id"]
+                    candidates = [Candidate.from_record(c) for c in entry["candidates"]]
+                except (json.JSONDecodeError, TypeError, KeyError, DataError):
+                    # A torn final line from an interrupted run is expected;
+                    # blank and other unusable lines are skipped the same way.
                     continue
-                self.completed[entry["passage_id"]] = candidates
-
-    def get(self, passage_id: str) -> list[Candidate] | None:
-        return self.completed.get(passage_id)
+                if isinstance(passage_id, str):
+                    self.completed[passage_id] = candidates
 
     def record(self, passage_id: str, candidates: list[Candidate]) -> None:
-        entry = {
-            "passage_id": passage_id,
-            "candidates": [{"text": c.text, "lm_score": c.lm_score} for c in candidates],
-        }
+        entry = {"passage_id": passage_id, "candidates": [c.to_record() for c in candidates]}
         with self._lock:
             self._handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
             self._handle.flush()
@@ -209,10 +310,60 @@ class _CheckpointJournal:
             self.path.unlink()
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+def generate(
+    passages: Sequence[Passage],
+    backend,
+    request: GenerationRequest,
+    seed: int,
+    *,
+    journal: _CheckpointJournal | None = None,
+    workers: int = 1,
+) -> dict[str, list[Candidate]]:
+    """Candidates for each passage, keyed by passage id in input order.
+
+    Each passage fills in ``request`` and samples with the seed derived from
+    (``seed``, passage id). Passages already in ``journal`` are not
+    regenerated, and new results are recorded there. A failure raises
+    PipelineError naming the passage.
+    """
+
+    def one(passage: Passage) -> list[Candidate]:
+        try:
+            candidates = journal.completed.get(passage.id) if journal else None
+            if candidates is None:
+                candidates = backend.generate(
+                    replace(request, passage=passage.text, language=passage.language),
+                    seed=derive_seed(seed, passage.id),
+                )
+                if journal:
+                    journal.record(passage.id, candidates)
+            return candidates
+        except Exception as exc:
+            raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
+
+    if workers == 1:
+        return {passage.id: one(passage) for passage in passages}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(one, p): p for p in passages}
+        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
+        for future in pending:
+            future.cancel()
+        return {p.id: f.result() for f, p in futures.items() if not f.cancelled()}
+
+
+def filter_candidates(
+    passages: Mapping[str, Passage],
+    candidates: Mapping[str, Sequence[Candidate]],
+    config: FilterConfig,
+) -> tuple[list[SyntheticExample], FilterStats]:
+    """Filter each passage's candidates in ascending passage-id order; merge the stats."""
+    examples: list[SyntheticExample] = []
+    totals = FilterStats()
+    for passage_id in sorted(candidates):
+        kept, stats = run_filter_pipeline(passages[passage_id], candidates[passage_id], config)
+        examples.extend(kept)
+        totals.merge(stats)
+    return examples, totals
 
 
 def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
@@ -224,170 +375,76 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     the same final dataset an uninterrupted run would.
     """
     config.validate()
+    request = config.request_template()
+    filter_config = config.filter_config()
     started = time.monotonic()
     seed = config.resolved_seed()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    checkpoint_meta = out_dir / "checkpoint.json"
 
-    record_errors: list[RecordError] = []
-    try:
-        with open(config.input, "rb") as handle:
-            ingested = list(parse_passage_stream(handle, on_error=record_errors.append))
-    except OSError as exc:
-        raise DataError(f"cannot read passages from {config.input}: {exc}") from exc
-    for record_error in record_errors:
-        logger.warning(
-            "skipped record at line %d: %s", record_error.line_number, record_error.message
-        )
-    if config.language:
-        ingested = [p for p in ingested if p.language == config.language.lower()]
-
-    length_kept = list(filter_by_length(ingested, config.min_tokens, config.max_tokens))
-    sampled = (
-        sample_passages(length_kept, config.sample_n, seed)
-        if config.sample_n is not None
-        else length_kept
-    )
-
+    sampled, passage_counts, record_errors = ingest(config)
     if backend is None:
         backend = build_backend(config)
 
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    checkpoint_meta = out_dir / "checkpoint.json"
     journal = _CheckpointJournal(out_dir / "checkpoint.jsonl", resume=config.resume)
-    filter_config = config.filter_config()
-
-    def process(passage: Passage) -> tuple[Passage, list[Candidate], list[SyntheticExample], FilterStats]:
-        candidates = journal.get(passage.id)
-        if candidates is None:
-            request = GenerationRequest(
-                passage=passage.text,
-                language=passage.language,
-                num_samples=config.num_samples,
-                top_k=config.top_k,
-                max_output_tokens=config.max_output_tokens,
-                target_language=config.target_language,
-            )
-            candidates = backend.generate(request, seed=derive_seed(seed, passage.id))
-            journal.record(passage.id, candidates)
-        examples, stats = run_filter_pipeline(passage, candidates, filter_config)
-        return passage, candidates, examples, stats
-
-    results: dict[str, tuple[Passage, list[Candidate], list[SyntheticExample], FilterStats]] = {}
+    outputs = {
+        "passages": str(out_dir / "passages.jsonl"),
+        "candidates": str(out_dir / "candidates.jsonl"),
+        "examples": str(out_dir / "examples.jsonl"),
+        "dataset": str(out_dir / "dataset.json"),
+        "stats": str(out_dir / "stats.json"),
+        "report": str(out_dir / "report.json"),
+    }
     try:
-        if config.workers == 1:
-            for passage in sampled:
-                results[passage.id] = _run_one(process, passage)
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = {pool.submit(_run_one, process, p): p for p in sampled}
-                _, pending = wait(futures, return_when=FIRST_EXCEPTION)
-                for future in pending:
-                    future.cancel()
-                for future, passage in futures.items():
-                    if future.cancelled():
-                        continue
-                    results[passage.id] = future.result()
+        candidates = generate(
+            sampled, backend, request, seed, journal=journal, workers=config.workers
+        )
+        try:
+            lookup = {p.id: p for p in sampled}
+            examples, totals = filter_candidates(lookup, candidates, filter_config)
+            squad = emit_squad(examples, lookup)
+
+            write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
+            write_jsonl(
+                outputs["candidates"],
+                candidate_records({pid: candidates[pid] for pid in sorted(candidates)}),
+            )
+            write_jsonl(outputs["examples"], (e.to_record() for e in examples))
+            write_squad(squad, outputs["dataset"])
+
+            counts = {
+                **passage_counts,
+                "generated": totals.candidates,
+                "parsed": totals.parsed,
+                "extractive": totals.extractive,
+                "deduped": totals.deduped,
+                "kept": totals.kept,
+            }
+            write_json(outputs["stats"], {"counts": counts, "record_errors": record_errors})
+        except Exception as exc:
+            raise PipelineError("emit", exc) from exc
     except PipelineError as exc:
         journal.close(discard=False)
-        checkpoint_meta.write_text(
-            json.dumps(
-                {
-                    "stage": exc.stage,
-                    "failed_passage_id": exc.failed_passage_id,
-                    "completed_passage_ids": sorted(journal.completed),
-                },
-                ensure_ascii=False,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        meta: dict[str, Any] = {"stage": exc.stage}
+        if exc.failed_passage_id is not None:
+            meta["failed_passage_id"] = exc.failed_passage_id
+        meta["completed_passage_ids"] = sorted(journal.completed)
+        write_json(checkpoint_meta, meta)
         raise
 
-    try:
-        ordered = [results[passage_id] for passage_id in sorted(results)]
-        all_candidates = []
-        all_examples = []
-        totals = FilterStats()
-        for passage, candidates, examples, stats in ordered:
-            for candidate in candidates:
-                all_candidates.append(
-                    {
-                        "passage_id": passage.id,
-                        "text": candidate.text,
-                        "lm_score": candidate.lm_score,
-                    }
-                )
-            all_examples.extend(examples)
-            totals.merge(stats)
-
-        lookup = {p.id: p for p in sampled}
-        squad = emit_squad(all_examples, lookup)
-
-        outputs = {
-            "passages": str(out_dir / "passages.jsonl"),
-            "candidates": str(out_dir / "candidates.jsonl"),
-            "examples": str(out_dir / "examples.jsonl"),
-            "dataset": str(out_dir / "dataset.json"),
-            "stats": str(out_dir / "stats.json"),
-            "report": str(out_dir / "report.json"),
-        }
-        _write_jsonl(Path(outputs["passages"]), [p.to_record() for p in sampled])
-        _write_jsonl(Path(outputs["candidates"]), all_candidates)
-        _write_jsonl(Path(outputs["examples"]), [e.to_record() for e in all_examples])
-        write_squad(squad, outputs["dataset"])
-
-        counts = {
-            "ingested": len(ingested),
-            "length_kept": len(length_kept),
-            "sampled": len(sampled),
-            "generated": totals.candidates,
-            "parsed": totals.parsed,
-            "extractive": totals.extractive,
-            "deduped": totals.deduped,
-            "kept": totals.kept,
-        }
-        Path(outputs["stats"]).write_text(
-            json.dumps(
-                {"counts": counts, "record_errors": len(record_errors)}, ensure_ascii=False
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    except Exception as exc:
-        journal.close(discard=False)
-        checkpoint_meta.write_text(
-            json.dumps(
-                {"stage": "emit", "completed_passage_ids": sorted(journal.completed)},
-                ensure_ascii=False,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        raise PipelineError("emit", exc) from exc
-
     journal.close(discard=True)
-    if checkpoint_meta.exists():
-        checkpoint_meta.unlink()
+    checkpoint_meta.unlink(missing_ok=True)
 
     report = PipelineReport(
         counts=counts,
-        record_errors=len(record_errors),
+        record_errors=record_errors,
         parse_failures=dict(sorted(totals.parse_failures.items())),
         elapsed_seconds=time.monotonic() - started,
         outputs=outputs,
     )
-    Path(outputs["report"]).write_text(
-        json.dumps(report.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(outputs["report"], report.to_json_dict(), indent=2)
     return report
-
-
-def _run_one(process, passage: Passage):
-    try:
-        return process(passage)
-    except Exception as exc:
-        raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
 
 
 def stats_summary(report: PipelineReport) -> str:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
-from qaforge.cli import main
+from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
+from qaforge.pipeline import PipelineConfig
 
 
 @pytest.fixture()
@@ -369,3 +371,141 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["stage", "count", "drop"]
         assert "generated" in out
+
+
+# One wrong-typed field per record format; each must exit 2, not raise.
+WRONG_TYPED_RECORDS = {
+    "candidate-text": (
+        {"passage_id": "p000", "text": 5, "lm_score": -1.0},
+        ["filter", "--candidates", "{bad}", "--passages", "{passages}", "--output", "{out}"],
+    ),
+    "example-answer-start": (
+        {"passage_id": "p000", "question": "q", "answer": "a", "answer_start": "3",
+         "lm_score": -1.0, "language": "en"},
+        ["emit", "--examples", "{bad}", "--passages", "{passages}", "--output", "{out}"],
+    ),
+    "stats-count": (
+        {"counts": {"ingested": "10", "length_kept": 5}},
+        ["stats", "--report", "{bad}"],
+    ),
+    "eval-prediction": (
+        {"en-1": 5},
+        ["eval", "--dataset", "{dataset}", "--predictions", "{bad}", "--missing-as-zero"],
+    ),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPED_RECORDS))
+    def test_wrong_typed_field_exit_data(self, workspace, fixtures_dir, capsys, case):
+        record, argv = WRONG_TYPED_RECORDS[case]
+        bad = workspace / "bad.json"
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        paths = {
+            "bad": str(bad),
+            "passages": str(workspace / "passages.jsonl"),
+            "out": str(workspace / "out.json"),
+            "dataset": str(fixtures_dir / "metric_oracle_dataset.json"),
+        }
+        assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_generate_top_k_zero_exit_usage(self, workspace):
+        code = run_cli(
+            "generate",
+            "--passages", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--top-k", "0",
+            "--output", str(workspace / "c.jsonl"),
+        )
+        assert code == 1
+
+    def test_generate_missing_train_corpus_exit_data(self, workspace):
+        code = run_cli(
+            "generate",
+            "--passages", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "absent.jsonl"),
+            "--output", str(workspace / "c.jsonl"),
+        )
+        assert code == 2
+
+    def test_run_missing_train_corpus_exit_data(self, workspace):
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(workspace / "absent.jsonl"),
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("override", [{"workers": "2"}, {"top_k": "3"}, {"dedup": "no"}])
+    def test_run_config_value_of_wrong_type_exit_usage(self, workspace, override):
+        config_path = workspace / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "input": str(workspace / "passages.jsonl"),
+                    "output_dir": str(workspace / "out"),
+                    "train_corpus": str(workspace / "train.jsonl"),
+                    **override,
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--config", str(config_path)) == 1
+
+
+class TestRunFlags:
+    def test_every_config_key_has_a_flag(self):
+        parser = build_parser()
+        for name, types in PipelineConfig.field_types().items():
+            flag = "--" + name.replace("_", "-")
+            if types[0] is bool:
+                assert getattr(parser.parse_args(["run", flag]), name) is True
+                assert getattr(parser.parse_args(["run", "--no-" + flag[2:]]), name) is False
+            else:
+                value = "3" if types[0] is int else "x"
+                assert getattr(parser.parse_args(["run", flag, value]), name) == types[0](value)
+
+    def test_flags_left_out_keep_config_values(self):
+        args = build_parser().parse_args(["run", "--config", "c.json"])
+        assert all(getattr(args, f.name) is None for f in fields(PipelineConfig))
+
+
+class TestStagedChainMatchesRun:
+    def test_stage_subcommands_reproduce_run(self, workspace):
+        passages = str(workspace / "passages.jsonl")
+        train = str(workspace / "train.jsonl")
+        staged = workspace / "staged"
+        staged.mkdir()
+        assert run_cli(
+            "ingest", "--input", passages, "--sample", "6", "--seed", "11",
+            "--output", str(staged / "passages.jsonl"),
+        ) == 0
+        assert run_cli(
+            "generate", "--passages", str(staged / "passages.jsonl"), "--train-corpus", train,
+            "--num-samples", "12", "--max-output-tokens", "24", "--seed", "11",
+            "--output", str(staged / "candidates.jsonl"),
+        ) == 0
+        assert run_cli(
+            "filter", "--candidates", str(staged / "candidates.jsonl"),
+            "--passages", str(staged / "passages.jsonl"), "--per-passage", "12",
+            "--output", str(staged / "examples.jsonl"),
+        ) == 0
+        assert run_cli(
+            "emit", "--examples", str(staged / "examples.jsonl"),
+            "--passages", str(staged / "passages.jsonl"),
+            "--output", str(staged / "dataset.json"),
+        ) == 0
+        run_dir = workspace / "run"
+        assert run_cli(
+            "run", "--input", passages, "--output-dir", str(run_dir), "--train-corpus", train,
+            "--sample-n", "6", "--seed", "11", "--num-samples", "12", "--max-output-tokens", "24",
+        ) == 0
+
+        assert (staged / "examples.jsonl").read_text("utf-8")
+        for name in ("passages.jsonl", "examples.jsonl", "dataset.json"):
+            assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+        staged_rows = (staged / "candidates.jsonl").read_text("utf-8").splitlines()
+        run_rows = (run_dir / "candidates.jsonl").read_text("utf-8").splitlines()
+        assert sorted(staged_rows) == sorted(run_rows)

@@ -239,3 +239,52 @@ class TestStatsSummary:
         lines = stats_summary(PipelineReport()).splitlines()
         assert len(lines) == 1
         assert lines[0].split() == ["stage", "count", "drop"]
+
+
+class TestConfigValueTypes:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"workers": "2"},
+            {"top_k": "3"},
+            {"dedup": "no"},
+            {"workers": True},
+            {"min_tokens": 30.0},
+            {"top_k": None},
+            {"input": 5},
+        ],
+    )
+    def test_wrong_type_rejected(self, override):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig.from_mapping({"input": "x", "output_dir": "y", **override})
+
+    def test_declared_types_accepted(self):
+        config = PipelineConfig.from_mapping(
+            {"input": "x", "output_dir": "y", "seed": None, "sample_n": 3,
+             "dedup": False, "language": "en"}
+        )
+        assert (config.seed, config.sample_n, config.dedup) == (None, 3, False)
+
+
+class TestResumeJournal:
+    def test_unusable_journal_lines_are_skipped(self, tmp_path):
+        baseline = run_pipeline(make_config(tmp_path, "baseline"))
+        first_id = json.loads(
+            Path(baseline.outputs["passages"]).read_text("utf-8").splitlines()[0]
+        )["id"]
+        config = make_config(tmp_path, "resumed", resume=True)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir()
+        lines = [
+            {"candidates": [{"text": "question q answer a", "lm_score": -1.0}]},
+            {"passage_id": first_id, "candidates": [{"text": 5, "lm_score": -1.0}]},
+            {"passage_id": 7, "candidates": []},
+        ]
+        (out_dir / "checkpoint.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        resumed = run_pipeline(config)
+        assert (
+            Path(resumed.outputs["dataset"]).read_bytes()
+            == Path(baseline.outputs["dataset"]).read_bytes()
+        )
