@@ -116,17 +116,12 @@ def cmd_emit(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    overrides = {}
-    for stage in ("synthetic", "gold"):
-        stage_overrides = {}
-        if args.epochs is not None:
-            stage_overrides["epochs"] = args.epochs
-        if args.batch_size is not None:
-            stage_overrides["batch_size"] = args.batch_size
-        if args.learning_rate is not None:
-            stage_overrides["learning_rate"] = args.learning_rate
-        if stage_overrides:
-            overrides[stage] = stage_overrides
+    stage_overrides = {
+        key: getattr(args, key)
+        for key in ("epochs", "batch_size", "learning_rate")
+        if getattr(args, key) is not None
+    }
+    overrides = {stage: stage_overrides for stage in ("synthetic", "gold") if stage_overrides}
     manifest = build_training_mix(args.synthetic, args.gold, overrides or None)
     manifest.write(args.output)
     print(f"wrote manifest with {len(manifest.stages)} stage(s) to {args.output}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Any
 
@@ -38,11 +38,6 @@ __all__ = [
 ]
 
 SQUAD_VERSION = "1.1"
-
-DEFAULT_EPOCHS = 2
-DEFAULT_BATCH_SIZE = 64
-DEFAULT_LEARNING_RATE = 3e-5
-
 
 @dataclass
 class SquadAnswer:
@@ -129,6 +124,10 @@ def qa_content_id(passage_id: str, question: str, answer: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
+def _span_matches(context: str, text: str, start: int) -> bool:
+    return start >= 0 and context[start:start + len(text)] == text
+
+
 def emit_squad(
     examples: Iterable[SyntheticExample],
     passages: Mapping[str, Passage],
@@ -147,11 +146,7 @@ def emit_squad(
                 f"unknown passage id {example.passage_id!r} "
                 f"for question {example.question!r}"
             )
-        end = example.answer_start + len(example.answer)
-        if (
-            example.answer_start < 0
-            or passage.text[example.answer_start:end] != example.answer
-        ):
+        if not _span_matches(passage.text, example.answer, example.answer_start):
             raise EmissionError(
                 f"answer offset mismatch in passage {example.passage_id!r} "
                 f"for question {example.question!r}"
@@ -263,11 +258,7 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
             violations.append(SquadViolation(qa_id=qa.id, message="duplicate qa id"))
         seen.add(qa.id)
         for answer in qa.answers:
-            end = answer.answer_start + len(answer.text)
-            if (
-                answer.answer_start < 0
-                or paragraph.context[answer.answer_start:end] != answer.text
-            ):
+            if not _span_matches(paragraph.context, answer.text, answer.answer_start):
                 violations.append(
                     SquadViolation(
                         qa_id=qa.id,
@@ -284,18 +275,9 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
 class TrainingStage:
     name: str
     dataset_paths: list[str]
-    epochs: int = DEFAULT_EPOCHS
-    batch_size: int = DEFAULT_BATCH_SIZE
-    learning_rate: float = DEFAULT_LEARNING_RATE
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dataset_paths": list(self.dataset_paths),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-        }
+    epochs: int = 2
+    batch_size: int = 64
+    learning_rate: float = 3e-5
 
 
 @dataclass
@@ -304,12 +286,9 @@ class TrainingManifest:
 
     stages: list[TrainingStage] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"stages": [stage.to_json_dict() for stage in self.stages]}
-
     def write(self, destination: str | Path) -> None:
         Path(destination).write_text(
-            json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
+            json.dumps(asdict(self), ensure_ascii=False, indent=2) + "\n",
             encoding="utf-8",
         )
 

@@ -87,14 +87,20 @@ class Candidate:
 
     @classmethod
     def from_record(cls, record: Any) -> "Candidate":
-        """Inverse of ``to_record``; a missing or wrong-typed field raises DataError."""
+        """Inverse of ``to_record``; a missing, wrong-typed or non-finite field is a DataError."""
         if (
             not isinstance(record, dict)
             or type(record.get("text")) is not str
             or type(record.get("lm_score")) not in (int, float)
         ):
             raise DataError("candidate needs a string 'text' and a numeric 'lm_score'")
-        return cls(text=record["text"], lm_score=record["lm_score"])
+        try:
+            lm_score = float(record["lm_score"])
+        except OverflowError:  # an integer beyond the float range
+            lm_score = math.inf
+        if not math.isfinite(lm_score):
+            raise DataError("candidate 'lm_score' must be finite")
+        return cls(text=record["text"], lm_score=lm_score)
 
 
 def conditioning_text(request: GenerationRequest) -> str:

@@ -16,7 +16,7 @@ import string
 import unicodedata
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -66,13 +66,31 @@ def load_profile_table(path: str | Path | None = None) -> dict:
             encoding="utf-8"
         )
     else:
-        raw = Path(path).read_text(encoding="utf-8")
+        try:
+            raw = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read profile table {path}: {exc}") from exc
     try:
         table = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"profile table is not valid JSON: {exc.msg}") from exc
     if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
         raise ConfigurationError("profile table must carry an 'entries' array")
+    for position, entry in enumerate(table["entries"]):
+        if type(entry) is dict:
+            articles = entry.get("articles", [])
+            if (
+                type(entry.get("language", "")) is str
+                and type(entry.get("punctuation_class", "")) is str
+                and type(entry.get("segmentation", "")) is str
+                and type(articles) is list
+                and all(type(article) is str for article in articles)
+            ):
+                continue
+        raise ConfigurationError(
+            f"profile table entry {position} needs string language/punctuation_class/"
+            "segmentation and a list of string articles"
+        )
     return table
 
 
@@ -98,10 +116,7 @@ def make_profile(
     if mode != "mlqa":
         raise ConfigurationError(f"unknown evaluation mode: {mode!r}")
     table = table if table is not None else load_profile_table()
-    entry = next(
-        (e for e in table["entries"] if e.get("language") == language),
-        {"articles": [], "punctuation_class": "unicode", "segmentation": SEGMENTATION_WHITESPACE},
-    )
+    entry = next((e for e in table["entries"] if e.get("language") == language), {})
     return NormalizationProfile(
         mode="mlqa",
         language=language,
@@ -188,16 +203,10 @@ class EvalReport:
     per_example: dict[str, ExampleScore]
 
     def to_json_dict(self, include_per_example: bool = True) -> dict:
-        payload = {
-            "exact_match": self.exact_match,
-            "f1": self.f1,
-            "total": self.total,
-        }
         if include_per_example:
-            payload["per_example"] = {
-                qa_id: {"em": score.em, "f1": score.f1}
-                for qa_id, score in self.per_example.items()
-            }
+            return asdict(self)
+        payload = asdict(replace(self, per_example={}))
+        del payload["per_example"]
         return payload
 
 

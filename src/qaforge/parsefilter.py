@@ -6,7 +6,7 @@ import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Any, TypeVar
+from typing import Any, NamedTuple, TypeVar
 
 from .corpus import Passage
 from .errors import ConfigurationError, DataError, QAForgeError
@@ -187,9 +187,9 @@ class FilterStats:
         return {**asdict(self), "parse_failures": dict(sorted(self.parse_failures.items()))}
 
 
-@dataclass(frozen=True)
-class _Draft:
-    pair: QAPair
+class _Draft(NamedTuple):
+    question: str
+    answer: str
     lm_score: float
     answer_start: int | None
 
@@ -198,7 +198,7 @@ def _dedup_keep_best(drafts: list[_Draft]) -> list[_Draft]:
     # Strict > keeps the earliest instance among equal scores.
     best: dict[tuple[str, str], int] = {}
     for index, draft in enumerate(drafts):
-        key = (draft.pair.question, draft.pair.answer)
+        key = (draft.question, draft.answer)
         current = best.get(key)
         if current is None or draft.lm_score > drafts[current].lm_score:
             best[key] = index
@@ -232,51 +232,34 @@ def run_filter_pipeline(
         except CandidateParseError as exc:
             stats.parse_failures[exc.part] = stats.parse_failures.get(exc.part, 0) + 1
             continue
-        pair = QAPair(
-            question=unicodedata.normalize("NFC", pair.question),
-            answer=unicodedata.normalize("NFC", pair.answer),
-        )
+        question = unicodedata.normalize("NFC", pair.question)
+        answer = unicodedata.normalize("NFC", pair.answer)
         score = candidate.lm_score
         if config.length_normalize:
             score /= len(candidate.text.split())
-        drafts.append(_Draft(pair=pair, lm_score=score, answer_start=None))
+        drafts.append(_Draft(question, answer, score, check_extractive(answer, passage.text)))
     stats.parsed = len(drafts)
 
     if config.require_extractive:
-        checked = []
-        for draft in drafts:
-            offset = check_extractive(draft.pair.answer, passage.text)
-            if offset is not None:
-                checked.append(_Draft(draft.pair, draft.lm_score, offset))
-        drafts = checked
+        drafts = [draft for draft in drafts if draft.answer_start is not None]
     stats.extractive = len(drafts)
 
     if config.dedup:
         drafts = _dedup_keep_best(drafts)
     stats.deduped = len(drafts)
 
-    ranked = (
-        lm_filter([(draft, draft.lm_score) for draft in drafts], config.keep_per_passage)
-        if drafts
-        else []
-    )
-
-    examples = []
-    for draft, _ in ranked:
-        answer_start = draft.answer_start
-        if answer_start is None:
-            answer_start = check_extractive(draft.pair.answer, passage.text)
-            if answer_start is None:
-                continue
-        examples.append(
-            SyntheticExample(
-                passage_id=passage.id,
-                question=draft.pair.question,
-                answer=draft.pair.answer,
-                answer_start=answer_start,
-                lm_score=draft.lm_score,
-                language=passage.language,
-            )
+    ranked = lm_filter([(draft, draft.lm_score) for draft in drafts], config.keep_per_passage)
+    examples = [
+        SyntheticExample(
+            passage_id=passage.id,
+            question=draft.question,
+            answer=draft.answer,
+            answer_start=draft.answer_start,
+            lm_score=draft.lm_score,
+            language=passage.language,
         )
+        for draft, _ in ranked
+        if draft.answer_start is not None
+    ]
     stats.kept = len(examples)
     return examples, stats

@@ -2,8 +2,9 @@
 
 One 64-bit seed drives every stochastic choice: passage subsampling uses it
 directly and each passage's sampler seed is derived from (seed, passage id),
-so results are identical under any worker schedule. All data artifacts are
-written in ascending passage-id order, making reruns byte-identical.
+so results are identical under any worker schedule. ``passages.jsonl`` keeps
+the sample order; candidates, examples and the dataset are written in
+ascending passage-id order. Reruns are byte-identical.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same stage
 functions: ``ingest``, ``generate``, ``filter_candidates``, and the readers.
@@ -142,9 +143,6 @@ class PipelineReport:
     elapsed_seconds: float = 0.0
     outputs: dict[str, str] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     """``parse(record)`` for each non-blank line of a JSONL file, in file order.
@@ -228,13 +226,24 @@ def read_candidates(
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
-    """Load (passage, question, answer) triples from a JSONL file."""
+    """Load (passage, question, answer) string triples from a JSONL file."""
 
     def parse(record: Any) -> tuple[str, str, str]:
-        try:
-            return record["passage"], record["question"], record["answer"]
-        except (TypeError, KeyError) as exc:
-            raise DataError("record needs passage/question/answer") from exc
+        if type(record) is dict:
+            passage = record.get("passage")
+            question = record.get("question")
+            answer = record.get("answer")
+            if (
+                type(passage) is str
+                and type(question) is str
+                and type(answer) is str
+                and question.strip()
+                and answer.strip()
+            ):
+                return passage, question, answer
+        raise DataError(
+            "record needs string passage/question/answer, the question and answer non-blank"
+        )
 
     return read_jsonl(path, parse)
 
@@ -443,7 +452,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         elapsed_seconds=time.monotonic() - started,
         outputs=outputs,
     )
-    write_json(outputs["report"], report.to_json_dict(), indent=2)
+    write_json(outputs["report"], asdict(report), indent=2)
     return report
 
 

@@ -1,23 +1,22 @@
 """HTTP client for an external generation service.
 
-Wire contract: POST ``{endpoint}/generate`` with a JSON body carrying
-``passage``, ``language``, ``num_samples``, ``top_k``, ``max_output_tokens``
-and, in cross-lingual mode, ``target_language``; the service answers
-``{"candidates": [{"text": ..., "lm_score": ...}, ...]}``. A candidate
-without a finite ``lm_score`` is a protocol violation.
+Wire contract: POST ``{endpoint}/generate`` with a JSON body carrying the
+``GenerationRequest`` fields that are not None, in field order; the service
+answers ``{"candidates": [{"text": ..., "lm_score": ...}, ...]}``. A candidate
+that ``Candidate.from_record`` rejects is a protocol violation.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 import threading
 import time
+from dataclasses import asdict
 
 import requests
 
-from .errors import ConfigurationError, ProtocolError, TransportError
+from .errors import ConfigurationError, DataError, ProtocolError, TransportError
 from .generator import Candidate, GenerationRequest
 
 logger = logging.getLogger(__name__)
@@ -63,17 +62,7 @@ class RemoteGeneratorClient:
         """Request ``num_samples`` candidates; the service owns its own randomness."""
         del seed  # not part of the wire contract
         url = f"{self.endpoint}/generate"
-        payload = {
-            "passage": request.passage,
-            "language": request.language,
-            "num_samples": request.num_samples,
-            "top_k": request.top_k,
-            "max_output_tokens": request.max_output_tokens,
-        }
-        if request.target_language is not None:
-            payload["target_language"] = request.target_language
-        if request.answer is not None:
-            payload["answer"] = request.answer
+        payload = {key: value for key, value in asdict(request).items() if value is not None}
 
         last_fault = "no attempt made"
         for attempt in range(1, self.max_attempts + 1):
@@ -127,22 +116,12 @@ class RemoteGeneratorClient:
             )
         candidates = []
         for position, item in enumerate(body["candidates"]):
-            if not isinstance(item, dict) or not isinstance(item.get("text"), str):
+            try:
+                candidates.append(Candidate.from_record(item))
+            except DataError as exc:
                 raise ProtocolError(
-                    f"candidate {position} missing 'text'", url=url, attempts=attempts
-                )
-            lm_score = item.get("lm_score")
-            if isinstance(lm_score, bool) or not isinstance(lm_score, (int, float)):
-                raise ProtocolError(
-                    f"candidate {position} missing 'lm_score'", url=url, attempts=attempts
-                )
-            if not math.isfinite(lm_score):
-                raise ProtocolError(
-                    f"candidate {position} has non-finite 'lm_score'",
-                    url=url,
-                    attempts=attempts,
-                )
-            candidates.append(Candidate(text=item["text"], lm_score=float(lm_score)))
+                    f"candidate {position}: {exc}", url=url, attempts=attempts
+                ) from exc
         if len(candidates) != request.num_samples:
             raise ProtocolError(
                 f"expected {request.num_samples} candidates, got {len(candidates)}",

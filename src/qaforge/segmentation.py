@@ -27,11 +27,6 @@ def is_han_char(ch: str) -> bool:
     return bool(_HAN_RE.match(ch))
 
 
-def whitespace_segment(text: str) -> list[str]:
-    """Split into maximal non-whitespace runs."""
-    return text.split()
-
-
 def mixed_segment(text: str) -> list[str]:
     """Segment with per-character Han tokens and whitespace-split runs elsewhere."""
     tokens: list[str] = []

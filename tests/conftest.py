@@ -94,3 +94,14 @@ def toy_passages() -> list[Passage]:
 @pytest.fixture()
 def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
+
+
+def pytest_collection_modifyitems(items):
+    # Every warning raised by a test of this suite fails it: an unclosed file
+    # handle (ResourceWarning) or a deprecation is a defect, not noise. The
+    # filter is set here rather than in pyproject.toml so that it covers this
+    # suite only, not the benchmark's own tests.
+    suite = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(suite):
+            item.add_marker(pytest.mark.filterwarnings("error"))

@@ -509,3 +509,108 @@ class TestStagedChainMatchesRun:
         staged_rows = (staged / "candidates.jsonl").read_text("utf-8").splitlines()
         run_rows = (run_dir / "candidates.jsonl").read_text("utf-8").splitlines()
         assert sorted(staged_rows) == sorted(run_rows)
+
+
+class TestCandidateScores:
+    def _filter(self, workspace, lm_score_json: str) -> int:
+        passage = json.loads((workspace / "passages.jsonl").read_text("utf-8").splitlines()[0])
+        answer = passage["text"].split()[0]
+        candidates = workspace / "scored.jsonl"
+        candidates.write_text(
+            f'{{"passage_id": "{passage["id"]}", "text": "question what answer {answer}", '
+            f'"lm_score": {lm_score_json}}}\n',
+            encoding="utf-8",
+        )
+        return run_cli(
+            "filter",
+            "--candidates", str(candidates),
+            "--passages", str(workspace / "passages.jsonl"),
+            "--output", str(workspace / "examples.jsonl"),
+        )
+
+    @pytest.mark.parametrize(
+        "lm_score",
+        ["NaN", "Infinity", "-Infinity", "-1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "beyond-float"],
+    )
+    def test_non_finite_score_exit_data(self, workspace, capsys, lm_score):
+        assert self._filter(workspace, lm_score) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_integer_score_written_back_as_float(self, workspace):
+        assert self._filter(workspace, "-3") == 0
+        row = json.loads((workspace / "examples.jsonl").read_text("utf-8"))
+        assert row["lm_score"] == -3.0 and type(row["lm_score"]) is float
+
+
+class TestTrainingCorpusRecords:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"question": 5}, {"question": ""}, {"answer": "  "}, {"passage": ["a"]},
+            {"answer": None},
+        ],
+        ids=["int-question", "empty-question", "blank-answer", "list-passage", "null-answer"],
+    )
+    def test_malformed_triple_exit_data(self, workspace, capsys, override):
+        train = workspace / "train.jsonl"
+        lines = train.read_text("utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **override})
+        train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(train),
+        )
+        assert code == 2
+        assert f"{train}:3:" in capsys.readouterr().err
+
+
+class TestProfileConfig:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            None,
+            {"entries": [1]},
+            {"entries": [{"language": "es", "articles": "el"}]},
+            {"entries": [{"language": "es", "articles": [1]}]},
+            {"entries": [{"language": "es", "segmentation": None}]},
+        ],
+        ids=["missing-file", "int-entry", "string-articles", "int-article", "null-segmentation"],
+    )
+    def test_unusable_table_exit_usage(self, fixtures_dir, tmp_path, capsys, table):
+        path = tmp_path / "profiles.json"
+        if table is not None:
+            path.write_text(json.dumps(table), encoding="utf-8")
+        code = run_cli(
+            "eval",
+            "--dataset", str(fixtures_dir / "metric_oracle_dataset.json"),
+            "--predictions", str(fixtures_dir / "metric_oracle_predictions.json"),
+            "--mode", "mlqa",
+            "--language", "es",
+            "--profile-config", str(path),
+        )
+        assert code == 1
+        assert "profile table" in capsys.readouterr().err
+
+
+class TestRunUsageErrors:
+    def test_config_that_is_not_an_object_exit_usage(self, workspace, capsys):
+        config_path = workspace / "config.json"
+        config_path.write_text(json.dumps([str(workspace / "passages.jsonl")]), encoding="utf-8")
+        assert run_cli("run", "--config", str(config_path)) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--backend", "bogus"), ("--workers", "0")])
+    def test_invalid_setting_exit_usage(self, workspace, capsys, flag):
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            *flag,
+        )
+        assert code == 1
+        assert flag[0][2:] in capsys.readouterr().err
+        assert not (workspace / "out").exists()

@@ -50,6 +50,13 @@ class _FlakyBackend:
         return self.inner.generate(request, seed=seed)
 
 
+class _NoBackend:
+    """Fails any call: a resume with every passage journaled must not generate."""
+
+    def generate(self, request, seed=0):
+        raise AssertionError(f"unexpected generation for {request.passage!r}")
+
+
 class TestRunPipeline:
     def test_produces_valid_deterministic_artifacts(self, tmp_path):
         config_a = make_config(tmp_path, "run_a")
@@ -284,6 +291,31 @@ class TestResumeJournal:
             "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
         )
         resumed = run_pipeline(config)
+        assert (
+            Path(resumed.outputs["dataset"]).read_bytes()
+            == Path(baseline.outputs["dataset"]).read_bytes()
+        )
+
+
+class TestEmitFailure:
+    def test_failure_after_generation_keeps_journal_for_resume(self, tmp_path):
+        baseline = run_pipeline(make_config(tmp_path, "baseline"))
+        config = make_config(tmp_path, "blocked")
+        out_dir = Path(config.output_dir)
+        (out_dir / "dataset.json").mkdir(parents=True)
+
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config)
+        assert exc.value.stage == "emit"
+        assert isinstance(exc.value.cause, OSError)
+        checkpoint = json.loads((out_dir / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["stage"] == "emit"
+        assert "failed_passage_id" not in checkpoint
+        assert len(checkpoint["completed_passage_ids"]) == 10
+        assert (out_dir / "checkpoint.jsonl").exists()
+
+        (out_dir / "dataset.json").rmdir()
+        resumed = run_pipeline(make_config(tmp_path, "blocked", resume=True), backend=_NoBackend())
         assert (
             Path(resumed.outputs["dataset"]).read_bytes()
             == Path(baseline.outputs["dataset"]).read_bytes()

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -167,3 +169,37 @@ class TestRemoteGeneratorClient:
         monkeypatch.delenv(GENERATOR_URL_ENV, raising=False)
         with pytest.raises(ConfigurationError):
             RemoteGeneratorClient()
+
+
+class TestFailurePaths:
+    def test_client_error_is_not_retried(self, serve):
+        script = _Script([(404, {}), (200, _ok_payload())])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        with pytest.raises(TransportError, match="status 404") as exc:
+            client.generate(_request())
+        assert exc.value.attempts == 1
+        assert not isinstance(exc.value, ProtocolError)
+        assert len(script.bodies) == 1
+
+    @pytest.mark.parametrize(
+        "lm_score",
+        [math.nan, math.inf, -math.inf, -(10**400)],
+        ids=["nan", "inf", "-inf", "beyond-float"],
+    )
+    def test_non_finite_score_is_protocol_violation(self, serve, lm_score):
+        payload = {"candidates": [{"text": "question q answer a", "lm_score": -1.0},
+                                  {"text": "question r answer b", "lm_score": lm_score}]}
+        script = _Script([(200, payload), (200, _ok_payload())])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        with pytest.raises(ProtocolError, match="candidate 1: .*finite"):
+            client.generate(_request())
+        assert len(script.bodies) == 1
+
+    def test_request_body_keys_in_field_order(self, serve):
+        script = _Script([(200, _ok_payload(1))])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client.generate(replace(_request(num_samples=1), answer="río"))
+        assert list(script.bodies[0]) == [
+            "passage", "language", "num_samples", "top_k", "max_output_tokens",
+            "target_language", "answer",
+        ]
