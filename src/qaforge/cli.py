@@ -21,6 +21,7 @@ from .errors import (
     PipelineError,
     QAForgeError,
     TransportError,
+    json_error_reason,
 )
 from .metrics import (
     bleu,
@@ -139,8 +140,8 @@ def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
     """A JSON document; invalid JSON raises ``invalid``."""
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise invalid(f"{path}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise invalid(f"{path}: invalid JSON: {json_error_reason(exc)}") from exc
 
 
 def cmd_eval(args) -> int:

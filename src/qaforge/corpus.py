@@ -8,7 +8,7 @@ import unicodedata
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, json_error_reason
 from .segmentation import mixed_segment
 
 __all__ = [
@@ -134,8 +134,8 @@ def parse_passage_stream(
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            report(line_number, f"invalid record: {exc.msg}")
+        except ValueError as exc:
+            report(line_number, f"invalid record: {json_error_reason(exc)}")
             continue
         if not isinstance(record, dict):
             report(line_number, "record is not an object")

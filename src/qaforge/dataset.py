@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from .corpus import Passage
-from .errors import ConfigurationError, EmissionError, SquadParseError
+from .errors import ConfigurationError, EmissionError, SquadParseError, json_error_reason
 from .parsefilter import SyntheticExample
 
 __all__ = [
@@ -217,8 +217,8 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
             raise SquadParseError(f"document is not valid utf-8: {exc}") from exc
     try:
         document = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise SquadParseError(f"document is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise SquadParseError(f"document is not valid JSON: {json_error_reason(exc)}") from exc
 
     version = _expect_key(document, "version", str, "$")
     data = _expect_key(document, "data", list, "$")

@@ -6,6 +6,18 @@ DataError -> 2 (bad inputs), TransportError -> 3 (remote service).
 
 from __future__ import annotations
 
+import json
+
+
+def json_error_reason(exc: ValueError) -> str:
+    """Why ``json.loads`` failed.
+
+    Besides ``JSONDecodeError``, ``json.loads`` raises a plain ValueError for
+    an integer literal past the interpreter's digit limit (4300 by default),
+    so readers catch ValueError and describe it with this.
+    """
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+
 
 class QAForgeError(Exception):
     """Base class for all package errors."""

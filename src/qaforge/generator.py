@@ -8,6 +8,7 @@ through the same interface (see ``remote``).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 import random
@@ -161,9 +162,15 @@ class ReferenceBackend:
         self.vocabulary = tuple(sorted(set(vocabulary)))
         self.counts = counts
         self.smoothing = smoothing
-        self._emittable = self.vocabulary + (EOS_TOKEN,)
+        # Every emittable symbol in lexicographic order: EOS goes where it sorts.
+        eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
+        self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
         self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
-        self._distribution_cache: dict[tuple[str, ...], tuple[list[str], list[float]]] = {}
+        # Keyed by (trained context or None, k): every untrained context has
+        # total 0 and so the same ranking, which bounds the cache by the model.
+        self._top_k_cache: dict[
+            tuple[tuple[str, ...] | None, int], tuple[list[str], list[float]]
+        ] = {}
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
@@ -219,9 +226,9 @@ class ReferenceBackend:
         tokens: list[str] = []
         score = 0.0
         while len(tokens) < max_tokens:
-            symbols, probs = self._distribution(context)
-            k = min(top_k, len(symbols))
-            mass = sum(probs[:k])
+            symbols, probs = self._top_k(context, top_k)
+            k = len(symbols)
+            mass = sum(probs)
             draw = rng.random() * mass
             pick = k - 1
             acc = 0.0
@@ -238,15 +245,40 @@ class ReferenceBackend:
             context = _shift_context(context, symbol, self.order)
         return tokens, score
 
-    def _distribution(self, context: tuple[str, ...]) -> tuple[list[str], list[float]]:
-        cached = self._distribution_cache.get(context)
+    def _top_k(self, context: tuple[str, ...], k: int) -> tuple[list[str], list[float]]:
+        """The first ``k`` symbols by ``(-probability, symbol)``, and their probabilities.
+
+        Under additive smoothing every symbol not counted after ``context``
+        has the same probability, no higher than that of a counted one, and
+        they rank among themselves lexicographically. So the exact head of the
+        ranking comes from the counted symbols plus the first ``k`` symbols in
+        lexicographic order: O(counted + k) work per new context instead of
+        ranking all V + 1 symbols.
+        """
+        key = (context if context in self.counts else None, k)
+        cached = self._top_k_cache.get(key)
         if cached is None:
+            lexicographic = self._lexicographic
+            # Positions, not symbols: a vocabulary word spelled like EOS_TOKEN
+            # occupies two places in the ranking, as in the full list.
+            counted = {
+                position
+                for symbol in self.counts.get(context, ())
+                for position in range(
+                    bisect.bisect_left(lexicographic, symbol),
+                    bisect.bisect_right(lexicographic, symbol),
+                )
+            }
+            pool = counted.union(range(min(len(lexicographic), k)))
             ranked = sorted(
-                ((symbol, self.probability(context, symbol)) for symbol in self._emittable),
+                (
+                    (lexicographic[i], self.probability(context, lexicographic[i]))
+                    for i in pool
+                ),
                 key=lambda pair: (-pair[1], pair[0]),
-            )
+            )[:k]
             cached = ([s for s, _ in ranked], [p for _, p in ranked])
-            self._distribution_cache[context] = cached
+            self._top_k_cache[key] = cached
         return cached
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import re
 
 from .dataset import SquadDataset
-from .errors import ConfigurationError, DataError, MissingPredictionsError
+from .errors import ConfigurationError, DataError, MissingPredictionsError, json_error_reason
 from .segmentation import mixed_segment
 
 __all__ = [
@@ -72,8 +72,10 @@ def load_profile_table(path: str | Path | None = None) -> dict:
             raise ConfigurationError(f"cannot read profile table {path}: {exc}") from exc
     try:
         table = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"profile table is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"profile table is not valid JSON: {json_error_reason(exc)}"
+        ) from exc
     if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
         raise ConfigurationError("profile table must carry an 'entries' array")
     for position, entry in enumerate(table["entries"]):

@@ -25,7 +25,7 @@ from typing import Any, get_args, get_type_hints
 
 from .corpus import Passage, RecordError, filter_by_length, parse_passage_stream, sample_passages
 from .dataset import emit_squad, write_squad
-from .errors import ConfigurationError, DataError, PipelineError
+from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
 from .remote import RemoteGeneratorClient
@@ -157,9 +157,12 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
                 if not line.strip():
                     continue
                 try:
-                    items.append(parse(json.loads(line)))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
+                    record = json.loads(line)
+                except ValueError as exc:
+                    reason = json_error_reason(exc)
+                    raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
+                try:
+                    items.append(parse(record))
                 except DataError as exc:
                     raise DataError(f"{path}:{line_number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -293,18 +296,27 @@ class _CheckpointJournal:
         self._handle = open(path, "a", encoding="utf-8")
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as handle:
+        """Read every complete line, then cut off a torn last line.
+
+        An interrupted run can leave a last line without its newline; new
+        entries must not be appended onto it, or the next resume loses them.
+        """
+        complete = 0
+        with open(self.path, "rb") as handle:
             for line in handle:
+                if not line.endswith(b"\n"):
+                    break
+                complete += len(line)
                 try:
                     entry = json.loads(line)
                     passage_id = entry["passage_id"]
                     candidates = [Candidate.from_record(c) for c in entry["candidates"]]
-                except (json.JSONDecodeError, TypeError, KeyError, DataError):
-                    # A torn final line from an interrupted run is expected;
-                    # blank and other unusable lines are skipped the same way.
+                except (ValueError, TypeError, KeyError, DataError):
+                    # Blank and other unusable lines are skipped.
                     continue
                 if isinstance(passage_id, str):
                     self.completed[passage_id] = candidates
+        os.truncate(self.path, complete)
 
     def record(self, passage_id: str, candidates: list[Candidate]) -> None:
         entry = {"passage_id": passage_id, "candidates": [c.to_record() for c in candidates]}

@@ -543,6 +543,39 @@ class TestCandidateScores:
         assert row["lm_score"] == -3.0 and type(row["lm_score"]) is float
 
 
+class TestIntegerPastTheDigitLimit:
+    """A JSON integer over 4300 digits makes json.loads raise a plain ValueError."""
+
+    HUGE = "1" * 5000
+
+    def test_candidates_file_exit_data_naming_line(self, workspace, capsys):
+        candidates = workspace / "scored.jsonl"
+        candidates.write_text(
+            '{"passage_id": "p000", "text": "question q answer a", "lm_score": -1.0}\n'
+            f'{{"passage_id": "p000", "text": "question q answer a", "lm_score": -{self.HUGE}}}\n',
+            encoding="utf-8",
+        )
+        code = run_cli(
+            "filter",
+            "--candidates", str(candidates),
+            "--passages", str(workspace / "passages.jsonl"),
+            "--output", str(workspace / "examples.jsonl"),
+        )
+        assert code == 2
+        assert f"{candidates}:2: invalid record" in capsys.readouterr().err
+
+    def test_predictions_file_exit_data(self, fixtures_dir, tmp_path, capsys):
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(f'{{"en-1": {self.HUGE}}}', encoding="utf-8")
+        code = run_cli(
+            "eval",
+            "--dataset", str(fixtures_dir / "metric_oracle_dataset.json"),
+            "--predictions", str(predictions),
+        )
+        assert code == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+
 class TestTrainingCorpusRecords:
     @pytest.mark.parametrize(
         "override",

@@ -158,6 +158,16 @@ class TestParsePassageStream:
                                   on_error=errors.append))
         assert [e.line_number for e in errors] == [2]
 
+    def test_integer_past_the_digit_limit_reports_and_skips(self):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, here.
+        errors = []
+        good = json.dumps({"id": "a1", "text": "x", "language": "en"})
+        huge = good[:-1] + ', "n": ' + "1" * 5000 + "}"
+        passages = list(parse_passage_stream([huge, good], on_error=errors.append))
+        assert [p.id for p in passages] == ["a1"]
+        assert [e.line_number for e in errors] == [1]
+        assert "invalid record" in errors[0].message
+
     def test_duplicate_id_skipped(self):
         errors = []
         line = json.dumps({"id": "a1", "text": "x y z", "language": "en"})

@@ -153,6 +153,10 @@ class TestReadSquad:
         with pytest.raises(SquadParseError):
             read_squad(payload)
 
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(SquadParseError, match="not valid JSON"):
+            read_squad('{"version": "1.1", "data": [], "n": ' + "1" * 5000 + "}")
+
     def test_missing_field_reports_path(self):
         document = {"version": "1.1", "data": [{"title": "t", "paragraphs": [{"qas": []}]}]}
         with pytest.raises(SquadParseError, match=r"\$\.data\[0\]\.paragraphs\[0\]"):

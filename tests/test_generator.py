@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaforge.errors import ConfigurationError
 from qaforge.generator import (
     EOS_TOKEN,
     Candidate,
     GenerationRequest,
+    ReferenceBackend,
     conditioning_text,
     derive_seed,
     format_target,
     train_reference,
 )
+
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "reference_golden.json"
 
 
 def request(passage: str, **overrides) -> GenerationRequest:
@@ -170,6 +178,106 @@ class TestGenerate:
     def test_invalid_request_fields_rejected(self, field, value):
         with pytest.raises(ValueError):
             request("p", **{field: value})
+
+
+def full_ranking(backend: ReferenceBackend, context: tuple[str, ...]):
+    """Reference decoder ranking: every emittable symbol scored and sorted by (-p, symbol)."""
+    return sorted(
+        (
+            (symbol, backend.probability(context, symbol))
+            for symbol in (*backend.vocabulary, EOS_TOKEN)
+        ),
+        key=lambda pair: (-pair[1], pair[0]),
+    )
+
+
+# Symbols on both sides of EOS_TOKEN ("</s>") in sort order, and one spelled like it.
+_SYMBOLS = st.sampled_from(
+    ["!", "0", "1999", ";", "<", "</r>", "</s>", "</t>", "<pad>", "a", "answer", "b", "z", "~"]
+)
+
+
+@st.composite
+def small_models(draw):
+    order = draw(st.integers(1, 3))
+    vocabulary = draw(st.sets(_SYMBOLS, min_size=1, max_size=12))
+    emittable = sorted(vocabulary | {EOS_TOKEN})
+    contexts = st.tuples(*[st.sampled_from([*emittable, "<pad>"])] * (order - 1))
+    counts = draw(
+        st.dictionaries(
+            contexts,
+            st.dictionaries(st.sampled_from(emittable), st.integers(1, 5), max_size=6).map(
+                Counter
+            ),
+            max_size=5,
+        )
+    )
+    smoothing = draw(st.sampled_from([1.0, 0.5, 0.1, 2.5]))
+    backend = ReferenceBackend(order, vocabulary, counts, smoothing)
+    queries = [*counts, draw(contexts), ("never", "seen")[: order - 1]]
+    k = draw(st.integers(1, len(vocabulary) + 4))
+    return backend, queries, k
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(small_models())
+    def test_equals_head_of_full_ranking(self, model):
+        backend, queries, k = model
+        for context in queries:
+            ranked = full_ranking(backend, context)[:k]
+            symbols, probs = backend._top_k(context, k)
+            assert symbols == [symbol for symbol, _ in ranked]
+            assert probs == [p for _, p in ranked]
+
+    def test_golden_generate_output(self):
+        # Recorded from the decoder that ranked all V + 1 symbols per context.
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert golden_output() == golden["runs"]
+
+    def test_cache_is_bounded_by_the_trained_model(self, toy_corpus):
+        backend = train_reference(toy_corpus, order=3)
+        top_ks = (1, 4, 10)
+        bound = (len(backend.counts) + 1) * len(top_ks)
+        # Each passage ends on its own untrained context pair.
+        passages = [f"unseen{i} tail{i}" for i in range(bound + 50)]
+        for index, passage in enumerate(passages):
+            top_k = top_ks[index % len(top_ks)]
+            backend.generate(request(passage, top_k=top_k, max_output_tokens=6), seed=index)
+        assert len(backend._top_k_cache) <= bound
+
+
+def golden_output() -> list[dict]:
+    """``generate`` output of an order-3 model over a few hundred words.
+
+    The year tokens sort before EOS_TOKEN, the ``w`` words after it.
+    """
+    rng = random.Random(4242)
+    pool = [f"w{i:03d}" for i in range(300)] + [str(year) for year in range(1900, 1960)]
+    corpus = []
+    for _ in range(150):
+        passage = " ".join(rng.choice(pool) for _ in range(rng.randint(6, 12)))
+        question = " ".join(rng.choice(pool) for _ in range(rng.randint(2, 5)))
+        answer = " ".join(rng.choice(passage.split()) for _ in range(rng.randint(1, 2)))
+        corpus.append((passage, question, answer))
+    backend = train_reference(corpus, order=3)
+    # Two passages end on a trained context, two on an untrained one.
+    passages = [corpus[0][0], corpus[1][0]] + [
+        " ".join(rng.choice(pool) for _ in range(8)) for _ in range(2)
+    ]
+    runs = []
+    for index, passage in enumerate(passages):
+        for top_k in (1, 3, 40, len(backend.vocabulary) + 5):
+            req = request(passage, num_samples=3, top_k=top_k, max_output_tokens=12)
+            candidates = backend.generate(req, seed=derive_seed(5, f"g{index}"))
+            runs.append(
+                {
+                    "passage": index,
+                    "top_k": top_k,
+                    "candidates": [[c.text, repr(c.lm_score)] for c in candidates],
+                }
+            )
+    return runs
 
 
 class TestScoreSequence:

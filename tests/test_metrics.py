@@ -304,6 +304,12 @@ class TestBleu:
 
 
 class TestProfileTable:
+    def test_integer_past_the_digit_limit_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_text('{"entries": [], "n": ' + "1" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="not valid JSON"):
+            load_profile_table(path)
+
     def test_shipped_table_loads_with_expected_languages(self):
         table = load_profile_table()
         languages = {entry["language"] for entry in table["entries"]}

@@ -8,9 +8,11 @@ import pytest
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
 from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError, PipelineError, TransportError
+from qaforge.generator import Candidate
 from qaforge.pipeline import (
     PipelineConfig,
     PipelineReport,
+    _CheckpointJournal,
     run_pipeline,
     stats_summary,
 )
@@ -273,6 +275,9 @@ class TestConfigValueTypes:
         assert (config.seed, config.sample_n, config.dedup) == (None, 3, False)
 
 
+CANDIDATE_RECORD = {"text": "question q answer a", "lm_score": -1.0}
+
+
 class TestResumeJournal:
     def test_unusable_journal_lines_are_skipped(self, tmp_path):
         baseline = run_pipeline(make_config(tmp_path, "baseline"))
@@ -295,6 +300,38 @@ class TestResumeJournal:
             Path(resumed.outputs["dataset"]).read_bytes()
             == Path(baseline.outputs["dataset"]).read_bytes()
         )
+
+    def test_entry_after_a_torn_line_survives_the_next_resume(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
+        path.write_text(json.dumps(whole) + '\n{"passage_id": "b", "candi', encoding="utf-8")
+        journal = _CheckpointJournal(path, resume=True)
+        journal.record("c", [Candidate("question q answer c", -2.0)])
+        journal.close(discard=False)
+
+        resumed = _CheckpointJournal(path, resume=True)
+        resumed.close(discard=False)
+        assert sorted(resumed.completed) == ["a", "c"]
+        assert resumed.completed["c"] == [Candidate("question q answer c", -2.0)]
+
+    def test_torn_line_ending_inside_a_character_is_cut(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        whole = {"passage_id": "a", "candidates": [{"text": "question é", "lm_score": -1.0}]}
+        torn = '{"passage_id": "b", "candidates": [{"text": "é'.encode("utf-8")[:-1]
+        path.write_bytes((json.dumps(whole, ensure_ascii=False) + "\n").encode("utf-8") + torn)
+        journal = _CheckpointJournal(path, resume=True)
+        journal.close(discard=False)
+        assert sorted(journal.completed) == ["a"]
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_integer_past_the_digit_limit_line_is_skipped(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
+        huge = '{"passage_id": "b", "candidates": [{"text": "t", "lm_score": %s}]}' % ("1" * 5000)
+        path.write_text(huge + "\n" + json.dumps(whole) + "\n", encoding="utf-8")
+        journal = _CheckpointJournal(path, resume=True)
+        journal.close(discard=False)
+        assert sorted(journal.completed) == ["a"]
 
 
 class TestEmitFailure:
