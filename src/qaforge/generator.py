@@ -15,7 +15,8 @@ import random
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from itertools import accumulate
+from typing import Any, NamedTuple
 
 from .errors import ConfigurationError, DataError
 
@@ -131,6 +132,17 @@ def _shift_context(context: tuple[str, ...], token: str, order: int) -> tuple[st
     return (context + (token,))[-(order - 1):]
 
 
+class _SamplingTable(NamedTuple):
+    """What a decode step needs of the top-k symbols after one context."""
+
+    symbols: list[str]
+    cumulative: list[float]  # running sums of the probabilities, left to right
+    # sum() of the probabilities, the draw's scale; from Python 3.12 sum()
+    # compensates rounding, so it need not equal cumulative[-1].
+    mass: float
+    logs: list[float]  # natural log of each probability
+
+
 class ReferenceBackend:
     """Add-one-smoothed word n-gram generator conditioned on a passage window.
 
@@ -143,8 +155,10 @@ class ReferenceBackend:
     so rescoring a decoded text reproduces its sampling-time score and the
     score of a full target splits exactly into prefix + continuation.
 
-    Instances are immutable after construction and safe to share across
-    threads; sampling determinism comes from the caller-provided seed.
+    The model is fixed at construction. Each decode step reads a sampling
+    table built at the first use of its (context, k) and memoized; instances
+    are safe to share across threads, since racing threads build and store
+    equal tables. Sampling determinism comes from the caller-provided seed.
     """
 
     def __init__(
@@ -168,9 +182,7 @@ class ReferenceBackend:
         self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         # Keyed by (trained context or None, k): every untrained context has
         # total 0 and so the same ranking, which bounds the cache by the model.
-        self._top_k_cache: dict[
-            tuple[tuple[str, ...] | None, int], tuple[list[str], list[float]]
-        ] = {}
+        self._top_k_cache: dict[tuple[tuple[str, ...] | None, int], _SamplingTable] = {}
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
@@ -225,25 +237,35 @@ class ReferenceBackend:
     ) -> tuple[list[str], float]:
         tokens: list[str] = []
         score = 0.0
+        shifts = self.order > 1
         while len(tokens) < max_tokens:
-            symbols, probs = self._top_k(context, top_k)
-            k = len(symbols)
-            mass = sum(probs)
-            draw = rng.random() * mass
-            pick = k - 1
-            acc = 0.0
-            for i in range(k):
-                acc += probs[i]
-                if draw < acc:
-                    pick = i
-                    break
+            symbols, cumulative, mass, logs = self._sampling_table(context, top_k)
+            # The first running sum above the draw; a draw that rounding puts
+            # past the last sum takes the last symbol.
+            pick = bisect.bisect_right(cumulative, rng.random() * mass)
+            if pick == len(symbols):
+                pick -= 1
             symbol = symbols[pick]
             if symbol == EOS_TOKEN:
                 break
             tokens.append(symbol)
-            score += math.log(probs[pick])
-            context = _shift_context(context, symbol, self.order)
+            score += logs[pick]
+            if shifts:
+                # Initial contexts hold exactly order - 1 tokens.
+                context = context[1:] + (symbol,)
         return tokens, score
+
+    def _sampling_table(self, context: tuple[str, ...], k: int) -> _SamplingTable:
+        """The decode-step table of the top ``k`` symbols after ``context``, built at first use."""
+        key = (context if context in self.counts else None, k)
+        table = self._top_k_cache.get(key)
+        if table is None:
+            symbols, probs = self._top_k(context, k)
+            table = _SamplingTable(
+                symbols, list(accumulate(probs)), sum(probs), [math.log(p) for p in probs]
+            )
+            self._top_k_cache[key] = table
+        return table
 
     def _top_k(self, context: tuple[str, ...], k: int) -> tuple[list[str], list[float]]:
         """The first ``k`` symbols by ``(-probability, symbol)``, and their probabilities.
@@ -255,31 +277,23 @@ class ReferenceBackend:
         lexicographic order: O(counted + k) work per new context instead of
         ranking all V + 1 symbols.
         """
-        key = (context if context in self.counts else None, k)
-        cached = self._top_k_cache.get(key)
-        if cached is None:
-            lexicographic = self._lexicographic
-            # Positions, not symbols: a vocabulary word spelled like EOS_TOKEN
-            # occupies two places in the ranking, as in the full list.
-            counted = {
-                position
-                for symbol in self.counts.get(context, ())
-                for position in range(
-                    bisect.bisect_left(lexicographic, symbol),
-                    bisect.bisect_right(lexicographic, symbol),
-                )
-            }
-            pool = counted.union(range(min(len(lexicographic), k)))
-            ranked = sorted(
-                (
-                    (lexicographic[i], self.probability(context, lexicographic[i]))
-                    for i in pool
-                ),
-                key=lambda pair: (-pair[1], pair[0]),
-            )[:k]
-            cached = ([s for s, _ in ranked], [p for _, p in ranked])
-            self._top_k_cache[key] = cached
-        return cached
+        lexicographic = self._lexicographic
+        # Positions, not symbols: a vocabulary word spelled like EOS_TOKEN
+        # occupies two places in the ranking, as in the full list.
+        counted = {
+            position
+            for symbol in self.counts.get(context, ())
+            for position in range(
+                bisect.bisect_left(lexicographic, symbol),
+                bisect.bisect_right(lexicographic, symbol),
+            )
+        }
+        pool = counted.union(range(min(len(lexicographic), k)))
+        ranked = sorted(
+            ((lexicographic[i], self.probability(context, lexicographic[i])) for i in pool),
+            key=lambda pair: (-pair[1], pair[0]),
+        )[:k]
+        return [s for s, _ in ranked], [p for _, p in ranked]
 
 
 def train_reference(

@@ -11,34 +11,19 @@ from __future__ import annotations
 import re
 
 # CJK Unified Ideographs plus the extension and compatibility blocks.
-_HAN_RE = re.compile(
-    "["
-    "㐀-䶿"
-    "一-鿿"
-    "豈-﫿"
+_HAN = (
+    "\u3400-\u4dbf"
+    "\u4e00-\u9fff"
+    "\uf900-\ufaff"
     "\U00020000-\U0002a6df"
     "\U0002a700-\U0002ebef"
     "\U0002f800-\U0002fa1f"
-    "]"
 )
-
-
-def is_han_char(ch: str) -> bool:
-    return bool(_HAN_RE.match(ch))
+# One Han ideograph, or a run of characters that are neither Han nor
+# whitespace: ``\s`` is the whitespace set ``str.split`` uses.
+_TOKEN_RE = re.compile(f"[{_HAN}]|[^\\s{_HAN}]+")
 
 
 def mixed_segment(text: str) -> list[str]:
     """Segment with per-character Han tokens and whitespace-split runs elsewhere."""
-    tokens: list[str] = []
-    pending: list[str] = []
-    for ch in text:
-        if is_han_char(ch):
-            if pending:
-                tokens.extend("".join(pending).split())
-                pending = []
-            tokens.append(ch)
-        else:
-            pending.append(ch)
-    if pending:
-        tokens.extend("".join(pending).split())
-    return tokens
+    return _TOKEN_RE.findall(text)

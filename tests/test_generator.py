@@ -17,6 +17,8 @@ from qaforge.generator import (
     GenerationRequest,
     ReferenceBackend,
     conditioning_text,
+    _initial_context,
+    _shift_context,
     derive_seed,
     format_target,
     train_reference,
@@ -245,6 +247,56 @@ class TestTopK:
             top_k = top_ks[index % len(top_ks)]
             backend.generate(request(passage, top_k=top_k, max_output_tokens=6), seed=index)
         assert len(backend._top_k_cache) <= bound
+
+
+
+def oracle_generate(backend: ReferenceBackend, req: GenerationRequest, seed: int):
+    """Reference decoder: per step the full ranking, a sum, a linear scan and a log."""
+    rng = random.Random(seed)
+    base_context = _initial_context(conditioning_text(req).split(), backend.order)
+    candidates = []
+    for _ in range(req.num_samples):
+        context = base_context
+        tokens: list[str] = []
+        score = 0.0
+        while len(tokens) < req.max_output_tokens:
+            ranked = full_ranking(backend, context)[: req.top_k]
+            symbols = [symbol for symbol, _ in ranked]
+            probs = [p for _, p in ranked]
+            k = len(symbols)
+            mass = sum(probs)
+            draw = rng.random() * mass
+            pick = k - 1
+            acc = 0.0
+            for i in range(k):
+                acc += probs[i]
+                if draw < acc:
+                    pick = i
+                    break
+            symbol = symbols[pick]
+            if symbol == EOS_TOKEN:
+                break
+            tokens.append(symbol)
+            score += math.log(probs[pick])
+            context = _shift_context(context, symbol, backend.order)
+        candidates.append(Candidate(text=" ".join(tokens), lm_score=score))
+    return candidates
+
+
+class TestDecoder:
+    @settings(max_examples=300, deadline=None)
+    @given(small_models(), st.integers(0, 2**32), st.integers(1, 12))
+    def test_generate_equals_the_reference_decoder(self, model, seed, max_tokens):
+        backend, queries, k = model
+        for context in queries:
+            # The leading word keeps the passage non-empty at order 1.
+            req = request(
+                " ".join(("lead", *context)),
+                num_samples=4,
+                top_k=k,
+                max_output_tokens=max_tokens,
+            )
+            assert backend.generate(req, seed=seed) == oracle_generate(backend, req, seed)
 
 
 def golden_output() -> list[dict]:
