@@ -1,7 +1,7 @@
 """Command-line entry points for every pipeline stage.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 transport error.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error or an
+output that cannot be written, 3 transport error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
-from .dataset import build_training_mix, emit_squad, read_squad, write_squad
+from .dataset import (
+    build_training_mix,
+    emit_squad,
+    read_squad,
+    write_json,
+    write_jsonl,
+    write_squad,
+)
 from .errors import (
     ConfigurationError,
     DataError,
@@ -44,8 +51,6 @@ from .pipeline import (
     read_passages,
     run_pipeline,
     stats_summary,
-    write_json,
-    write_jsonl,
 )
 
 logger = logging.getLogger(__name__)
@@ -307,6 +312,11 @@ def main(argv=None) -> int:
         if isinstance(cause, TransportError):
             return EXIT_TRANSPORT
         return EXIT_USAGE if isinstance(exc, ConfigurationError) else EXIT_DATA
+    except OSError as exc:
+        # Readers raise DataError, so an OSError here is an output that
+        # cannot be written; its message names the path.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -1,15 +1,22 @@
-"""SQuAD-1.1 document reading/emission and staged training manifests.
+"""SQuAD-1.1 document reading/emission, staged training manifests, and the
+one writer of every file qaforge writes.
 
 Emission is fully deterministic: articles sort by passage id, entries sort
 by their content-hash id, and serialization uses a fixed compact layout,
 so identical inputs yield byte-identical documents.
+
+Every artifact (run outputs, stage-subcommand outputs, reports, manifests,
+``checkpoint.json``) is written by ``write_json`` or ``write_jsonl``: into a
+temporary sibling of the target, which then replaces the target in one
+rename. A reader sees the old file or the new one, never a prefix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Mapping, Sequence
+import os
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -34,10 +41,76 @@ __all__ = [
     "read_squad",
     "dumps_squad",
     "write_squad",
+    "jsonl_line",
+    "write_json",
+    "write_jsonl",
     "build_training_mix",
 ]
 
 SQUAD_VERSION = "1.1"
+
+_COMPACT = (",", ":")
+
+# Encodes as json.dumps(value, ensure_ascii=False) does, without building a
+# new encoder per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
+def jsonl_line(record: Any) -> str:
+    """``record`` as one JSONL line, newline included."""
+    return _ENCODER.encode(record) + "\n"
+
+
+def _replace(path: str | Path, write: Callable[[IO[str]], Any]) -> None:
+    """Call ``write`` on a temporary sibling of ``path``, then rename it to ``path``.
+
+    The temporary is opened like any ``open(path, "w")`` file, so the
+    artifact gets the same permission bits. A symlinked ``path`` is resolved
+    first, so the link is kept and its target replaced. On any exception the
+    temporary is deleted and the target is left as it was; an OSError is
+    raised again naming ``path``, not the temporary.
+
+    An existing ``path`` that is not a regular file, such as a FIFO or
+    ``/dev/stdout``, cannot be renamed over and is written in place.
+    """
+    target = Path(path)
+    if target.exists() and not target.is_file():
+        temporary = target
+    else:
+        target = Path(os.path.realpath(target))
+        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            write(handle)
+        if temporary != target:
+            os.replace(temporary, target)
+    except BaseException as exc:
+        if temporary != target:
+            temporary.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def write_json(
+    path: str | Path,
+    value: Any,
+    *,
+    indent: int | None = None,
+    separators: tuple[str, str] | None = None,
+) -> None:
+    """``value`` as one JSON document and a newline, replacing ``path`` atomically."""
+    text = json.dumps(value, ensure_ascii=False, indent=indent, separators=separators) + "\n"
+    # A caller's temporary tree (``to_json_dict()``) is freed here, so the
+    # tree and the text of a large document are not held together.
+    del value
+    _replace(path, lambda handle: handle.write(text))
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    """One ``jsonl_line`` per record, replacing ``path`` atomically."""
+    _replace(path, lambda handle: handle.writelines(map(jsonl_line, records)))
+
 
 @dataclass
 class SquadAnswer:
@@ -179,11 +252,11 @@ def emit_squad(
 
 
 def dumps_squad(dataset: SquadDataset) -> str:
-    return json.dumps(dataset.to_json_dict(), ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(dataset.to_json_dict(), ensure_ascii=False, separators=_COMPACT)
 
 
 def write_squad(dataset: SquadDataset, destination: str | Path) -> None:
-    Path(destination).write_text(dumps_squad(dataset) + "\n", encoding="utf-8")
+    write_json(destination, dataset.to_json_dict(), separators=_COMPACT)
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:
@@ -287,10 +360,7 @@ class TrainingManifest:
     stages: list[TrainingStage] = field(default_factory=list)
 
     def write(self, destination: str | Path) -> None:
-        Path(destination).write_text(
-            json.dumps(asdict(self), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        write_json(destination, asdict(self), indent=2)
 
 
 _STAGE_OVERRIDE_KEYS = {"epochs", "batch_size", "learning_rate"}

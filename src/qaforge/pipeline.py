@@ -8,27 +8,29 @@ ascending passage-id order. Reruns are byte-identical.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same stage
 functions: ``ingest``, ``generate``, ``filter_candidates``, and the readers.
+Every artifact is written through ``dataset.write_json``/``write_jsonl``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
 from .corpus import Passage, RecordError, filter_by_length, parse_passage_stream, sample_passages
-from .dataset import emit_squad, write_squad
+from .dataset import emit_squad, jsonl_line, write_json, write_jsonl, write_squad
 from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
-from .remote import RemoteGeneratorClient
+from .remote import RemoteGeneratorClient, resolve_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -170,17 +172,6 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
     return items
 
 
-def write_json(path: str | Path, value: Any, indent: int | None = None) -> None:
-    text = json.dumps(value, ensure_ascii=False, indent=indent)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
 def read_passages(
     path: str | Path, on_error: Callable[[RecordError], None] | None = None
 ) -> list[Passage]:
@@ -282,27 +273,66 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
     return sampled, counts, len(record_errors)
 
 
-class _CheckpointJournal:
-    """Append-only record of per-passage generation results for resumption."""
+# The settings that decide a passage's journal entry. Ingest and filter
+# settings are left out: the entry depends only on the passage, these, the
+# resolved seed and the backend's identity.
+_FINGERPRINT_KEYS = (
+    "backend", "order", "num_samples", "top_k", "max_output_tokens", "target_language"
+)
 
-    def __init__(self, path: Path, resume: bool):
+
+def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
+    """What a journal's entries were generated under; a resume must match it.
+
+    The backend's identity is the sha256 of the training-corpus bytes for
+    ``reference``, or the resolved endpoint for ``remote``.
+    """
+    fingerprint = {key: getattr(config, key) for key in _FINGERPRINT_KEYS}
+    fingerprint["seed"] = config.resolved_seed()
+    if config.backend == "remote":
+        fingerprint["endpoint"] = resolve_endpoint(config.endpoint)
+    else:
+        try:
+            corpus = Path(config.train_corpus).read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read {config.train_corpus}: {exc}") from exc
+        fingerprint["train_corpus_sha256"] = hashlib.sha256(corpus).hexdigest()
+    return fingerprint
+
+
+class _CheckpointJournal:
+    """Append-only record of per-passage generation results for resumption.
+
+    The first line is the header ``{"fingerprint": ...}``; each later line is
+    one passage's entry. A resume loads the entries only when the header
+    equals ``fingerprint``, and otherwise raises ConfigurationError before
+    anything is changed on disk.
+    """
+
+    def __init__(self, path: Path, fingerprint: dict[str, Any], resume: bool):
         self.path = path
         self.completed: dict[str, list[Candidate]] = {}
         self._lock = threading.Lock()
-        if resume and path.exists():
-            self._load()
-        elif path.exists():
-            path.unlink()
+        header = {"fingerprint": fingerprint}
+        resuming = resume and path.exists()
+        if resuming:
+            self._load(header)
+        else:
+            path.unlink(missing_ok=True)
         self._handle = open(path, "a", encoding="utf-8")
+        if not resuming:
+            self._write(header)
 
-    def _load(self) -> None:
-        """Read every complete line, then cut off a torn last line.
+    def _load(self, header: dict[str, Any]) -> None:
+        """Check the header, read every complete line, then cut off a torn last line.
 
         An interrupted run can leave a last line without its newline; new
         entries must not be appended onto it, or the next resume loses them.
         """
-        complete = 0
         with open(self.path, "rb") as handle:
+            first = handle.readline()
+            self._check_header(first, header)
+            complete = len(first)
             for line in handle:
                 if not line.endswith(b"\n"):
                     break
@@ -318,11 +348,32 @@ class _CheckpointJournal:
                     self.completed[passage_id] = candidates
         os.truncate(self.path, complete)
 
+    def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
+        """Raise ConfigurationError unless ``line`` is ``header`` and its newline."""
+        try:
+            recorded = json.loads(line) if line.endswith(b"\n") else None
+        except ValueError:
+            recorded = None
+        if recorded == header:
+            return
+        if isinstance(recorded, dict) and isinstance(recorded.get("fingerprint"), dict):
+            old, new = recorded["fingerprint"], header["fingerprint"]
+            differing = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+            reason = f"was written under other settings ({', '.join(differing)} differ)"
+        else:
+            reason = "has no complete configuration header"
+        raise ConfigurationError(
+            f"cannot resume: {self.path} {reason}; rerun without resume to start over"
+        )
+
+    def _write(self, entry: dict[str, Any]) -> None:
+        self._handle.write(jsonl_line(entry))
+        self._handle.flush()
+
     def record(self, passage_id: str, candidates: list[Candidate]) -> None:
         entry = {"passage_id": passage_id, "candidates": [c.to_record() for c in candidates]}
         with self._lock:
-            self._handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
-            self._handle.flush()
+            self._write(entry)
             self.completed[passage_id] = candidates
 
     def close(self, *, discard: bool) -> None:
@@ -393,7 +444,11 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     On a stage failure, a checkpoint naming the stage and the completed
     passage ids is written and PipelineError raised; rerunning with
     ``resume`` set skips regeneration for completed passages and produces
-    the same final dataset an uninterrupted run would.
+    the same final dataset an uninterrupted run would. The journal records
+    ``resume_fingerprint(config)``; a resume under a different one (other
+    generation settings, seed, training corpus or endpoint) raises
+    ConfigurationError before anything is generated or written. Ingest and
+    filter settings may change across a resume.
     """
     config.validate()
     request = config.request_template()
@@ -408,7 +463,9 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_meta = out_dir / "checkpoint.json"
-    journal = _CheckpointJournal(out_dir / "checkpoint.jsonl", resume=config.resume)
+    journal = _CheckpointJournal(
+        out_dir / "checkpoint.jsonl", resume_fingerprint(config), resume=config.resume
+    )
     outputs = {
         "passages": str(out_dir / "passages.jsonl"),
         "candidates": str(out_dir / "candidates.jsonl"),

@@ -24,12 +24,23 @@ logger = logging.getLogger(__name__)
 GENERATOR_URL_ENV = "QAFORGE_GENERATOR_URL"
 
 
+def resolve_endpoint(endpoint: str | None) -> str:
+    """The service base URL: ``endpoint``, else ``$QAFORGE_GENERATOR_URL``, no trailing slash."""
+    endpoint = endpoint or os.environ.get(GENERATOR_URL_ENV)
+    if not endpoint:
+        raise ConfigurationError(
+            f"no generator endpoint configured (flag, config, or {GENERATOR_URL_ENV})"
+        )
+    return endpoint.rstrip("/")
+
+
 class RemoteGeneratorClient:
     """Client with bounded retries for transient service faults.
 
-    Connection failures, timeouts, and 5xx responses are retried up to
-    ``max_attempts`` times with exponential backoff; malformed responses
-    are not retried. Safe to share across threads (one session per thread).
+    Connection failures, timeouts, responses cut short of their declared
+    length, and 5xx responses are retried up to ``max_attempts`` times with
+    exponential backoff; malformed responses are not retried. Safe to share
+    across threads (one session per thread).
     """
 
     def __init__(
@@ -40,12 +51,7 @@ class RemoteGeneratorClient:
         backoff_base: float = 0.5,
         timeout: float = 30.0,
     ):
-        endpoint = endpoint or os.environ.get(GENERATOR_URL_ENV)
-        if not endpoint:
-            raise ConfigurationError(
-                f"no generator endpoint configured (flag, config, or {GENERATOR_URL_ENV})"
-            )
-        self.endpoint = endpoint.rstrip("/")
+        self.endpoint = resolve_endpoint(endpoint)
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
@@ -68,7 +74,11 @@ class RemoteGeneratorClient:
         for attempt in range(1, self.max_attempts + 1):
             try:
                 response = self._session().post(url, json=payload, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except (
+                requests.ConnectionError,
+                requests.Timeout,
+                requests.exceptions.ChunkedEncodingError,
+            ) as exc:
                 last_fault = f"{type(exc).__name__}: {exc}"
             else:
                 if response.status_code >= 500:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import fields
 
 import pytest
@@ -647,3 +648,105 @@ class TestRunUsageErrors:
         assert code == 1
         assert flag[0][2:] in capsys.readouterr().err
         assert not (workspace / "out").exists()
+
+
+# Each subcommand writing into a directory that does not exist.
+UNWRITABLE_OUTPUTS = {
+    "ingest": ["ingest", "--input", "{passages}", "--output", "{target}"],
+    "filter-stats": [
+        "filter", "--candidates", "{candidates}", "--passages", "{passages}",
+        "--output", "{workspace}/examples.jsonl", "--stats", "{target}",
+    ],
+    "eval": [
+        "eval", "--dataset", "{dataset}", "--predictions", "{predictions}",
+        "--output", "{target}",
+    ],
+    "mix": ["mix", "--gold", "g.json", "--output", "{target}"],
+}
+
+
+class TestUnwritableOutput:
+    @staticmethod
+    def _error_lines(capsys) -> list[str]:
+        err = capsys.readouterr().err
+        assert ".tmp" not in err
+        return [line for line in err.splitlines() if line.startswith("error:")]
+
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+    def test_missing_directory_exit_data_naming_the_target(
+        self, workspace, fixtures_dir, capsys, case
+    ):
+        candidates = workspace / "candidates.jsonl"
+        candidates.write_text(
+            json.dumps({"passage_id": "p000", "text": "question q answer a", "lm_score": -1.0})
+            + "\n",
+            encoding="utf-8",
+        )
+        target = workspace / "missing" / "out.json"
+        values = {
+            "passages": workspace / "passages.jsonl",
+            "candidates": candidates,
+            "dataset": fixtures_dir / "metric_oracle_dataset.json",
+            "predictions": fixtures_dir / "metric_oracle_predictions.json",
+            "workspace": workspace,
+            "target": target,
+        }
+        argv = [arg.format(**values) for arg in UNWRITABLE_OUTPUTS[case]]
+        assert run_cli(*argv) == 2
+        errors = self._error_lines(capsys)
+        assert len(errors) == 1 and str(target) in errors[0]
+        assert not (workspace / "missing").exists()
+
+    def test_run_output_dir_that_is_a_file_exit_data(self, workspace, capsys):
+        target = workspace / "taken"
+        target.write_text("not a directory\n", encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--output-dir", str(target),
+            "--sample-n", "2",
+            "--max-output-tokens", "8",
+        )
+        assert code == 2
+        errors = self._error_lines(capsys)
+        assert len(errors) == 1 and str(target) in errors[0]
+        assert target.read_text("utf-8") == "not a directory\n"
+
+    def test_unwritable_dataset_exit_data_naming_it(self, workspace, capsys):
+        out_dir = workspace / "blocked"
+        (out_dir / "dataset.json").mkdir(parents=True)
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--output-dir", str(out_dir),
+            "--sample-n", "2",
+            "--max-output-tokens", "8",
+        )
+        assert code == 2
+        errors = self._error_lines(capsys)
+        assert len(errors) == 1 and str(out_dir / "dataset.json") in errors[0]
+        assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+
+
+class TestResumeRefused:
+    def test_journal_without_header_exit_usage(self, workspace, capsys):
+        out_dir = workspace / "out"
+        out_dir.mkdir()
+        journal = out_dir / "checkpoint.jsonl"
+        journal.write_text(
+            json.dumps({"passage_id": "p000", "candidates": []}) + "\n", encoding="utf-8"
+        )
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--output-dir", str(out_dir),
+            "--sample-n", "2",
+            "--max-output-tokens", "8",
+            "--resume",
+        )
+        assert code == 1
+        assert "header" in capsys.readouterr().err
+        assert os.listdir(out_dir) == ["checkpoint.jsonl"]

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
+import threading
 
 import pytest
 
 from qaforge.corpus import Passage
 from qaforge.dataset import (
+    SquadArticle,
     SquadDataset,
     build_training_mix,
     dumps_squad,
     emit_squad,
     qa_content_id,
     read_squad,
+    write_json,
+    write_jsonl,
     write_squad,
 )
-from qaforge.errors import ConfigurationError, EmissionError, SquadParseError
+from qaforge.errors import ConfigurationError, DataError, EmissionError, SquadParseError
 from qaforge.parsefilter import SyntheticExample
 
 
@@ -287,3 +293,80 @@ class TestDatasetModel:
     def test_version_preserved(self):
         dataset = SquadDataset(version="1.1", articles=[])
         assert json.loads(dumps_squad(dataset))["version"] == "1.1"
+
+
+def _rows_failing_after_one():
+    yield {"passage_id": "p1", "text": "question q answer a", "lm_score": -1.0}
+    raise DataError("record source failed")
+
+
+# Each writer, given something that fails partway through.
+FAILING_WRITES = {
+    "write_jsonl": (lambda path: write_jsonl(path, _rows_failing_after_one()), DataError),
+    "write_json": (lambda path: write_json(path, {"counts": {"kept": 1}, "x": object()}), TypeError),
+    "write_squad": (
+        lambda path: write_squad(SquadDataset("1.1", [SquadArticle(object(), [])]), path),
+        TypeError,
+    ),
+}
+
+
+class TestArtifactWriter:
+    @pytest.mark.parametrize("writer", sorted(FAILING_WRITES))
+    def test_failed_write_keeps_previous_target(self, tmp_path, writer):
+        write, error = FAILING_WRITES[writer]
+        target = tmp_path / "artifact"
+        target.write_bytes(b'{"previous": true}\n')
+        with pytest.raises(error):
+            write(target)
+        assert target.read_bytes() == b'{"previous": true}\n'
+        assert os.listdir(tmp_path) == ["artifact"]
+
+    def test_permission_bits_match_plain_open(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain", "w", encoding="utf-8"):
+                pass
+            write_json(tmp_path / "a.json", {})
+            write_jsonl(tmp_path / "b.jsonl", [{}])
+            write_squad(SquadDataset("1.1", []), tmp_path / "c.json")
+            build_training_mix([], ["g.json"]).write(tmp_path / "d.json")
+        finally:
+            os.umask(previous)
+        expected = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        for name in ("a.json", "b.jsonl", "c.json", "d.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected, name
+
+    def test_rows_are_json_dumps_lines(self, tmp_path):
+        rows = [{"text": "río 河", "lm_score": -1.5}, {"n": None, "ok": True}]
+        write_jsonl(tmp_path / "rows.jsonl", rows)
+        expected = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert (tmp_path / "rows.jsonl").read_text("utf-8") == expected
+
+    def test_symlinked_target_keeps_its_link(self, tmp_path):
+        (tmp_path / "runs").mkdir()
+        real = tmp_path / "runs" / "stats.json"
+        real.write_text("{}\n", encoding="utf-8")
+        link = tmp_path / "latest.json"
+        link.symlink_to(real)
+        write_json(link, {"kept": 3})
+        assert link.is_symlink()
+        assert real.read_text("utf-8") == '{"kept": 3}\n'
+        assert sorted(os.listdir(tmp_path / "runs")) == ["stats.json"]
+
+    def test_fifo_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        write_jsonl(fifo, [{"n": 1}, {"n": 2}])
+        reader.join(timeout=10)
+        assert received == ['{"n": 1}\n{"n": 2}\n']
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ from qaforge.pipeline import (
     PipelineConfig,
     PipelineReport,
     _CheckpointJournal,
+    build_backend,
+    resume_fingerprint,
     run_pipeline,
     stats_summary,
 )
@@ -276,6 +280,8 @@ class TestConfigValueTypes:
 
 
 CANDIDATE_RECORD = {"text": "question q answer a", "lm_score": -1.0}
+FINGERPRINT = {"backend": "reference", "seed": 1}
+HEADER = json.dumps({"fingerprint": FINGERPRINT}) + "\n"
 
 
 class TestResumeJournal:
@@ -292,6 +298,7 @@ class TestResumeJournal:
             {"passage_id": first_id, "candidates": [{"text": 5, "lm_score": -1.0}]},
             {"passage_id": 7, "candidates": []},
         ]
+        lines.insert(0, {"fingerprint": resume_fingerprint(config)})
         (out_dir / "checkpoint.jsonl").write_text(
             "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
         )
@@ -304,12 +311,14 @@ class TestResumeJournal:
     def test_entry_after_a_torn_line_survives_the_next_resume(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
         whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
-        path.write_text(json.dumps(whole) + '\n{"passage_id": "b", "candi', encoding="utf-8")
-        journal = _CheckpointJournal(path, resume=True)
+        path.write_text(
+            HEADER + json.dumps(whole) + '\n{"passage_id": "b", "candi', encoding="utf-8"
+        )
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.record("c", [Candidate("question q answer c", -2.0)])
         journal.close(discard=False)
 
-        resumed = _CheckpointJournal(path, resume=True)
+        resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
         resumed.close(discard=False)
         assert sorted(resumed.completed) == ["a", "c"]
         assert resumed.completed["c"] == [Candidate("question q answer c", -2.0)]
@@ -318,8 +327,10 @@ class TestResumeJournal:
         path = tmp_path / "checkpoint.jsonl"
         whole = {"passage_id": "a", "candidates": [{"text": "question é", "lm_score": -1.0}]}
         torn = '{"passage_id": "b", "candidates": [{"text": "é'.encode("utf-8")[:-1]
-        path.write_bytes((json.dumps(whole, ensure_ascii=False) + "\n").encode("utf-8") + torn)
-        journal = _CheckpointJournal(path, resume=True)
+        path.write_bytes(
+            (HEADER + json.dumps(whole, ensure_ascii=False) + "\n").encode("utf-8") + torn
+        )
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
         assert sorted(journal.completed) == ["a"]
         assert path.read_bytes().endswith(b"\n")
@@ -328,8 +339,8 @@ class TestResumeJournal:
         path = tmp_path / "checkpoint.jsonl"
         whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
         huge = '{"passage_id": "b", "candidates": [{"text": "t", "lm_score": %s}]}' % ("1" * 5000)
-        path.write_text(huge + "\n" + json.dumps(whole) + "\n", encoding="utf-8")
-        journal = _CheckpointJournal(path, resume=True)
+        path.write_text(HEADER + huge + "\n" + json.dumps(whole) + "\n", encoding="utf-8")
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
         assert sorted(journal.completed) == ["a"]
 
@@ -357,3 +368,141 @@ class TestEmitFailure:
             Path(resumed.outputs["dataset"]).read_bytes()
             == Path(baseline.outputs["dataset"]).read_bytes()
         )
+
+
+class _FailAfter:
+    """Delegates to a real backend for ``limit`` calls, then fails every call."""
+
+    def __init__(self, inner, limit: int):
+        self.inner = inner
+        self.limit = limit
+        self.calls = 0
+
+    def generate(self, request, seed=0):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise TransportError("injected outage", url="http://test", attempts=3)
+        return self.inner.generate(request, seed=seed)
+
+
+def interrupted_run(tmp_path: Path, **overrides) -> PipelineConfig:
+    """50 of 60 passages sampled, 20 samples each, stopped after 20 passages."""
+    write_passage_file(tmp_path / "passages.jsonl", make_passages(count=60))
+    config = make_config(tmp_path, "run", sample_n=50, seed=1, **overrides)
+    with pytest.raises(PipelineError):
+        run_pipeline(config, backend=_FailAfter(build_backend(make_config(tmp_path)), 20))
+    return config
+
+
+def checkpoint_bytes(config: PipelineConfig) -> dict[str, bytes]:
+    out_dir = Path(config.output_dir)
+    return {name: (out_dir / name).read_bytes() for name in ("checkpoint.jsonl", "checkpoint.json")}
+
+
+class TestResumeFingerprint:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"num_samples": 5, "keep_per_passage": 5},
+            {"top_k": 3},
+            {"max_output_tokens": 16},
+            {"target_language": "de"},
+            {"order": 2},
+            {"seed": 2},
+            {"backend": "remote", "endpoint": "http://127.0.0.1:9"},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_resume_under_another_generation_setting_is_refused(self, tmp_path, change):
+        config = interrupted_run(tmp_path)
+        before = checkpoint_bytes(config)
+        resumed = replace(config, resume=True, **change)
+        inner = build_backend(replace(resumed, backend="reference"))
+        with pytest.raises(ConfigurationError, match=next(iter(change))):
+            run_pipeline(resumed, backend=inner)
+        assert checkpoint_bytes(config) == before
+
+    def test_resume_with_fewer_samples_does_not_mix_journal_entries(self, tmp_path):
+        # Before the header, this resume reported generated == 550: 20 journaled
+        # passages x 20 samples plus 30 new ones x 5.
+        config = interrupted_run(tmp_path)
+        fewer = replace(config, num_samples=5, keep_per_passage=5)
+        with pytest.raises(ConfigurationError, match="num_samples"):
+            run_pipeline(replace(fewer, resume=True))
+        assert run_pipeline(fewer).counts["generated"] == 250
+
+    def test_changed_training_corpus_bytes_are_refused(self, tmp_path):
+        config = interrupted_run(tmp_path)
+        before = checkpoint_bytes(config)
+        write_training_file(Path(config.train_corpus), make_training_corpus(seed=12))
+        with pytest.raises(ConfigurationError, match="train_corpus_sha256"):
+            run_pipeline(replace(config, resume=True), backend=_NoBackend())
+        assert checkpoint_bytes(config) == before
+
+    def test_endpoint_is_compared_as_resolved(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QAFORGE_GENERATOR_URL", "http://127.0.0.1:9/")
+        config = interrupted_run(tmp_path, backend="remote", train_corpus=None)
+        inner = build_backend(make_config(tmp_path))
+        resumed = replace(config, resume=True, endpoint="http://127.0.0.1:9")
+        report = run_pipeline(resumed, backend=inner)
+        assert report.counts["generated"] == 50 * 20
+
+    @pytest.mark.parametrize("journal", ["missing", "torn"])
+    def test_journal_without_a_complete_header_is_refused(self, tmp_path, journal):
+        config = interrupted_run(tmp_path)
+        path = Path(config.output_dir) / "checkpoint.jsonl"
+        header, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(rest if journal == "missing" else header[:-3])
+        before = checkpoint_bytes(config)
+        with pytest.raises(ConfigurationError, match="header"):
+            run_pipeline(replace(config, resume=True), backend=_NoBackend())
+        assert checkpoint_bytes(config) == before
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"sample_n": 40},
+            {"min_tokens": 40},
+            {"max_tokens": 50},
+            {"language": "en"},
+            {"keep_per_passage": 3},
+            {"require_extractive": False},
+            {"dedup": False},
+            {"length_normalize": True},
+            {"workers": 2},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_ingest_and_filter_knobs_may_change_across_a_resume(self, tmp_path, change):
+        config = interrupted_run(tmp_path)
+        resumed = run_pipeline(replace(config, resume=True, **change))
+        uninterrupted = run_pipeline(replace(config, output_dir=str(tmp_path / "once"), **change))
+        assert resumed.counts == uninterrupted.counts
+        assert (
+            Path(resumed.outputs["dataset"]).read_bytes()
+            == Path(uninterrupted.outputs["dataset"]).read_bytes()
+        )
+
+
+ARTIFACTS = {
+    "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json", "stats.json",
+    "report.json",
+}
+
+
+class TestNoTemporaryLeftBehind:
+    def test_finished_run_leaves_only_its_artifacts(self, tmp_path):
+        report = run_pipeline(make_config(tmp_path))
+        assert set(os.listdir(Path(report.outputs["dataset"]).parent)) == ARTIFACTS
+
+    def test_failed_emit_leaves_no_temporary_and_names_the_artifact(self, tmp_path):
+        config = make_config(tmp_path, "blocked")
+        out_dir = Path(config.output_dir)
+        (out_dir / "dataset.json").mkdir(parents=True)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config)
+        assert str(out_dir / "dataset.json") in str(exc.value)
+        assert set(os.listdir(out_dir)) == {
+            "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json",
+            "checkpoint.json", "checkpoint.jsonl",
+        }

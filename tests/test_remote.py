@@ -13,6 +13,9 @@ from qaforge.generator import GenerationRequest
 from qaforge.remote import GENERATOR_URL_ENV, RemoteGeneratorClient
 
 
+TRUNCATED = object()
+
+
 class _Script:
     """Canned responses served in order; records request bodies."""
 
@@ -39,6 +42,14 @@ def serve():
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length)) if length else None
                 status, payload = script.next_response(body)
+                if payload is TRUNCATED:
+                    # Promise more bytes than are sent, then close the connection.
+                    self.send_response(status)
+                    self.send_header("Content-Length", "500")
+                    self.end_headers()
+                    self.wfile.write(b'{"candidates": [{"te')
+                    self.close_connection = True
+                    return
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -203,3 +214,20 @@ class TestFailurePaths:
             "passage", "language", "num_samples", "top_k", "max_output_tokens",
             "target_language", "answer",
         ]
+
+
+class TestTruncatedResponse:
+    def test_truncated_then_ok_succeeds_on_attempt_two(self, serve):
+        script = _Script([(200, TRUNCATED), (200, _ok_payload())])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        assert len(client.generate(_request())) == 2
+        assert len(script.bodies) == 2
+
+    def test_always_truncated_is_transport_error(self, serve):
+        script = _Script([(200, TRUNCATED)])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        with pytest.raises(TransportError) as exc:
+            client.generate(_request())
+        assert exc.value.attempts == 3
+        assert not isinstance(exc.value, ProtocolError)
+        assert len(script.bodies) == 3
