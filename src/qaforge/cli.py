@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .dataset import (
+    atomic_write,
     build_training_mix,
     emit_squad,
     read_squad,
@@ -42,9 +43,8 @@ from .pipeline import (
     PipelineConfig,
     PipelineReport,
     build_backend,
-    candidate_records,
     filter_candidates,
-    generate,
+    generate_passage,
     ingest,
     read_candidates,
     read_jsonl,
@@ -92,9 +92,13 @@ def cmd_generate(args) -> int:
     config.validate()
     request = config.request_template()
     passages = read_passages(config.input)
-    candidates = generate(passages, build_backend(config), request, config.resolved_seed())
-    write_jsonl(args.output, candidate_records(candidates))
-    total = sum(len(group) for group in candidates.values())
+    backend, seed = build_backend(config), config.resolved_seed()
+    total = 0
+    with atomic_write(args.output) as handle:
+        for passage in passages:
+            candidates, rows = generate_passage(passage, backend, request, seed)
+            handle.write(rows)
+            total += len(candidates)
     print(f"wrote {total} candidates for {len(passages)} passages to {args.output}")
     return EXIT_OK
 

@@ -6,17 +6,21 @@ by their content-hash id, and serialization uses a fixed compact layout,
 so identical inputs yield byte-identical documents.
 
 Every artifact (run outputs, stage-subcommand outputs, reports, manifests,
-``checkpoint.json``) is written by ``write_json`` or ``write_jsonl``: into a
-temporary sibling of the target, which then replaces the target in one
-rename. A reader sees the old file or the new one, never a prefix.
+``checkpoint.json``) is written through ``atomic_write``: into a temporary
+sibling of the target, which then replaces the target in one rename. A
+reader sees the old file or the new one, never a prefix. ``write_json``,
+``write_jsonl`` and ``write_squad`` are built on it, and ``run_pipeline``
+streams its per-passage artifacts into it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Any
@@ -37,11 +41,14 @@ __all__ = [
     "TrainingStage",
     "TrainingManifest",
     "qa_content_id",
+    "squad_article",
     "emit_squad",
     "read_squad",
+    "SquadWriter",
     "dumps_squad",
     "write_squad",
     "jsonl_line",
+    "atomic_write",
     "write_json",
     "write_jsonl",
     "build_training_mix",
@@ -49,11 +56,12 @@ __all__ = [
 
 SQUAD_VERSION = "1.1"
 
-_COMPACT = (",", ":")
-
 # Encodes as json.dumps(value, ensure_ascii=False) does, without building a
 # new encoder per call.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
+# Encodes as json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+# does: the compact layout of a document, used for every article.
+_SQUAD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def jsonl_line(record: Any) -> str:
@@ -61,55 +69,52 @@ def jsonl_line(record: Any) -> str:
     return _ENCODER.encode(record) + "\n"
 
 
-def _replace(path: str | Path, write: Callable[[IO[str]], Any]) -> None:
-    """Call ``write`` on a temporary sibling of ``path``, then rename it to ``path``.
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """A temporary sibling of ``path``, open for writing; renamed to ``path`` on success.
 
     The temporary is opened like any ``open(path, "w")`` file, so the
     artifact gets the same permission bits. A symlinked ``path`` is resolved
-    first, so the link is kept and its target replaced. On any exception the
-    temporary is deleted and the target is left as it was; an OSError is
+    first, so the link is kept and its target replaced. If the block raises,
+    the temporary is deleted and the target is left as it was. An OSError of
+    the file itself (opening, a write that names no file, the rename) is
     raised again naming ``path``, not the temporary.
 
-    An existing ``path`` that is not a regular file, such as a FIFO or
-    ``/dev/stdout``, cannot be renamed over and is written in place.
+    An existing ``path`` that is neither a regular file nor a directory, such
+    as a FIFO or ``/dev/stdout``, cannot be renamed over and is written in
+    place. A directory gets a temporary like a file, so the failure comes at
+    the rename, after the block has run.
     """
     target = Path(path)
-    if target.exists() and not target.is_file():
+    if target.exists() and not (target.is_file() or target.is_dir()):
         temporary = target
     else:
         target = Path(os.path.realpath(target))
         temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            write(handle)
+            yield handle
         if temporary != target:
             os.replace(temporary, target)
     except BaseException as exc:
         if temporary != target:
             temporary.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
+        if isinstance(exc, OSError) and exc.filename in (None, str(temporary)):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
-def write_json(
-    path: str | Path,
-    value: Any,
-    *,
-    indent: int | None = None,
-    separators: tuple[str, str] | None = None,
-) -> None:
+def write_json(path: str | Path, value: Any, *, indent: int | None = None) -> None:
     """``value`` as one JSON document and a newline, replacing ``path`` atomically."""
-    text = json.dumps(value, ensure_ascii=False, indent=indent, separators=separators) + "\n"
-    # A caller's temporary tree (``to_json_dict()``) is freed here, so the
-    # tree and the text of a large document are not held together.
-    del value
-    _replace(path, lambda handle: handle.write(text))
+    text = json.dumps(value, ensure_ascii=False, indent=indent) + "\n"
+    with atomic_write(path) as handle:
+        handle.write(text)
 
 
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
     """One ``jsonl_line`` per record, replacing ``path`` atomically."""
-    _replace(path, lambda handle: handle.writelines(map(jsonl_line, records)))
+    with atomic_write(path) as handle:
+        handle.writelines(map(jsonl_line, records))
 
 
 @dataclass
@@ -149,32 +154,29 @@ class SquadDataset:
                     yield paragraph, qa
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "data": [
-                {
-                    "title": article.title,
-                    "paragraphs": [
-                        {
-                            "context": paragraph.context,
-                            "qas": [
-                                {
-                                    "id": qa.id,
-                                    "question": qa.question,
-                                    "answers": [
-                                        {"text": a.text, "answer_start": a.answer_start}
-                                        for a in qa.answers
-                                    ],
-                                }
-                                for qa in paragraph.qas
-                            ],
-                        }
-                        for paragraph in article.paragraphs
-                    ],
-                }
-                for article in self.articles
-            ],
-        }
+        return {"version": self.version, "data": [_article_record(a) for a in self.articles]}
+
+
+def _article_record(article: SquadArticle) -> dict:
+    return {
+        "title": article.title,
+        "paragraphs": [
+            {
+                "context": paragraph.context,
+                "qas": [
+                    {
+                        "id": qa.id,
+                        "question": qa.question,
+                        "answers": [
+                            {"text": a.text, "answer_start": a.answer_start} for a in qa.answers
+                        ],
+                    }
+                    for qa in paragraph.qas
+                ],
+            }
+            for paragraph in article.paragraphs
+        ],
+    }
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ class SquadReadResult:
 
 def qa_content_id(passage_id: str, question: str, answer: str) -> str:
     """Deterministic entry id: stable across re-runs and parallel schedules."""
-    payload = json.dumps([passage_id, question, answer], ensure_ascii=False)
+    payload = _ENCODER.encode([passage_id, question, answer])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -201,62 +203,94 @@ def _span_matches(context: str, text: str, start: int) -> bool:
     return start >= 0 and context[start:start + len(text)] == text
 
 
-def emit_squad(
-    examples: Iterable[SyntheticExample],
-    passages: Mapping[str, Passage],
-) -> SquadDataset:
-    """Group examples into a document: one article and paragraph per passage.
+def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> SquadArticle:
+    """The article of one passage: one paragraph, its entries sorted by id.
 
-    Every example must resolve to a known passage and carry a verified
-    answer offset; violations raise EmissionError naming the example.
+    Each example must carry a verified answer offset into ``passage``, and
+    no two may share an entry id; violations raise EmissionError naming the
+    example.
     """
-    grouped: dict[str, list[SquadQA]] = {}
-    seen_ids: dict[str, str] = {}
+    qas: dict[str, SquadQA] = {}
     for example in examples:
-        passage = passages.get(example.passage_id)
-        if passage is None:
-            raise EmissionError(
-                f"unknown passage id {example.passage_id!r} "
-                f"for question {example.question!r}"
-            )
         if not _span_matches(passage.text, example.answer, example.answer_start):
             raise EmissionError(
                 f"answer offset mismatch in passage {example.passage_id!r} "
                 f"for question {example.question!r}"
             )
-        qa_id = qa_content_id(example.passage_id, example.question, example.answer)
-        if qa_id in seen_ids:
+        qa_id = qa_content_id(passage.id, example.question, example.answer)
+        if qa_id in qas:
             raise EmissionError(
                 f"duplicate example in passage {example.passage_id!r} "
                 f"for question {example.question!r}"
             )
-        seen_ids[qa_id] = example.passage_id
-        grouped.setdefault(example.passage_id, []).append(
-            SquadQA(
-                id=qa_id,
-                question=example.question,
-                answers=[SquadAnswer(text=example.answer, answer_start=example.answer_start)],
-            )
+        qas[qa_id] = SquadQA(
+            id=qa_id,
+            question=example.question,
+            answers=[SquadAnswer(text=example.answer, answer_start=example.answer_start)],
         )
+    paragraph = SquadParagraph(context=passage.text, qas=[qas[i] for i in sorted(qas)])
+    return SquadArticle(title=passage.id, paragraphs=[paragraph])
 
-    articles = []
-    for passage_id in sorted(grouped):
-        qas = sorted(grouped[passage_id], key=lambda qa: qa.id)
-        articles.append(
-            SquadArticle(
-                title=passage_id,
-                paragraphs=[SquadParagraph(context=passages[passage_id].text, qas=qas)],
+
+def emit_squad(
+    examples: Iterable[SyntheticExample],
+    passages: Mapping[str, Passage],
+) -> SquadDataset:
+    """Group examples into a document: one ``squad_article`` per passage, by id.
+
+    An example naming no passage of ``passages`` raises EmissionError.
+    """
+    grouped: dict[str, list[SyntheticExample]] = {}
+    for example in examples:
+        if example.passage_id not in passages:
+            raise EmissionError(
+                f"unknown passage id {example.passage_id!r} "
+                f"for question {example.question!r}"
             )
-        )
+        grouped.setdefault(example.passage_id, []).append(example)
+    articles = [squad_article(passages[pid], grouped[pid]) for pid in sorted(grouped)]
     return SquadDataset(version=SQUAD_VERSION, articles=articles)
 
 
+class SquadWriter:
+    """Writes a compact document into an open text file, one article at a time.
+
+    ``dumps_squad``, ``write_squad`` and ``run_pipeline`` all write through
+    it, so a document has the same bytes however it was built.
+    """
+
+    def __init__(self, handle: IO[str], version: str = SQUAD_VERSION):
+        handle.write('{"version":' + _SQUAD_ENCODER.encode(version) + ',"data":[')
+        self._handle = handle
+        self._separator = ""
+
+    def add(self, article: SquadArticle) -> None:
+        self._handle.write(self._separator + _SQUAD_ENCODER.encode(_article_record(article)))
+        self._separator = ","
+
+    def finish(self) -> None:
+        """Close the document; like every artifact, the file ends with a newline."""
+        self._handle.write("]}\n")
+
+
+def _write_document(handle: IO[str], dataset: SquadDataset) -> None:
+    writer = SquadWriter(handle, dataset.version)
+    for article in dataset.articles:
+        writer.add(article)
+    writer.finish()
+
+
 def dumps_squad(dataset: SquadDataset) -> str:
-    return json.dumps(dataset.to_json_dict(), ensure_ascii=False, separators=_COMPACT)
+    """The document as ``write_squad`` writes it, without the final newline."""
+    buffer = io.StringIO()
+    _write_document(buffer, dataset)
+    return buffer.getvalue()[:-1]
 
 
 def write_squad(dataset: SquadDataset, destination: str | Path) -> None:
-    write_json(destination, dataset.to_json_dict(), separators=_COMPACT)
+    """The compact document and a newline, replacing ``destination`` atomically."""
+    with atomic_write(destination) as handle:
+        _write_document(handle, dataset)
 
 
 def _expect(value: Any, kind: type, path: str) -> Any:

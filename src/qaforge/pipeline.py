@@ -6,9 +6,21 @@ so results are identical under any worker schedule. ``passages.jsonl`` keeps
 the sample order; candidates, examples and the dataset are written in
 ascending passage-id order. Reruns are byte-identical.
 
-``run_pipeline`` and the per-stage CLI subcommands call the same stage
-functions: ``ingest``, ``generate``, ``filter_candidates``, and the readers.
-Every artifact is written through ``dataset.write_json``/``write_jsonl``.
+``run_pipeline`` walks the sampled passages in that ascending passage-id
+order, one at a time. For each passage it generates the candidates, or
+reads them from the journal; encodes their ``candidates.jsonl`` rows once
+and appends them to the journal and to the candidates artifact; filters
+them; and appends the kept examples and the passage's article to the
+examples and dataset artifacts. Then it lets them go, so a run holds the
+passages and the counts, never every candidate, example or the whole
+document. With ``workers > 1``, threads generate up to 64 passages per
+worker ahead of the one being written, and results are consumed in order.
+
+``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
+functions: ``generate_passage``, ``run_filter_pipeline`` (through
+``filter_candidates`` for the subcommand) and ``dataset.squad_article``
+(through ``emit_squad``). Every artifact is written through
+``dataset.atomic_write``.
 """
 
 from __future__ import annotations
@@ -19,14 +31,16 @@ import logging
 import os
 import threading
 import time
-from collections.abc import Callable, Iterator, Mapping, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, get_args, get_type_hints
+from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
 
 from .corpus import Passage, RecordError, filter_by_length, parse_passage_stream, sample_passages
-from .dataset import emit_squad, jsonl_line, write_json, write_jsonl, write_squad
+from .dataset import SquadWriter, atomic_write, jsonl_line, squad_article, write_json, write_jsonl
 from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
@@ -191,17 +205,17 @@ def read_passages(
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def candidate_records(candidates: Mapping[str, Sequence[Candidate]]) -> Iterator[dict]:
-    """Candidate file rows, ``{"passage_id", "text", "lm_score"}``, in mapping order."""
-    for passage_id, group in candidates.items():
-        for candidate in group:
-            yield {"passage_id": passage_id, **candidate.to_record()}
+def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
+    """One passage's ``candidates.jsonl`` lines, ``{"passage_id", "text", "lm_score"}`` each."""
+    return "".join(
+        jsonl_line({"passage_id": passage_id, **candidate.to_record()}) for candidate in candidates
+    )
 
 
 def read_candidates(
     path: str | Path, passages: Mapping[str, Passage]
 ) -> dict[str, list[Candidate]]:
-    """Candidates of a file written by ``candidate_records``, grouped by passage id.
+    """Candidates of a file of ``candidate_rows`` lines, grouped by passage id.
 
     Every row must name one of ``passages``; anything else is a DataError.
     """
@@ -300,53 +314,115 @@ def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
     return fingerprint
 
 
+def passage_digest(passage: Passage) -> str:
+    """sha256 of what the backend conditions on: the passage text and its language."""
+    return hashlib.sha256(jsonl_line([passage.text, passage.language]).encode("utf-8")).hexdigest()
+
+
+# Version of the journal layout below; a journal in another layout is
+# refused on resume. Journals without a "format" key are layout 1: one JSON
+# line of candidates per passage, keyed by passage id alone.
+JOURNAL_FORMAT = 2
+
+
+class _Block(NamedTuple):
+    """Where one passage's rows sit in the journal, and the digest they were made for."""
+
+    digest: str
+    offset: int
+    length: int
+
+
+class _JournalBlocks(Mapping[str, list[Candidate]]):
+    """Journaled passage id -> its candidates, read from the journal file on access."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.index: dict[str, _Block] = {}
+
+    def __getitem__(self, passage_id: str) -> list[Candidate]:
+        block = self.index[passage_id]
+        with open(self.path, "rb") as handle:
+            handle.seek(block.offset)
+            data = handle.read(block.length)
+        return [Candidate.from_record(json.loads(row)) for row in data.split(b"\n")[:-1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 class _CheckpointJournal:
     """Append-only record of per-passage generation results for resumption.
 
-    The first line is the header ``{"fingerprint": ...}``; each later line is
-    one passage's entry. A resume loads the entries only when the header
-    equals ``fingerprint``, and otherwise raises ConfigurationError before
-    anything is changed on disk.
+    The first line is the header ``{"format": 2, "fingerprint": ...}``. Each
+    passage then gets one block: its ``candidates.jsonl`` rows, then the
+    marker ``{"passage_id": ..., "passage_sha256": ...}`` that completes the
+    block and records ``passage_digest``. A resume loads the blocks only when
+    the header equals its own, and otherwise raises ConfigurationError before
+    anything is changed on disk. A block is reused only for a passage with
+    the same id and digest.
+
+    ``completed`` holds the blocks found complete when the journal was
+    opened; the blocks this run appends are remembered by passage id alone.
     """
 
     def __init__(self, path: Path, fingerprint: dict[str, Any], resume: bool):
         self.path = path
-        self.completed: dict[str, list[Candidate]] = {}
+        self.completed = _JournalBlocks(path)
+        self._recorded: set[str] = set()
         self._lock = threading.Lock()
-        header = {"fingerprint": fingerprint}
+        header = {"format": JOURNAL_FORMAT, "fingerprint": fingerprint}
         resuming = resume and path.exists()
         if resuming:
             self._load(header)
         else:
             path.unlink(missing_ok=True)
-        self._handle = open(path, "a", encoding="utf-8")
+        self._handle = open(path, "ab")
         if not resuming:
-            self._write(header)
+            self._write(jsonl_line(header).encode("utf-8"))
 
     def _load(self, header: dict[str, Any]) -> None:
-        """Check the header, read every complete line, then cut off a torn last line.
+        """Check the header, index every complete block, then cut off what follows the last marker.
 
-        An interrupted run can leave a last line without its newline; new
-        entries must not be appended onto it, or the next resume loses them.
+        Rows after the last complete marker line belong to a block an
+        interrupted run did not finish (the last line may even lack its
+        newline); new blocks must not be appended after them. A block whose
+        rows are not all valid candidates of the passage its marker names is
+        skipped.
         """
         with open(self.path, "rb") as handle:
             first = handle.readline()
             self._check_header(first, header)
-            complete = len(first)
+            kept = offset = len(first)
+            usable, named = True, set()
             for line in handle:
                 if not line.endswith(b"\n"):
                     break
-                complete += len(line)
+                offset += len(line)
                 try:
-                    entry = json.loads(line)
-                    passage_id = entry["passage_id"]
-                    candidates = [Candidate.from_record(c) for c in entry["candidates"]]
-                except (ValueError, TypeError, KeyError, DataError):
-                    # Blank and other unusable lines are skipped.
+                    record = json.loads(line)
+                except ValueError:
+                    usable = False
                     continue
-                if isinstance(passage_id, str):
-                    self.completed[passage_id] = candidates
-        os.truncate(self.path, complete)
+                if isinstance(record, dict) and "passage_sha256" in record:
+                    passage_id, digest = record.get("passage_id"), record["passage_sha256"]
+                    # Every row since the previous marker must name this passage.
+                    well_formed = isinstance(passage_id, str) and isinstance(digest, str)
+                    if usable and well_formed and named <= {passage_id}:
+                        rows_end = offset - len(line)
+                        self.completed.index[passage_id] = _Block(digest, kept, rows_end - kept)
+                    kept = offset
+                    usable, named = True, set()
+                    continue
+                try:
+                    Candidate.from_record(record)
+                    named.add(record["passage_id"])
+                except (DataError, KeyError, TypeError):
+                    usable = False
+        os.truncate(self.path, kept)
 
     def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
         """Raise ConfigurationError unless ``line`` is ``header`` and its newline."""
@@ -356,25 +432,42 @@ class _CheckpointJournal:
             recorded = None
         if recorded == header:
             return
-        if isinstance(recorded, dict) and isinstance(recorded.get("fingerprint"), dict):
+        if not isinstance(recorded, dict) or not isinstance(recorded.get("fingerprint"), dict):
+            reason = "has no complete configuration header"
+        elif recorded.get("format", 1) != JOURNAL_FORMAT:
+            reason = (
+                f"is in journal format {recorded.get('format', 1)!r}, "
+                f"this version reads format {JOURNAL_FORMAT}"
+            )
+        else:
             old, new = recorded["fingerprint"], header["fingerprint"]
             differing = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
             reason = f"was written under other settings ({', '.join(differing)} differ)"
-        else:
-            reason = "has no complete configuration header"
         raise ConfigurationError(
             f"cannot resume: {self.path} {reason}; rerun without resume to start over"
         )
 
-    def _write(self, entry: dict[str, Any]) -> None:
-        self._handle.write(jsonl_line(entry))
+    def _write(self, *parts: bytes) -> None:
+        self._handle.writelines(parts)
         self._handle.flush()
 
-    def record(self, passage_id: str, candidates: list[Candidate]) -> None:
-        entry = {"passage_id": passage_id, "candidates": [c.to_record() for c in candidates]}
+    def lookup(self, passage: Passage) -> list[Candidate] | None:
+        """The journaled candidates of ``passage``, if its id and digest both match a block."""
+        block = self.completed.index.get(passage.id)
+        if block is None or block.digest != passage_digest(passage):
+            return None
+        return self.completed[passage.id]
+
+    def record(self, passage: Passage, rows: str) -> None:
+        """Append ``rows`` (``candidate_rows`` of ``passage``) and the marker completing them."""
+        marker = {"passage_id": passage.id, "passage_sha256": passage_digest(passage)}
         with self._lock:
-            self._write(entry)
-            self.completed[passage_id] = candidates
+            self._write(rows.encode("utf-8"), jsonl_line(marker).encode("utf-8"))
+            self._recorded.add(passage.id)
+
+    def journaled_ids(self) -> list[str]:
+        """Every passage id with a complete block, loaded or appended, in ascending order."""
+        return sorted(self.completed.keys() | self._recorded)
 
     def close(self, *, discard: bool) -> None:
         self._handle.close()
@@ -382,45 +475,70 @@ class _CheckpointJournal:
             self.path.unlink()
 
 
-def generate(
-    passages: Sequence[Passage],
+def generate_passage(
+    passage: Passage,
     backend,
     request: GenerationRequest,
     seed: int,
-    *,
     journal: _CheckpointJournal | None = None,
-    workers: int = 1,
-) -> dict[str, list[Candidate]]:
-    """Candidates for each passage, keyed by passage id in input order.
+) -> tuple[list[Candidate], str]:
+    """One passage's candidates and their ``candidate_rows``.
 
-    Each passage fills in ``request`` and samples with the seed derived from
-    (``seed``, passage id). Passages already in ``journal`` are not
-    regenerated, and new results are recorded there. A failure raises
-    PipelineError naming the passage.
+    The passage fills in ``request`` and samples with the seed derived from
+    (``seed``, passage id). With a ``journal``, a block for the same passage
+    id and text is reused instead, and a new result is recorded there. A
+    failure raises PipelineError naming the passage.
     """
+    try:
+        candidates = journal.lookup(passage) if journal else None
+        if candidates is not None:
+            return candidates, candidate_rows(passage.id, candidates)
+        candidates = backend.generate(
+            replace(request, passage=passage.text, language=passage.language),
+            seed=derive_seed(seed, passage.id),
+        )
+        rows = candidate_rows(passage.id, candidates)
+        if journal:
+            journal.record(passage, rows)
+        return candidates, rows
+    except Exception as exc:
+        raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
 
-    def one(passage: Passage) -> list[Candidate]:
-        try:
-            candidates = journal.completed.get(passage.id) if journal else None
-            if candidates is None:
-                candidates = backend.generate(
-                    replace(request, passage=passage.text, language=passage.language),
-                    seed=derive_seed(seed, passage.id),
-                )
-                if journal:
-                    journal.record(passage.id, candidates)
-            return candidates
-        except Exception as exc:
-            raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
 
+T = TypeVar("T")
+R = TypeVar("R")
+
+# How many items each worker may compute ahead of the one consumed. One slow
+# item (a remote call sleeping 0.5 s or more before a retry) holds up the
+# consumer; meanwhile the other workers go on, until this many items per
+# worker are done or running. It bounds what is held ahead to that many
+# passages' candidates.
+_AHEAD_PER_WORKER = 64
+
+
+def _in_order(function: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
+    """``function(item)`` for each item, in order.
+
+    With ``workers > 1``, threads compute up to ``_AHEAD_PER_WORKER * workers``
+    items ahead of the one consumed. The first failure, in item order, is
+    raised; when the iterator is closed early, items not yet started are
+    cancelled.
+    """
     if workers == 1:
-        return {passage.id: one(passage) for passage in passages}
+        yield from map(function, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(one, p): p for p in passages}
-        _, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        for future in pending:
-            future.cancel()
-        return {p.id: f.result() for f, p in futures.items() if not f.cancelled()}
+        ahead: deque[Future[R]] = deque()
+        try:
+            for item in items:
+                ahead.append(pool.submit(function, item))
+                if len(ahead) > _AHEAD_PER_WORKER * workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
 
 
 def filter_candidates(
@@ -443,8 +561,9 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
 
     On a stage failure, a checkpoint naming the stage and the completed
     passage ids is written and PipelineError raised; rerunning with
-    ``resume`` set skips regeneration for completed passages and produces
-    the same final dataset an uninterrupted run would. The journal records
+    ``resume`` set skips regeneration for completed passages whose text and
+    language are unchanged, and produces the same artifacts an uninterrupted
+    run would. The journal records
     ``resume_fingerprint(config)``; a resume under a different one (other
     generation settings, seed, training corpus or endpoint) raises
     ConfigurationError before anything is generated or written. Ingest and
@@ -474,22 +593,30 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         "stats": str(out_dir / "stats.json"),
         "report": str(out_dir / "report.json"),
     }
+    ordered = sorted(sampled, key=lambda passage: passage.id)
+    totals = FilterStats()
     try:
-        candidates = generate(
-            sampled, backend, request, seed, journal=journal, workers=config.workers
-        )
         try:
-            lookup = {p.id: p for p in sampled}
-            examples, totals = filter_candidates(lookup, candidates, filter_config)
-            squad = emit_squad(examples, lookup)
-
-            write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
-            write_jsonl(
-                outputs["candidates"],
-                candidate_records({pid: candidates[pid] for pid in sorted(candidates)}),
-            )
-            write_jsonl(outputs["examples"], (e.to_record() for e in examples))
-            write_squad(squad, outputs["dataset"])
+            with ExitStack() as stack:
+                # Left in reverse order, so the artifacts replace their
+                # targets in the order passages, candidates, examples, dataset.
+                document = SquadWriter(stack.enter_context(atomic_write(outputs["dataset"])))
+                examples_out = stack.enter_context(atomic_write(outputs["examples"]))
+                candidates_out = stack.enter_context(atomic_write(outputs["candidates"]))
+                results = stack.enter_context(closing(_in_order(
+                    lambda passage: generate_passage(passage, backend, request, seed, journal),
+                    ordered,
+                    config.workers,
+                )))
+                for passage, (candidates, rows) in zip(ordered, results):
+                    candidates_out.write(rows)
+                    kept, stats = run_filter_pipeline(passage, candidates, filter_config)
+                    totals.merge(stats)
+                    examples_out.writelines(jsonl_line(e.to_record()) for e in kept)
+                    if kept:
+                        document.add(squad_article(passage, kept))
+                document.finish()
+                write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
 
             counts = {
                 **passage_counts,
@@ -500,6 +627,8 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                 "kept": totals.kept,
             }
             write_json(outputs["stats"], {"counts": counts, "record_errors": record_errors})
+        except PipelineError:
+            raise
         except Exception as exc:
             raise PipelineError("emit", exc) from exc
     except PipelineError as exc:
@@ -507,7 +636,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         meta: dict[str, Any] = {"stage": exc.stage}
         if exc.failed_passage_id is not None:
             meta["failed_passage_id"] = exc.failed_passage_id
-        meta["completed_passage_ids"] = sorted(journal.completed)
+        meta["completed_passage_ids"] = journal.journaled_ids()
         write_json(checkpoint_meta, meta)
         raise
 

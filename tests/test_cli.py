@@ -9,7 +9,7 @@ import pytest
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
-from qaforge.pipeline import PipelineConfig
+from qaforge.pipeline import PipelineConfig, resume_fingerprint
 
 
 @pytest.fixture()
@@ -749,4 +749,21 @@ class TestResumeRefused:
         )
         assert code == 1
         assert "header" in capsys.readouterr().err
+        assert os.listdir(out_dir) == ["checkpoint.jsonl"]
+
+    def test_journal_of_the_earlier_format_exit_usage(self, workspace, capsys):
+        out_dir = workspace / "out"
+        out_dir.mkdir()
+        flags = {"input": str(workspace / "passages.jsonl"), "output_dir": str(out_dir),
+                 "train_corpus": str(workspace / "train.jsonl"), "sample_n": 2,
+                 "max_output_tokens": 8, "seed": 4}
+        header = {"fingerprint": resume_fingerprint(PipelineConfig(**flags))}
+        entry = {"passage_id": "p000", "candidates": []}
+        journal = out_dir / "checkpoint.jsonl"
+        journal.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+        before = journal.read_bytes()
+        argv = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        assert run_cli("run", *argv, "--resume") == 1
+        assert "journal format 1" in capsys.readouterr().err
+        assert journal.read_bytes() == before
         assert os.listdir(out_dir) == ["checkpoint.jsonl"]

@@ -1,17 +1,25 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 import stat
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaforge.corpus import Passage
 from qaforge.dataset import (
+    SquadAnswer,
     SquadArticle,
     SquadDataset,
+    SquadParagraph,
+    SquadQA,
     build_training_mix,
     dumps_squad,
     emit_squad,
@@ -370,3 +378,58 @@ class TestArtifactWriter:
         assert received == ['{"n": 1}\n{"n": 2}\n']
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+
+def json_dumps_document(dataset: SquadDataset) -> str:
+    """The document as ``json.dumps`` encodes its nested-dict form, compact."""
+    document = {
+        "version": dataset.version,
+        "data": [
+            {
+                "title": article.title,
+                "paragraphs": [
+                    {
+                        "context": paragraph.context,
+                        "qas": [
+                            {
+                                "id": qa.id,
+                                "question": qa.question,
+                                "answers": [
+                                    {"text": a.text, "answer_start": a.answer_start}
+                                    for a in qa.answers
+                                ],
+                            }
+                            for qa in paragraph.qas
+                        ],
+                    }
+                    for paragraph in article.paragraphs
+                ],
+            }
+            for article in dataset.articles
+        ],
+    }
+    return json.dumps(document, ensure_ascii=False, separators=(",", ":"))
+
+
+answers = st.builds(SquadAnswer, st.text(), st.integers())
+qas = st.builds(SquadQA, st.text(), st.text(), st.lists(answers, max_size=2))
+paragraphs = st.builds(SquadParagraph, st.text(), st.lists(qas, max_size=3))
+articles = st.builds(SquadArticle, st.text(), st.lists(paragraphs, max_size=2))
+datasets = st.builds(SquadDataset, st.text(), st.lists(articles, max_size=3))
+
+
+class TestEncodingsEqualJsonDumps:
+    @given(st.text(), st.text(), st.text())
+    def test_content_id(self, passage_id, question, answer):
+        payload = json.dumps([passage_id, question, answer], ensure_ascii=False)
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+        assert qa_content_id(passage_id, question, answer) == expected
+
+    @given(datasets)
+    def test_document(self, dataset):
+        expected = json_dumps_document(dataset)
+        assert dumps_squad(dataset) == expected
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "dataset.json"
+            write_squad(dataset, path)
+            assert path.read_bytes() == (expected + "\n").encode("utf-8")

@@ -2,20 +2,31 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
+from qaforge.corpus import Passage
 from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError, PipelineError, TransportError
 from qaforge.generator import Candidate
 from qaforge.pipeline import (
     PipelineConfig,
     PipelineReport,
+    _AHEAD_PER_WORKER,
     _CheckpointJournal,
+    _in_order,
     build_backend,
+    candidate_rows,
+    ingest,
+    passage_digest,
     resume_fingerprint,
     run_pipeline,
     stats_summary,
@@ -281,24 +292,33 @@ class TestConfigValueTypes:
 
 CANDIDATE_RECORD = {"text": "question q answer a", "lm_score": -1.0}
 FINGERPRINT = {"backend": "reference", "seed": 1}
-HEADER = json.dumps({"fingerprint": FINGERPRINT}) + "\n"
+HEADER = json.dumps({"format": 2, "fingerprint": FINGERPRINT}) + "\n"
+PASSAGE_C = Passage.build("c", "question q answer c", "en")
+
+
+def marker(passage_id: str) -> str:
+    """The journal line that completes ``passage_id``'s block."""
+    return json.dumps({"passage_id": passage_id, "passage_sha256": "0" * 64}) + "\n"
 
 
 class TestResumeJournal:
     def test_unusable_journal_lines_are_skipped(self, tmp_path):
         baseline = run_pipeline(make_config(tmp_path, "baseline"))
-        first_id = json.loads(
+        first = json.loads(
             Path(baseline.outputs["passages"]).read_text("utf-8").splitlines()[0]
-        )["id"]
+        )
+        first_id, digest = first["id"], passage_digest(Passage(**first))
         config = make_config(tmp_path, "resumed", resume=True)
         out_dir = Path(config.output_dir)
         out_dir.mkdir()
         lines = [
-            {"candidates": [{"text": "question q answer a", "lm_score": -1.0}]},
-            {"passage_id": first_id, "candidates": [{"text": 5, "lm_score": -1.0}]},
-            {"passage_id": 7, "candidates": []},
+            {"text": "question q answer a", "lm_score": -1.0},
+            {"passage_id": first_id, "passage_sha256": digest},
+            {"passage_id": first_id, "text": 5, "lm_score": -1.0},
+            {"passage_id": first_id, "passage_sha256": digest},
+            {"passage_id": 7, "passage_sha256": digest},
         ]
-        lines.insert(0, {"fingerprint": resume_fingerprint(config)})
+        lines.insert(0, {"format": 2, "fingerprint": resume_fingerprint(config)})
         (out_dir / "checkpoint.jsonl").write_text(
             "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
         )
@@ -310,12 +330,13 @@ class TestResumeJournal:
 
     def test_entry_after_a_torn_line_survives_the_next_resume(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
-        whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
+        whole = {"passage_id": "a", **CANDIDATE_RECORD}
         path.write_text(
-            HEADER + json.dumps(whole) + '\n{"passage_id": "b", "candi', encoding="utf-8"
+            HEADER + json.dumps(whole) + "\n" + marker("a") + '{"passage_id": "b", "te',
+            encoding="utf-8",
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
-        journal.record("c", [Candidate("question q answer c", -2.0)])
+        journal.record(PASSAGE_C, candidate_rows("c", [Candidate("question q answer c", -2.0)]))
         journal.close(discard=False)
 
         resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
@@ -325,10 +346,11 @@ class TestResumeJournal:
 
     def test_torn_line_ending_inside_a_character_is_cut(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
-        whole = {"passage_id": "a", "candidates": [{"text": "question é", "lm_score": -1.0}]}
-        torn = '{"passage_id": "b", "candidates": [{"text": "é'.encode("utf-8")[:-1]
+        whole = {"passage_id": "a", "text": "question é", "lm_score": -1.0}
+        torn = '{"passage_id": "b", "text": "é'.encode("utf-8")[:-1]
         path.write_bytes(
-            (HEADER + json.dumps(whole, ensure_ascii=False) + "\n").encode("utf-8") + torn
+            (HEADER + json.dumps(whole, ensure_ascii=False) + "\n" + marker("a")).encode("utf-8")
+            + torn
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
@@ -337,9 +359,12 @@ class TestResumeJournal:
 
     def test_integer_past_the_digit_limit_line_is_skipped(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
-        whole = {"passage_id": "a", "candidates": [CANDIDATE_RECORD]}
-        huge = '{"passage_id": "b", "candidates": [{"text": "t", "lm_score": %s}]}' % ("1" * 5000)
-        path.write_text(HEADER + huge + "\n" + json.dumps(whole) + "\n", encoding="utf-8")
+        whole = {"passage_id": "a", **CANDIDATE_RECORD}
+        huge = '{"passage_id": "b", "text": "t", "lm_score": %s}' % ("1" * 5000)
+        path.write_text(
+            HEADER + huge + "\n" + marker("b") + json.dumps(whole) + "\n" + marker("a"),
+            encoding="utf-8",
+        )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
         assert sorted(journal.completed) == ["a"]
@@ -377,10 +402,13 @@ class _FailAfter:
         self.inner = inner
         self.limit = limit
         self.calls = 0
+        self._lock = threading.Lock()
 
     def generate(self, request, seed=0):
-        self.calls += 1
-        if self.calls > self.limit:
+        with self._lock:
+            self.calls += 1
+            calls = self.calls
+        if calls > self.limit:
             raise TransportError("injected outage", url="http://test", attempts=3)
         return self.inner.generate(request, seed=seed)
 
@@ -506,3 +534,200 @@ class TestNoTemporaryLeftBehind:
             "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json",
             "checkpoint.json", "checkpoint.jsonl",
         }
+
+
+def same_artifacts(first: PipelineReport, second: PipelineReport) -> bool:
+    return all(
+        Path(first.outputs[name]).read_bytes() == Path(second.outputs[name]).read_bytes()
+        for name in ("passages", "candidates", "examples", "dataset", "stats")
+    )
+
+
+def edit_passage_text(config: PipelineConfig, passage_id: str) -> None:
+    """Rewrite ``config.input`` with one word appended to ``passage_id``'s text.
+
+    The reference backend conditions on the last words of a passage, so the
+    edit changes what it generates for that passage.
+    """
+    passages = [
+        replace(p, text=p.text + " harbor") if p.id == passage_id else p
+        for p in make_passages(count=60)
+    ]
+    write_passage_file(Path(config.input), passages)
+
+
+class TestResumeUsesOnlyTheSamePassageText:
+    def test_journaled_passage_with_edited_text_is_regenerated(self, tmp_path):
+        config = interrupted_run(tmp_path)
+        checkpoint = json.loads((Path(config.output_dir) / "checkpoint.json").read_text("utf-8"))
+        assert "p008" in checkpoint["completed_passage_ids"]
+        edit_passage_text(config, "p008")
+        resumed = run_pipeline(replace(config, resume=True))
+        fresh = run_pipeline(replace(config, output_dir=str(tmp_path / "fresh")))
+        assert same_artifacts(resumed, fresh)
+
+
+class _Counting:
+    """Delegates to a real backend and records the passage of each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.passages: list[str] = []
+
+    def generate(self, request, seed=0):
+        self.passages.append(request.passage)
+        return self.inner.generate(request, seed=seed)
+
+
+class TestJournalBlocks:
+    @pytest.mark.parametrize("cut", ["between-rows", "before-marker"])
+    def test_block_without_its_marker_is_regenerated(self, tmp_path, cut):
+        config = interrupted_run(tmp_path)
+        path = Path(config.output_dir) / "checkpoint.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        # The last line is the marker of the 20th block, after its 20 rows.
+        last = json.loads(lines[-1])["passage_id"]
+        path.write_bytes(b"".join(lines[:-1] if cut == "before-marker" else lines[:-8]))
+        inner = build_backend(config)
+        first_calls = _Counting(inner)
+        with pytest.raises(PipelineError):
+            run_pipeline(replace(config, resume=True), backend=_FailAfter(first_calls, 5))
+        texts = {p.id: p.text for p in make_passages(count=60)}
+        assert first_calls.passages[0] == texts[last]
+        # A second resume reads the block appended after the cut.
+        second_calls = _Counting(inner)
+        resumed = run_pipeline(replace(config, resume=True), backend=second_calls)
+        assert len(second_calls.passages) == 50 - 19 - 5
+        once = run_pipeline(replace(config, output_dir=str(tmp_path / "once")))
+        assert same_artifacts(resumed, once)
+
+    def test_journal_of_the_earlier_format_is_refused(self, tmp_path):
+        config = interrupted_run(tmp_path)
+        path = Path(config.output_dir) / "checkpoint.jsonl"
+        header = {"fingerprint": resume_fingerprint(config)}
+        entry = {"passage_id": "p000", "candidates": [CANDIDATE_RECORD]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n", encoding="utf-8")
+        before = checkpoint_bytes(config)
+        with pytest.raises(ConfigurationError, match="journal format 1"):
+            run_pipeline(replace(config, resume=True), backend=_NoBackend())
+        assert checkpoint_bytes(config) == before
+
+    def test_resume_of_an_unchanged_input_generates_only_the_rest(self, tmp_path):
+        config = interrupted_run(tmp_path)
+        backend = _Counting(build_backend(config))
+        resumed = run_pipeline(replace(config, resume=True), backend=backend)
+        assert len(backend.passages) == 30
+        once = run_pipeline(replace(config, output_dir=str(tmp_path / "once")))
+        assert same_artifacts(resumed, once)
+
+
+class _QuotingBackend:
+    """A backend without a model: one extractive question per leading passage word."""
+
+    def generate(self, request, seed=0):
+        words = request.passage.split()[: request.num_samples]
+        return [
+            Candidate(f"question where is {word} {index} answer {word}", -1.0 - index)
+            for index, word in enumerate(words)
+        ]
+
+
+def traced_bytes_above_passages(tmp_path: Path, count: int) -> int:
+    """Traced peak of ``run_pipeline`` over ``count`` passages, less what the passages hold."""
+    passages_path = write_passage_file(tmp_path / f"passages-{count}.jsonl", make_passages(count))
+    config = make_config(
+        tmp_path, f"out-{count}", input=str(passages_path), sample_n=None,
+        num_samples=CANDIDATES_PER_PASSAGE, keep_per_passage=CANDIDATES_PER_PASSAGE,
+    )
+    tracemalloc.start()
+    try:
+        sampled = ingest(config)
+        passages_bytes = tracemalloc.get_traced_memory()[0]
+        del sampled
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_pipeline(config, backend=_QuotingBackend())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.counts["kept"] > count
+    return peak - passages_bytes
+
+
+CANDIDATES_PER_PASSAGE = 4
+# Bytes of traced peak memory each added candidate may add, all included
+# (its passage's share of the journal's id set, for one). A run that held
+# every candidate, example and the document grew by about 2,000 bytes per
+# candidate here; a streaming run grows by about 20.
+BYTES_PER_ADDED_CANDIDATE = 100
+
+
+class TestRunMemory:
+    def test_peak_above_the_passages_does_not_grow_with_the_candidates(self, tmp_path):
+        small = traced_bytes_above_passages(tmp_path, 200)
+        large = traced_bytes_above_passages(tmp_path, 2000)
+        added_candidates = (2000 - 200) * CANDIDATES_PER_PASSAGE
+        assert large - small < added_candidates * BYTES_PER_ADDED_CANDIDATE, (small, large)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """A 10-passage config and the artifacts of its run without a failure."""
+    config = make_config(tmp_path_factory.mktemp("interruption"), "once")
+    report = run_pipeline(config)
+    artifacts = {
+        name: Path(report.outputs[name]).read_bytes()
+        for name in ("candidates", "examples", "dataset")
+    }
+    return config, artifacts
+
+
+class TestInterruptionPoint:
+    @settings(max_examples=12, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=9), workers=st.sampled_from([1, 2]))
+    def test_resumed_output_does_not_depend_on_where_the_run_failed(
+        self, uninterrupted, k, workers
+    ):
+        config, expected = uninterrupted
+        backend = build_backend(config)
+        with tempfile.TemporaryDirectory() as out_dir:
+            run = replace(config, output_dir=out_dir, workers=workers)
+            with pytest.raises(PipelineError):
+                run_pipeline(run, backend=_FailAfter(backend, k))
+            checkpoint = json.loads((Path(out_dir) / "checkpoint.json").read_text("utf-8"))
+            assert checkpoint["stage"] == "generate"
+            assert checkpoint["failed_passage_id"] is not None
+            resumed = run_pipeline(replace(run, resume=True), backend=backend)
+            for name, content in expected.items():
+                assert Path(resumed.outputs[name]).read_bytes() == content, name
+
+
+class TestInOrder:
+    def test_results_keep_item_order_and_work_ahead_is_bounded(self):
+        started: list[int] = []
+
+        def square(item: int) -> int:
+            started.append(item)
+            return item * item
+
+        results = []
+        for value in _in_order(square, range(1000), workers=2):
+            results.append(value)
+            assert len(started) <= len(results) + _AHEAD_PER_WORKER * 2
+        assert results == [item * item for item in range(1000)]
+
+    def test_first_failure_in_item_order_is_raised_and_the_rest_cancelled(self):
+        started: list[int] = []
+
+        def fail_from_10(item: int) -> int:
+            started.append(item)
+            if item >= 10:
+                raise ValueError(item)
+            return item
+
+        results = []
+        with pytest.raises(ValueError, match="^10$"):
+            for value in _in_order(fail_from_10, range(1000), workers=2):
+                results.append(value)
+        assert results == list(range(10))
+        assert len(started) < 1000
