@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import string
 import unicodedata
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-
-import re
 
 from .dataset import SquadDataset
 from .errors import ConfigurationError, DataError, MissingPredictionsError, json_error_reason
@@ -42,21 +41,70 @@ __all__ = [
 ]
 
 _ENGLISH_ARTICLES = frozenset({"a", "an", "the"})
-_ASCII_PUNCTUATION = frozenset(string.punctuation)
 
 SEGMENTATION_WHITESPACE = "whitespace"
 SEGMENTATION_MIXED = "per-character-mixed"
 
 
+class _UnicodePunctuation(dict):
+    """``str.translate`` table deleting Unicode general category P*.
+
+    Each code point is classified the first time it is looked up and the
+    answer kept, so no table covering all of Unicode is built on import.
+    """
+
+    def __missing__(self, code_point: int) -> int | None:
+        kept = None if unicodedata.category(chr(code_point)).startswith("P") else code_point
+        self[code_point] = kept
+        return kept
+
+
+# punctuation_class -> ``str.translate`` table deleting that punctuation.
+_PUNCTUATION_TABLES = {
+    "ascii": str.maketrans("", "", string.punctuation),
+    "unicode": _UnicodePunctuation(),
+}
+# segmentation -> tokenizer of a string.
+_SEGMENTERS = {
+    SEGMENTATION_WHITESPACE: str.split,
+    SEGMENTATION_MIXED: mixed_segment,
+}
+
+
 @dataclass(frozen=True)
 class NormalizationProfile:
-    """How answers are normalized and tokenized before comparison."""
+    """How answers are normalized and tokenized before comparison.
+
+    ``punctuation_class`` is ``ascii`` or ``unicode`` and ``segmentation`` is
+    ``whitespace`` or ``per-character-mixed``; any other value is a
+    ``ConfigurationError``. The article pattern is compiled once per
+    profile, at first use.
+    """
 
     mode: str
     language: str
     articles: frozenset[str]
     punctuation_class: str
     segmentation: str
+
+    def __post_init__(self) -> None:
+        for name, allowed in (
+            ("punctuation_class", _PUNCTUATION_TABLES),
+            ("segmentation", _SEGMENTERS),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigurationError(
+                    f"{self.mode} profile for language {self.language!r}: unknown {name} "
+                    f"{value!r}; expected one of {', '.join(map(repr, allowed))}"
+                )
+
+    @cached_property
+    def _article_pattern(self) -> re.Pattern | None:
+        if not self.articles:
+            return None
+        alternatives = "|".join(re.escape(a) for a in sorted(self.articles))
+        return re.compile(rf"\b(?:{alternatives})\b")
 
 
 def load_profile_table(path: str | Path | None = None) -> dict:
@@ -128,32 +176,51 @@ def make_profile(
     )
 
 
-@lru_cache(maxsize=None)
-def _article_pattern(articles: tuple[str, ...]) -> re.Pattern:
-    alternatives = "|".join(re.escape(a) for a in articles)
-    return re.compile(rf"\b(?:{alternatives})\b")
-
-
-def _strip_punctuation(text: str, punctuation_class: str) -> str:
-    if punctuation_class == "ascii":
-        return "".join(ch for ch in text if ch not in _ASCII_PUNCTUATION)
-    return "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
-
-
 def normalize_answer(text: str, profile: NormalizationProfile) -> str:
     """Lowercase, strip punctuation, drop standalone articles, collapse whitespace."""
-    text = text.lower()
-    text = _strip_punctuation(text, profile.punctuation_class)
-    if profile.articles:
-        text = _article_pattern(tuple(sorted(profile.articles))).sub(" ", text)
+    text = text.lower().translate(_PUNCTUATION_TABLES[profile.punctuation_class])
+    if profile._article_pattern is not None:
+        text = profile._article_pattern.sub(" ", text)
     return " ".join(text.split())
 
 
-def tokenize_for_f1(normalized: str, profile: NormalizationProfile) -> list[str]:
-    """Token sequence for overlap scoring; input must already be normalized."""
-    if profile.segmentation == SEGMENTATION_MIXED:
-        return mixed_segment(normalized)
-    return normalized.split()
+def tokenize_for_f1(text: str, profile: NormalizationProfile) -> list[str]:
+    """Token sequence of ``text`` under the profile's segmentation.
+
+    The text is segmented as given, without normalization: F1 passes it
+    the output of ``normalize_answer``, ``qaforge bleu`` raw lines.
+    """
+    return _SEGMENTERS[profile.segmentation](text)
+
+
+def _normalized_tokens(text: str, profile: NormalizationProfile) -> tuple[str, list[str]]:
+    normalized = normalize_answer(text, profile)
+    return normalized, tokenize_for_f1(normalized, profile)
+
+
+def _token_f1(
+    prediction_counts: Counter, prediction_length: int, gold_tokens: list[str]
+) -> float:
+    """Multiset token-overlap F1 of a prediction, given as its token counts, with one gold."""
+    if not prediction_length and not gold_tokens:
+        return 1.0
+    if not prediction_length or not gold_tokens:
+        return 0.0
+    num_same = sum((prediction_counts & Counter(gold_tokens)).values())
+    if num_same == 0:
+        return 0.0
+    precision = num_same / prediction_length
+    recall = num_same / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+def _best_f1(prediction_tokens: list[str], gold_token_lists: Iterable[list[str]]) -> float:
+    """Max over the golds' token lists of their F1 with the prediction's tokens."""
+    prediction_counts = Counter(prediction_tokens)
+    return max(
+        _token_f1(prediction_counts, len(prediction_tokens), gold_tokens)
+        for gold_tokens in gold_token_lists
+    )
 
 
 def exact_match(
@@ -166,27 +233,12 @@ def exact_match(
     return int(any(normalized == normalize_answer(gold, profile) for gold in golds))
 
 
-def _f1_single(prediction: str, gold: str, profile: NormalizationProfile) -> float:
-    prediction_tokens = tokenize_for_f1(normalize_answer(prediction, profile), profile)
-    gold_tokens = tokenize_for_f1(normalize_answer(gold, profile), profile)
-    if not prediction_tokens and not gold_tokens:
-        return 1.0
-    if not prediction_tokens or not gold_tokens:
-        return 0.0
-    common = Counter(prediction_tokens) & Counter(gold_tokens)
-    num_same = sum(common.values())
-    if num_same == 0:
-        return 0.0
-    precision = num_same / len(prediction_tokens)
-    recall = num_same / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
 def f1(prediction: str, golds: Sequence[str], profile: NormalizationProfile) -> float:
     """Best multiset token-overlap F1 of the prediction against any gold."""
     if not golds:
         raise DataError("f1 requires at least one gold answer")
-    return max(_f1_single(prediction, gold, profile) for gold in golds)
+    _, prediction_tokens = _normalized_tokens(prediction, profile)
+    return _best_f1(prediction_tokens, (_normalized_tokens(gold, profile)[1] for gold in golds))
 
 
 @dataclass(frozen=True)
@@ -237,10 +289,11 @@ def evaluate_dataset(
             missing.append(qa.id)
             per_example[qa.id] = ExampleScore(em=0, f1=0.0)
             continue
-        prediction = predictions[qa.id]
+        normalized, prediction_tokens = _normalized_tokens(predictions[qa.id], profile)
+        gold_answers = [_normalized_tokens(gold, profile) for gold in golds]
         per_example[qa.id] = ExampleScore(
-            em=exact_match(prediction, golds, profile),
-            f1=f1(prediction, golds, profile),
+            em=int(any(normalized == gold for gold, _ in gold_answers)),
+            f1=_best_f1(prediction_tokens, (tokens for _, tokens in gold_answers)),
         )
     if missing and not missing_as_zero:
         raise MissingPredictionsError(missing)
@@ -255,8 +308,12 @@ def evaluate_dataset(
     )
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
+    """Count of every n-gram of ``tokens`` (a tuple) for n = 1..max_n."""
+    counts = Counter()
+    for n in range(1, max_n + 1):
+        counts.update(zip(*(tokens[i:] for i in range(n))))
+    return counts
 
 
 def bleu(
@@ -283,20 +340,22 @@ def bleu(
     hypothesis_length = sum(len(h) for h in hypotheses)
     reference_length = sum(len(r) for r in references)
 
+    # clipped[n] and total[n]: matched and all hypothesis n-grams, corpus-wide.
+    clipped = [0] * (max_n + 1)
+    total = [0] * (max_n + 1)
+    for hypothesis, reference in zip(hypotheses, references):
+        counts = _ngram_counts(hypothesis, max_n)
+        reference_counts = _ngram_counts(reference, max_n)
+        for ngram in counts.keys() & reference_counts.keys():
+            clipped[len(ngram)] += min(counts[ngram], reference_counts[ngram])
+        for n in range(1, max_n + 1):
+            total[n] += max(len(hypothesis) - n + 1, 0)
+
     log_precision_sum = 0.0
     for n in range(1, max_n + 1):
-        clipped = 0
-        total = 0
-        for hypothesis, reference in zip(hypotheses, references):
-            counts = _ngram_counts(hypothesis, n)
-            reference_counts = _ngram_counts(reference, n)
-            total += sum(counts.values())
-            clipped += sum(
-                min(count, reference_counts[ngram]) for ngram, count in counts.items()
-            )
-        if clipped == 0 or total == 0:
+        if clipped[n] == 0 or total[n] == 0:
             return 0.0
-        log_precision_sum += math.log(clipped / total) / max_n
+        log_precision_sum += math.log(clipped[n] / total[n]) / max_n
 
     brevity_penalty = (
         1.0

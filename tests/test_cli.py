@@ -269,6 +269,63 @@ class TestBleuCommand:
         assert json.loads(capsys.readouterr().out)["bleu"] == 100.0
 
 
+# The stdout of `eval` and `bleu` on the metric oracle fixtures, recorded
+# before the scoring path was rewritten to normalize each answer once: any
+# change to a score, down to the last bit of a float, changes these bytes.
+GOLDEN_LANGUAGES = ("en", "es", "zh")
+GOLDEN_CASES = {
+    **{
+        f"eval {mode} {language}": [
+            "eval", "--dataset", "{dataset}", "--predictions", "{predictions}",
+            "--mode", mode, "--language", language,
+        ]
+        for mode in ("squad", "mlqa")
+        for language in GOLDEN_LANGUAGES
+    },
+    **{
+        f"bleu {language} max-n {max_n}": [
+            "bleu", "--hyp", f"{{hyp_{language}}}", "--ref", f"{{ref_{language}}}",
+            "--language", language, "--max-n", str(max_n),
+        ]
+        for language in GOLDEN_LANGUAGES
+        for max_n in (1, 2, 3, 4)
+    },
+}
+
+
+def golden_inputs(fixtures_dir, directory) -> dict[str, str]:
+    """Paths the golden cases read; each language's BLEU lines are its raw
+    predictions against its first gold answers, in fixture order."""
+    dataset_path = fixtures_dir / "metric_oracle_dataset.json"
+    predictions_path = fixtures_dir / "metric_oracle_predictions.json"
+    predictions = json.loads(predictions_path.read_text(encoding="utf-8"))
+    articles = {a.title: a for a in read_squad(dataset_path.read_bytes()).dataset.articles}
+    paths = {"dataset": str(dataset_path), "predictions": str(predictions_path)}
+    for language in GOLDEN_LANGUAGES:
+        article = articles[f"fixture-{language}"]
+        qas = [qa for paragraph in article.paragraphs for qa in paragraph.qas]
+        for side, lines in (
+            ("hyp", [predictions[qa.id] for qa in qas]),
+            ("ref", [qa.answers[0].text for qa in qas]),
+        ):
+            path = directory / f"{side}_{language}.txt"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            paths[f"{side}_{language}"] = str(path)
+    return paths
+
+
+class TestGoldenScoringOutput:
+    def test_stdout_is_byte_identical(self, fixtures_dir, tmp_path, capsys):
+        golden = json.loads(
+            (fixtures_dir / "metric_cli_golden.json").read_text(encoding="utf-8")
+        )
+        assert set(golden) == set(GOLDEN_CASES)
+        paths = golden_inputs(fixtures_dir, tmp_path)
+        for name, argv in GOLDEN_CASES.items():
+            assert run_cli(*(arg.format(**paths) for arg in argv)) == 0, name
+            assert capsys.readouterr().out == golden[name], name
+
+
 class TestRunCommand:
     def test_full_pipeline_from_config_with_flag_override(self, workspace, capsys):
         config_path = workspace / "config.json"
@@ -627,6 +684,30 @@ class TestProfileConfig:
         )
         assert code == 1
         assert "profile table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("segmentation", "per-character"), ("punctuation_class", "Unicode")],
+    )
+    def test_unknown_profile_value_exit_usage(self, fixtures_dir, tmp_path, capsys, field, value):
+        # Once accepted silently: "per-character" scored zh as whitespace
+        # tokens, so F1 on these fixtures fell from 87.2 to 55.9 with exit 0.
+        entry = {"language": "zh", "punctuation_class": "unicode",
+                 "segmentation": "per-character-mixed", field: value}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code = run_cli(
+            "eval",
+            "--dataset", str(fixtures_dir / "metric_oracle_dataset.json"),
+            "--predictions", str(fixtures_dir / "metric_oracle_predictions.json"),
+            "--mode", "mlqa",
+            "--language", "zh",
+            "--profile-config", str(path),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field} {value!r}" in captured.err
 
 
 class TestRunUsageErrors:

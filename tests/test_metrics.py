@@ -1,14 +1,28 @@
 from __future__ import annotations
 
 import math
+import re
+import string
+import subprocess
+import sys
+import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qaforge.dataset import SquadDataset, read_squad
+from qaforge.dataset import (
+    SquadAnswer,
+    SquadArticle,
+    SquadDataset,
+    SquadParagraph,
+    SquadQA,
+    read_squad,
+)
 from qaforge.errors import ConfigurationError, DataError, MissingPredictionsError
 from qaforge.metrics import (
+    NormalizationProfile,
     bleu,
     evaluate_dataset,
     exact_match,
@@ -18,6 +32,7 @@ from qaforge.metrics import (
     normalize_answer,
     tokenize_for_f1,
 )
+from qaforge.segmentation import mixed_segment
 
 SQUAD_EN = make_profile("squad", "en")
 MLQA_ES = make_profile("mlqa", "es")
@@ -336,3 +351,194 @@ class TestProfileTable:
         )
         profile = make_profile("mlqa", "en", load_profile_table(path))
         assert normalize_answer("zap target", profile) == "target"
+
+
+class TestProfileValues:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("punctuation_class", "Unicode"),
+            ("punctuation_class", ""),
+            ("segmentation", "per-character"),
+            ("segmentation", "whitespace "),
+        ],
+    )
+    def test_unknown_value_rejected(self, field, value):
+        values = {"punctuation_class": "unicode", "segmentation": "whitespace", field: value}
+        with pytest.raises(ConfigurationError, match=f"unknown {field} {value!r}"):
+            NormalizationProfile("mlqa", "xx", frozenset(), **values)
+
+    def test_unknown_value_in_table_rejected(self):
+        table = {"entries": [{"language": "zh", "segmentation": "per-character"}]}
+        with pytest.raises(ConfigurationError, match="segmentation 'per-character'"):
+            make_profile("mlqa", "zh", table)
+
+    def test_every_shipped_entry_is_accepted(self):
+        for entry in load_profile_table()["entries"]:
+            make_profile("mlqa", entry["language"])
+
+    def test_import_classifies_no_code_point(self):
+        # The unicode punctuation table fills per code point on first use;
+        # building it for all of Unicode at import would cost every start.
+        code = (
+            "import qaforge.metrics as m; "
+            "print(len(m._PUNCTUATION_TABLES['unicode']))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "0"
+
+
+# --- The scoring path against its earlier formulation ----------------------
+#
+# Test-local copies of the rules as first written (one category test per
+# character, the article pattern built per call, every gold normalized again
+# for EM and for each F1, one Counter per n-gram order): the rewritten path
+# must give the same strings and the same floats, bit for bit.
+
+
+def reference_normalize(text: str, profile) -> str:
+    text = text.lower()
+    if profile.punctuation_class == "ascii":
+        text = "".join(ch for ch in text if ch not in string.punctuation)
+    else:
+        text = "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
+    if profile.articles:
+        alternatives = "|".join(re.escape(a) for a in sorted(profile.articles))
+        text = re.compile(rf"\b(?:{alternatives})\b").sub(" ", text)
+    return " ".join(text.split())
+
+
+def reference_tokens(text: str, profile) -> list[str]:
+    normalized = reference_normalize(text, profile)
+    if profile.segmentation == "per-character-mixed":
+        return mixed_segment(normalized)
+    return normalized.split()
+
+
+def reference_f1_single(prediction: str, gold: str, profile) -> float:
+    prediction_tokens = reference_tokens(prediction, profile)
+    gold_tokens = reference_tokens(gold, profile)
+    if not prediction_tokens and not gold_tokens:
+        return 1.0
+    if not prediction_tokens or not gold_tokens:
+        return 0.0
+    num_same = sum((Counter(prediction_tokens) & Counter(gold_tokens)).values())
+    if num_same == 0:
+        return 0.0
+    precision = num_same / len(prediction_tokens)
+    recall = num_same / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
+def reference_scores(prediction: str, golds: list[str], profile) -> tuple[int, float]:
+    normalized = reference_normalize(prediction, profile)
+    em = int(any(normalized == reference_normalize(gold, profile) for gold in golds))
+    return em, max(reference_f1_single(prediction, gold, profile) for gold in golds)
+
+
+def reference_bleu(hypotheses, references, max_n: int) -> float:
+    hypothesis_length = sum(len(h) for h in hypotheses)
+    reference_length = sum(len(r) for r in references)
+    log_precision_sum = 0.0
+    for n in range(1, max_n + 1):
+        clipped = 0
+        total = 0
+        for hypothesis, reference in zip(hypotheses, references):
+            counts = Counter(
+                tuple(hypothesis[i:i + n]) for i in range(len(hypothesis) - n + 1)
+            )
+            reference_counts = Counter(
+                tuple(reference[i:i + n]) for i in range(len(reference) - n + 1)
+            )
+            total += sum(counts.values())
+            clipped += sum(
+                min(count, reference_counts[ngram]) for ngram, count in counts.items()
+            )
+        if clipped == 0 or total == 0:
+            return 0.0
+        log_precision_sum += math.log(clipped / total) / max_n
+    brevity_penalty = (
+        1.0
+        if hypothesis_length > reference_length
+        else math.exp(1.0 - reference_length / hypothesis_length)
+    )
+    return 100.0 * brevity_penalty * math.exp(log_precision_sum)
+
+
+SHIPPED_PROFILES = [SQUAD_EN] + [
+    make_profile("mlqa", entry["language"]) for entry in load_profile_table()["entries"]
+]
+PROFILE_IDS = [f"{p.mode}-{p.language}" for p in SHIPPED_PROFILES]
+
+# Lone surrogates, an unassigned code point, astral letters, symbols and
+# punctuation outside ASCII, next to words the article tables remove.
+ODD_CHARACTERS = [
+    "\ud800", "\udfff", "\u0378", "\U000e0001", "\U0001f600", "\U00020000",
+    "\U0010ffff", "\U00016e97", "\u00bf", "\u3001", "\u3002", "\uff0c", "\u2019",
+    "\u20ac", "$", "^", "~", "|", "+", "\u00a0", "\u2028",
+]
+ARTICLE_WORDS = [" the ", " A ", "an", " del ", "LA ", " die ", "của", " những "]
+any_text = st.lists(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(ODD_CHARACTERS),
+        st.sampled_from(ARTICLE_WORDS),
+    ),
+    max_size=30,
+).map("".join)
+
+# Answer-like text: punctuation, articles, Han and Latin words, in any mix.
+ANSWER_PIECES = [
+    "the", "a", "an", "el", "la", "del", "Brunot", "island", "x", "年", "美", "国",
+    "男子", "2008", ".", ",", "。", "、", "!", "'", "-", "$", "¿", " ", " ", "\t",
+]
+answer_text = st.lists(st.sampled_from(ANSWER_PIECES), max_size=8).map("".join)
+
+
+class TestNormalizeEqualsReference:
+    @pytest.mark.parametrize("profile", SHIPPED_PROFILES, ids=PROFILE_IDS)
+    @given(text=any_text)
+    def test_equals_per_character_rule(self, profile, text):
+        expected = reference_normalize(text, profile)
+        assert normalize_answer(text, profile) == expected
+        # Again, now that every code point of the text is in the table.
+        assert normalize_answer(text, profile) == expected
+
+
+def _single_qa_dataset(golds: list[str]) -> SquadDataset:
+    answers = [SquadAnswer(text=gold, answer_start=0) for gold in golds]
+    paragraph = SquadParagraph(context="", qas=[SquadQA(id="q", question="?", answers=answers)])
+    return SquadDataset(version="1.1", articles=[SquadArticle(title="t", paragraphs=[paragraph])])
+
+
+class TestScoresEqualReference:
+    @pytest.mark.parametrize(
+        "profile", [SQUAD_EN, MLQA_ES, MLQA_ZH], ids=["squad", "mlqa-es", "mlqa-zh"]
+    )
+    @given(prediction=answer_text, golds=st.lists(answer_text, min_size=1, max_size=3))
+    def test_per_example_scores_identical(self, profile, prediction, golds):
+        report = evaluate_dataset({"q": prediction}, _single_qa_dataset(golds), profile)
+        em, f1_value = reference_scores(prediction, golds, profile)
+        assert report.per_example["q"].em == em
+        assert report.per_example["q"].f1 == f1_value
+        assert exact_match(prediction, golds, profile) == em
+        assert f1(prediction, golds, profile) == f1_value
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("abcde"), max_size=8),
+                st.lists(st.sampled_from("abcde"), max_size=8),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        max_n=st.integers(min_value=1, max_value=5),
+    )
+    def test_bleu_identical(self, pairs, max_n):
+        hypotheses = [hypothesis for hypothesis, _ in pairs]
+        references = [reference for _, reference in pairs]
+        expected = reference_bleu(hypotheses, references, max_n)
+        assert bleu(hypotheses, references, max_n=max_n) == expected
