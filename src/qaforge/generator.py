@@ -15,7 +15,7 @@ import random
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from typing import Any, NamedTuple
 
 from .errors import ConfigurationError, DataError
@@ -159,6 +159,9 @@ class ReferenceBackend:
     table built at the first use of its (context, k) and memoized; instances
     are safe to share across threads, since racing threads build and store
     equal tables. Sampling determinism comes from the caller-provided seed.
+    A table ranks by count, ties lexicographic, which is the probability
+    order: a new context costs a C sort of its counted symbols plus O(k)
+    Python work. A counted symbol outside the vocabulary is never emitted.
     """
 
     def __init__(
@@ -270,30 +273,23 @@ class ReferenceBackend:
     def _top_k(self, context: tuple[str, ...], k: int) -> tuple[list[str], list[float]]:
         """The first ``k`` symbols by ``(-probability, symbol)``, and their probabilities.
 
-        Under additive smoothing every symbol not counted after ``context``
-        has the same probability, no higher than that of a counted one, and
-        they rank among themselves lexicographically. So the exact head of the
-        ranking comes from the counted symbols plus the first ``k`` symbols in
-        lexicographic order: O(counted + k) work per new context instead of
-        ranking all V + 1 symbols.
+        Within a context the probability rises strictly with the count (for
+        counts below 2**52), and every uncounted symbol shares the lowest. So
+        the counted symbols come first, by count with ties lexicographic (two
+        C sorts), each once per place it holds among the emittable symbols:
+        none outside the vocabulary, two for a word spelled like EOS_TOKEN.
+        The uncounted ones follow in lexicographic order. Python work and
+        probabilities are spent only on the ``k`` kept.
         """
         lexicographic = self._lexicographic
-        # Positions, not symbols: a vocabulary word spelled like EOS_TOKEN
-        # occupies two places in the ranking, as in the full list.
-        counted = {
-            position
-            for symbol in self.counts.get(context, ())
-            for position in range(
-                bisect.bisect_left(lexicographic, symbol),
-                bisect.bisect_right(lexicographic, symbol),
-            )
-        }
-        pool = counted.union(range(min(len(lexicographic), k)))
-        ranked = sorted(
-            ((lexicographic[i], self.probability(context, lexicographic[i])) for i in pool),
-            key=lambda pair: (-pair[1], pair[0]),
-        )[:k]
-        return [s for s, _ in ranked], [p for _, p in ranked]
+        counter = self.counts.get(context, {})
+        counted = chain.from_iterable(
+            repeat(s, bisect.bisect_right(lexicographic, s) - bisect.bisect_left(lexicographic, s))
+            for s in sorted(sorted(counter), key=counter.__getitem__, reverse=True)
+        )
+        uncounted = (symbol for symbol in lexicographic if symbol not in counter)
+        symbols = list(islice(chain(counted, uncounted), k))
+        return symbols, [self.probability(context, symbol) for symbol in symbols]
 
 
 def train_reference(

@@ -651,7 +651,36 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         outputs=outputs,
     )
     write_json(outputs["report"], asdict(report), indent=2)
+    if counts["kept"] == 0:
+        logger.warning("run kept 0 examples: %s", _zero_kept_reason(report))
     return report
+
+
+def _funnel_steps(counts: dict[str, int]) -> Iterator[tuple[str, int, int | None]]:
+    """Each stage's name and count, and the count before it in its funnel (None at a start)."""
+    previous: int | None = None
+    for name, value in counts.items():
+        if name in _SECTION_STARTS:
+            previous = None
+        yield name, value, previous
+        previous = value
+
+
+def _zero_kept_reason(report: PipelineReport) -> str:
+    """The largest funnel drop of a run that kept nothing, and its top parse failure.
+
+    The first stage at 0 drops 100% of the stage before it, and every
+    earlier stage less, so it is the largest drop.
+    """
+    name, _, previous = next(step for step in _funnel_steps(report.counts) if step[1] == 0)
+    if previous:
+        where = f"the largest drop is at {name!r} ({previous} -> 0, 100.0%)"
+    else:
+        where = f"{name!r} is 0 at the start of its funnel"
+    if not report.parse_failures:
+        return f"{where}; no parse failures"
+    reason, count = max(sorted(report.parse_failures.items()), key=lambda item: item[1])
+    return f"{where}; top parse failure: {reason} ({count})"
 
 
 def stats_summary(report: PipelineReport) -> str:
@@ -662,14 +691,7 @@ def stats_summary(report: PipelineReport) -> str:
     ``generated`` row.
     """
     lines = [f"{'stage':<12} {'count':>10} {'drop':>8}"]
-    previous: int | None = None
-    for name, value in report.counts.items():
-        if name in _SECTION_STARTS:
-            previous = None
-        if previous is None or previous == 0:
-            drop = "-"
-        else:
-            drop = f"{100.0 * (previous - value) / previous:.1f}%"
+    for name, value, previous in _funnel_steps(report.counts):
+        drop = f"{100.0 * (previous - value) / previous:.1f}%" if previous else "-"
         lines.append(f"{name:<12} {value:>10} {drop:>8}")
-        previous = value
     return "\n".join(lines)

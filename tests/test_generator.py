@@ -25,6 +25,7 @@ from qaforge.generator import (
 )
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "reference_golden.json"
+BIG_GOLDEN_PATH = Path(__file__).parent / "fixtures" / "reference_big_golden.json"
 
 
 def request(passage: str, **overrides) -> GenerationRequest:
@@ -194,9 +195,13 @@ def full_ranking(backend: ReferenceBackend, context: tuple[str, ...]):
 
 
 # Symbols on both sides of EOS_TOKEN ("</s>") in sort order, and one spelled like it.
-_SYMBOLS = st.sampled_from(
-    ["!", "0", "1999", ";", "<", "</r>", "</s>", "</t>", "<pad>", "a", "answer", "b", "z", "~"]
-)
+_SYMBOL_LIST = [
+    "!", "0", "1999", ";", "<", "</r>", "</s>", "</t>", "<pad>", "a", "answer", "b", "z", "~"
+]
+_SYMBOLS = st.sampled_from(_SYMBOL_LIST)
+# Counts a trained model can hold, up to 2**50: small ones, and huge ones
+# whose neighbours differ in probability only in the last bits.
+_COUNTS = st.one_of(st.integers(1, 5), st.integers(2**50 - 3, 2**50))
 
 
 @st.composite
@@ -205,12 +210,14 @@ def small_models(draw):
     vocabulary = draw(st.sets(_SYMBOLS, min_size=1, max_size=12))
     emittable = sorted(vocabulary | {EOS_TOKEN})
     contexts = st.tuples(*[st.sampled_from([*emittable, "<pad>"])] * (order - 1))
+    # Counted symbols may lie outside the vocabulary; drawing each count from
+    # a few levels makes many symbols share one, on both sides of EOS_TOKEN.
+    counted = st.sampled_from(sorted({*_SYMBOL_LIST, EOS_TOKEN, "zz-unseen"}))
+    levels = draw(st.lists(_COUNTS, min_size=1, max_size=3))
     counts = draw(
         st.dictionaries(
             contexts,
-            st.dictionaries(st.sampled_from(emittable), st.integers(1, 5), max_size=6).map(
-                Counter
-            ),
+            st.dictionaries(counted, st.sampled_from(levels), max_size=8).map(Counter),
             max_size=5,
         )
     )
@@ -236,6 +243,30 @@ class TestTopK:
         # Recorded from the decoder that ranked all V + 1 symbols per context.
         golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
         assert golden_output() == golden["runs"]
+
+    def test_big_vocabulary_golden_generate_output(self):
+        # Recorded from the decoder that scored every counted symbol per context.
+        golden = json.loads(BIG_GOLDEN_PATH.read_text(encoding="utf-8"))
+        assert big_vocabulary_output() == golden["runs"]
+
+    @pytest.mark.parametrize("k", [1, 10, 40])
+    def test_new_context_computes_only_k_probabilities(self, k):
+        rng = random.Random(7)
+        vocabulary = [f"w{i:04d}" for i in range(5000)]
+        context = ("w0000", "w0001")
+        successors = Counter({word: rng.randint(1, 9) for word in rng.sample(vocabulary, 3000)})
+        backend = ReferenceBackend(3, vocabulary, {context: successors})
+        calls = []
+
+        def counting(ctx, token):
+            calls.append(token)
+            return ReferenceBackend.probability(backend, ctx, token)
+
+        backend.probability = counting
+        symbols, probs = backend._top_k(context, k)
+        assert len(calls) <= k
+        del backend.probability
+        assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
 
     def test_cache_is_bounded_by_the_trained_model(self, toy_corpus):
         backend = train_reference(toy_corpus, order=3)
@@ -322,6 +353,47 @@ def golden_output() -> list[dict]:
         for top_k in (1, 3, 40, len(backend.vocabulary) + 5):
             req = request(passage, num_samples=3, top_k=top_k, max_output_tokens=12)
             candidates = backend.generate(req, seed=derive_seed(5, f"g{index}"))
+            runs.append(
+                {
+                    "passage": index,
+                    "top_k": top_k,
+                    "candidates": [[c.text, repr(c.lm_score)] for c in candidates],
+                }
+            )
+    return runs
+
+
+def big_vocabulary_output() -> list[dict]:
+    """``generate`` output of an order-3 model over more than 5k words.
+
+    Every training passage ends on one of two hub words, one sorting before
+    EOS_TOKEN and one after, so each context (hub, "question") counts several
+    hundred successors; half the questions open with one of 40 frequent
+    words, so those successors hold many distinct counts.
+    """
+    rng = random.Random(2718)
+    pool = [f"v{i:04d}" for i in range(4500)] + [str(n) for n in range(1000, 1800)]
+    hubs = ["1234", "v0007"]
+    openers = pool[:20] + pool[-20:]
+    corpus = []
+    for _ in range(1500):
+        words = [rng.choice(pool) for _ in range(rng.randint(6, 12))] + [rng.choice(hubs)]
+        opener = rng.choice(openers) if rng.random() < 0.5 else rng.choice(pool)
+        question = " ".join([opener] + [rng.choice(pool) for _ in range(rng.randint(1, 4))])
+        answer = " ".join(rng.choice(words) for _ in range(rng.randint(1, 2)))
+        corpus.append((" ".join(words), question, answer))
+    backend = train_reference(corpus, order=3)
+    assert len(backend.vocabulary) >= 5000
+    assert all(len(backend.counts[(hub, "question")]) >= 300 for hub in hubs)
+    # Two trained passages, two that start on a hub context, one untrained.
+    passages = [corpus[0][0], corpus[1][0]] + [
+        " ".join([rng.choice(pool) for _ in range(6)] + [hub, "question"]) for hub in hubs
+    ] + [" ".join(rng.choice(pool) for _ in range(8))]
+    runs = []
+    for index, passage in enumerate(passages):
+        for top_k in (1, 10, 40):
+            req = request(passage, num_samples=3, top_k=top_k, max_output_tokens=12)
+            candidates = backend.generate(req, seed=derive_seed(9, f"b{index}"))
             runs.append(
                 {
                     "passage": index,

@@ -222,6 +222,41 @@ class TestPipelineConfig:
         assert config.resolved_seed() == 5
 
 
+class TestZeroKeptWarning:
+    def warnings(self, caplog) -> list[str]:
+        return [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "qaforge.pipeline" and record.levelname == "WARNING"
+        ]
+
+    def test_names_largest_drop_and_top_parse_failure(self, tmp_path, caplog):
+        # Cross-lingual mode: no candidate parses, each for want of its question marker.
+        report = run_pipeline(make_config(tmp_path, target_language="de"))
+        assert report.counts["kept"] == 0 and report.counts["parsed"] == 0
+        [message] = self.warnings(caplog)
+        assert "0 examples" in message
+        assert "'parsed'" in message and "100.0%" in message
+        assert f"question_marker ({report.parse_failures['question_marker']})" in message
+
+    @pytest.mark.parametrize(
+        "overrides,stage",
+        [
+            ({"min_tokens": 1000, "max_tokens": 2000}, "the largest drop is at 'length_kept'"),
+            ({"language": "fr"}, "'ingested' is 0 at the start of its funnel"),
+        ],
+    )
+    def test_names_a_passage_stage(self, tmp_path, caplog, overrides, stage):
+        run_pipeline(make_config(tmp_path, **overrides))
+        [message] = self.warnings(caplog)
+        assert stage in message and "no parse failures" in message
+
+    def test_a_run_that_keeps_examples_is_silent(self, tmp_path, caplog):
+        report = run_pipeline(make_config(tmp_path))
+        assert report.counts["kept"] > 0
+        assert self.warnings(caplog) == []
+
+
 class TestStatsSummary:
     def test_zero_kept_shows_full_drop_at_binding_stage(self):
         report = PipelineReport(
