@@ -15,15 +15,21 @@ __all__ = [
     "Passage",
     "RecordError",
     "count_tokens",
+    "language_code",
     "filter_by_length",
     "sample_passages",
     "parse_passage_stream",
 ]
 
 
+def language_code(language: str) -> str:
+    """A language code as every comparison reads it: stripped and lowercased (" ZH" is "zh")."""
+    return language.strip().lower()
+
+
 def count_tokens(text: str, language: str) -> int:
     """Count tokens: whitespace runs, except zh where Han characters count individually."""
-    if language.lower() == "zh":
+    if language_code(language) == "zh":
         return len(mixed_segment(text))
     return len(text.split())
 
@@ -42,7 +48,7 @@ class Passage:
         normalized = unicodedata.normalize("NFC", text).strip()
         if not normalized:
             raise ValueError("passage text is empty after trimming")
-        lang = language.strip().lower()
+        lang = language_code(language)
         if not lang:
             raise ValueError("passage language is empty")
         return cls(

@@ -153,9 +153,6 @@ class SquadDataset:
                 for qa in paragraph.qas:
                     yield paragraph, qa
 
-    def to_json_dict(self) -> dict:
-        return {"version": self.version, "data": [_article_record(a) for a in self.articles]}
-
 
 def _article_record(article: SquadArticle) -> dict:
     return {

@@ -53,7 +53,8 @@ class GenerationRequest:
     """One conditional generation call.
 
     ``target_language`` switches on cross-lingual conditioning: the backend
-    must generate in that language regardless of the passage language.
+    must generate in that language regardless of the passage language; a
+    blank one is a ValueError.
     ``answer`` is opaque request metadata for backends that condition on a
     pre-specified answer; it is forwarded on the wire and otherwise ignored.
     """
@@ -75,6 +76,8 @@ class GenerationRequest:
             raise ValueError(
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
             )
+        if self.target_language is not None and not self.target_language.strip():
+            raise ValueError(f"target_language must not be blank, got {self.target_language!r}")
 
 
 @dataclass(frozen=True)

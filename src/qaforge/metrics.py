@@ -22,6 +22,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+from .corpus import language_code
 from .dataset import SquadDataset
 from .errors import ConfigurationError, DataError, MissingPredictionsError, json_error_reason
 from .segmentation import mixed_segment
@@ -154,7 +155,7 @@ def make_profile(
     mode looks the language up in the table; unlisted languages fall back
     to no article removal with whitespace segmentation.
     """
-    language = language.lower()
+    language = language_code(language)
     if mode == "squad":
         return NormalizationProfile(
             mode="squad",
@@ -166,7 +167,9 @@ def make_profile(
     if mode != "mlqa":
         raise ConfigurationError(f"unknown evaluation mode: {mode!r}")
     table = table if table is not None else load_profile_table()
-    entry = next((e for e in table["entries"] if e.get("language") == language), {})
+    entry = next(
+        (e for e in table["entries"] if language_code(e.get("language", "")) == language), {}
+    )
     return NormalizationProfile(
         mode="mlqa",
         language=language,

@@ -39,7 +39,9 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
 
-from .corpus import Passage, RecordError, filter_by_length, parse_passage_stream, sample_passages
+from .corpus import (
+    Passage, RecordError, filter_by_length, language_code, parse_passage_stream, sample_passages
+)
 from .dataset import SquadWriter, atomic_write, jsonl_line, squad_article, write_json, write_jsonl
 from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
@@ -275,7 +277,8 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
             "skipped record at line %d: %s", record_error.line_number, record_error.message
         )
     if config.language:
-        ingested = [p for p in ingested if p.language == config.language.lower()]
+        language = language_code(config.language)
+        ingested = [p for p in ingested if language_code(p.language) == language]
 
     length_kept = list(filter_by_length(ingested, config.min_tokens, config.max_tokens))
     sampled = (
@@ -333,27 +336,6 @@ class _Block(NamedTuple):
     length: int
 
 
-class _JournalBlocks(Mapping[str, list[Candidate]]):
-    """Journaled passage id -> its candidates, read from the journal file on access."""
-
-    def __init__(self, path: Path):
-        self.path = path
-        self.index: dict[str, _Block] = {}
-
-    def __getitem__(self, passage_id: str) -> list[Candidate]:
-        block = self.index[passage_id]
-        with open(self.path, "rb") as handle:
-            handle.seek(block.offset)
-            data = handle.read(block.length)
-        return [Candidate.from_record(json.loads(row)) for row in data.split(b"\n")[:-1]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.index)
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-
 class _CheckpointJournal:
     """Append-only record of per-passage generation results for resumption.
 
@@ -362,16 +344,16 @@ class _CheckpointJournal:
     marker ``{"passage_id": ..., "passage_sha256": ...}`` that completes the
     block and records ``passage_digest``. A resume loads the blocks only when
     the header equals its own, and otherwise raises ConfigurationError before
-    anything is changed on disk. A block is reused only for a passage with
-    the same id and digest.
+    anything is changed on disk. ``lookup`` reuses a block only for a
+    passage with the same id and digest whose rows are all its candidates.
 
-    ``completed`` holds the blocks found complete when the journal was
+    ``blocks`` indexes the blocks found complete when the journal was
     opened; the blocks this run appends are remembered by passage id alone.
     """
 
     def __init__(self, path: Path, fingerprint: dict[str, Any], resume: bool):
         self.path = path
-        self.completed = _JournalBlocks(path)
+        self.blocks: dict[str, _Block] = {}
         self._recorded: set[str] = set()
         self._lock = threading.Lock()
         header = {"format": JOURNAL_FORMAT, "fingerprint": fingerprint}
@@ -385,19 +367,17 @@ class _CheckpointJournal:
             self._write(jsonl_line(header).encode("utf-8"))
 
     def _load(self, header: dict[str, Any]) -> None:
-        """Check the header, index every complete block, then cut off what follows the last marker.
+        """Check the header, index each complete marker's block, then cut off what follows the last.
 
         Rows after the last complete marker line belong to a block an
         interrupted run did not finish (the last line may even lack its
-        newline); new blocks must not be appended after them. A block whose
-        rows are not all valid candidates of the passage its marker names is
-        skipped.
+        newline); new blocks must not be appended after them. Only markers
+        naming a string passage id are indexed; ``lookup`` checks the rows.
         """
         with open(self.path, "rb") as handle:
             first = handle.readline()
             self._check_header(first, header)
             kept = offset = len(first)
-            usable, named = True, set()
             for line in handle:
                 if not line.endswith(b"\n"):
                     break
@@ -405,23 +385,13 @@ class _CheckpointJournal:
                 try:
                     record = json.loads(line)
                 except ValueError:
-                    usable = False
                     continue
                 if isinstance(record, dict) and "passage_sha256" in record:
-                    passage_id, digest = record.get("passage_id"), record["passage_sha256"]
-                    # Every row since the previous marker must name this passage.
-                    well_formed = isinstance(passage_id, str) and isinstance(digest, str)
-                    if usable and well_formed and named <= {passage_id}:
+                    if isinstance(record.get("passage_id"), str):
                         rows_end = offset - len(line)
-                        self.completed.index[passage_id] = _Block(digest, kept, rows_end - kept)
+                        block = _Block(record["passage_sha256"], kept, rows_end - kept)
+                        self.blocks[record["passage_id"]] = block
                     kept = offset
-                    usable, named = True, set()
-                    continue
-                try:
-                    Candidate.from_record(record)
-                    named.add(record["passage_id"])
-                except (DataError, KeyError, TypeError):
-                    usable = False
         os.truncate(self.path, kept)
 
     def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
@@ -452,11 +422,21 @@ class _CheckpointJournal:
         self._handle.flush()
 
     def lookup(self, passage: Passage) -> list[Candidate] | None:
-        """The journaled candidates of ``passage``, if its id and digest both match a block."""
-        block = self.completed.index.get(passage.id)
+        """The journaled candidates of ``passage``, or None if it has no block to reuse."""
+        block = self.blocks.get(passage.id)
         if block is None or block.digest != passage_digest(passage):
             return None
-        return self.completed[passage.id]
+        with open(self.path, "rb") as handle:
+            handle.seek(block.offset)
+            data = handle.read(block.length)
+        try:
+            records = [json.loads(row) for row in data.split(b"\n")[:-1]]
+            candidates = [Candidate.from_record(record) for record in records]
+        except (ValueError, DataError):
+            return None
+        if any(record.get("passage_id") != passage.id for record in records):
+            return None
+        return candidates
 
     def record(self, passage: Passage, rows: str) -> None:
         """Append ``rows`` (``candidate_rows`` of ``passage``) and the marker completing them."""
@@ -467,7 +447,7 @@ class _CheckpointJournal:
 
     def journaled_ids(self) -> list[str]:
         """Every passage id with a complete block, loaded or appended, in ascending order."""
-        return sorted(self.completed.keys() | self._recorded)
+        return sorted(self.blocks.keys() | self._recorded)
 
     def close(self, *, discard: bool) -> None:
         self._handle.close()

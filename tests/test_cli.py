@@ -9,6 +9,7 @@ import pytest
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
+from qaforge.metrics import load_profile_table
 from qaforge.pipeline import PipelineConfig, resume_fingerprint
 
 
@@ -41,6 +42,19 @@ class TestIngestCommand:
         assert len(rows) == 5
         assert all(30 <= row["token_count"] <= 450 for row in rows)
         assert "wrote 5 passages" in capsys.readouterr().out
+
+    def test_language_is_compared_as_a_code(self, workspace, capsys):
+        # Once compared lowercased but not stripped: "en " kept 0 of 12 passages.
+        output = workspace / "kept.jsonl"
+        code = run_cli(
+            "ingest",
+            "--input", str(workspace / "passages.jsonl"),
+            "--language", " EN ",
+            "--output", str(output),
+        )
+        assert code == 0
+        assert len(output.read_text("utf-8").splitlines()) == 12
+        assert "wrote 12 passages" in capsys.readouterr().out
 
     def test_invalid_bounds_exit_usage(self, workspace, capsys):
         code = run_cli(
@@ -478,6 +492,31 @@ class TestMalformedRecords:
         )
         assert code == 1
 
+    def test_generate_blank_target_language_exit_usage(self, workspace, capsys):
+        code = run_cli(
+            "generate",
+            "--passages", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--target-language", " ",
+            "--output", str(workspace / "c.jsonl"),
+        )
+        assert code == 1
+        assert "target_language" in capsys.readouterr().err
+        assert not (workspace / "c.jsonl").exists()
+
+    def test_run_blank_target_language_exit_usage(self, workspace, capsys):
+        # Once accepted: the run conditioned on "<lang:>" and kept 0 examples with exit 0.
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--target-language", "",
+        )
+        assert code == 1
+        assert "target_language" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_generate_missing_train_corpus_exit_data(self, workspace):
         code = run_cli(
             "generate",
@@ -708,6 +747,29 @@ class TestProfileConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{field} {value!r}" in captured.err
+
+    def test_table_language_is_compared_as_a_code(self, fixtures_dir, tmp_path, capsys):
+        # Once compared as written: a table spelling "ZH" left zh to whitespace
+        # segmentation, and F1 on these fixtures fell from 87.18 to 55.93 with exit 0.
+        table = load_profile_table()
+        for entry in table["entries"]:
+            entry["language"] = f" {entry['language'].upper()}"
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        outputs = []
+        for config in ([], ["--profile-config", str(path)]):
+            code = run_cli(
+                "eval",
+                "--dataset", str(fixtures_dir / "metric_oracle_dataset.json"),
+                "--predictions", str(fixtures_dir / "metric_oracle_predictions.json"),
+                "--mode", "mlqa",
+                "--language", "zh",
+                *config,
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+        assert json.loads(outputs[0].splitlines()[-1])["f1"] == pytest.approx(87.18, abs=0.01)
 
 
 class TestRunUsageErrors:

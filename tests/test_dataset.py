@@ -296,7 +296,7 @@ class TestDatasetModel:
     def test_to_json_dict_round_trips(self, fixtures_dir):
         raw = (fixtures_dir / "metric_oracle_dataset.json").read_text("utf-8")
         dataset = read_squad(raw).dataset
-        assert dataset.to_json_dict() == json.loads(raw)
+        assert json.loads(dumps_squad(dataset)) == json.loads(raw)
 
     def test_version_preserved(self):
         dataset = SquadDataset(version="1.1", articles=[])

@@ -328,12 +328,14 @@ class TestConfigValueTypes:
 CANDIDATE_RECORD = {"text": "question q answer a", "lm_score": -1.0}
 FINGERPRINT = {"backend": "reference", "seed": 1}
 HEADER = json.dumps({"format": 2, "fingerprint": FINGERPRINT}) + "\n"
-PASSAGE_C = Passage.build("c", "question q answer c", "en")
+PASSAGE_A, PASSAGE_B, PASSAGE_C = (
+    Passage.build(name, f"passage {name} text", "en") for name in "abc"
+)
 
 
-def marker(passage_id: str) -> str:
-    """The journal line that completes ``passage_id``'s block."""
-    return json.dumps({"passage_id": passage_id, "passage_sha256": "0" * 64}) + "\n"
+def marker(passage: Passage) -> str:
+    """The journal line that completes ``passage``'s block."""
+    return json.dumps({"passage_id": passage.id, "passage_sha256": passage_digest(passage)}) + "\n"
 
 
 class TestResumeJournal:
@@ -367,7 +369,7 @@ class TestResumeJournal:
         path = tmp_path / "checkpoint.jsonl"
         whole = {"passage_id": "a", **CANDIDATE_RECORD}
         path.write_text(
-            HEADER + json.dumps(whole) + "\n" + marker("a") + '{"passage_id": "b", "te',
+            HEADER + json.dumps(whole) + "\n" + marker(PASSAGE_A) + '{"passage_id": "b", "te',
             encoding="utf-8",
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
@@ -376,20 +378,24 @@ class TestResumeJournal:
 
         resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
         resumed.close(discard=False)
-        assert sorted(resumed.completed) == ["a", "c"]
-        assert resumed.completed["c"] == [Candidate("question q answer c", -2.0)]
+        assert resumed.journaled_ids() == ["a", "c"]
+        assert resumed.lookup(PASSAGE_A) == [Candidate("question q answer a", -1.0)]
+        assert resumed.lookup(PASSAGE_B) is None
+        assert resumed.lookup(PASSAGE_C) == [Candidate("question q answer c", -2.0)]
 
     def test_torn_line_ending_inside_a_character_is_cut(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
         whole = {"passage_id": "a", "text": "question é", "lm_score": -1.0}
         torn = '{"passage_id": "b", "text": "é'.encode("utf-8")[:-1]
         path.write_bytes(
-            (HEADER + json.dumps(whole, ensure_ascii=False) + "\n" + marker("a")).encode("utf-8")
+            (HEADER + json.dumps(whole, ensure_ascii=False) + "\n" + marker(PASSAGE_A))
+            .encode("utf-8")
             + torn
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
-        assert sorted(journal.completed) == ["a"]
+        assert journal.journaled_ids() == ["a"]
+        assert journal.lookup(PASSAGE_A) == [Candidate("question é", -1.0)]
         assert path.read_bytes().endswith(b"\n")
 
     def test_integer_past_the_digit_limit_line_is_skipped(self, tmp_path):
@@ -397,12 +403,43 @@ class TestResumeJournal:
         whole = {"passage_id": "a", **CANDIDATE_RECORD}
         huge = '{"passage_id": "b", "text": "t", "lm_score": %s}' % ("1" * 5000)
         path.write_text(
-            HEADER + huge + "\n" + marker("b") + json.dumps(whole) + "\n" + marker("a"),
+            HEADER + huge + "\n" + marker(PASSAGE_B) + json.dumps(whole) + "\n" + marker(PASSAGE_A),
             encoding="utf-8",
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
         journal.close(discard=False)
-        assert sorted(journal.completed) == ["a"]
+        # Both blocks are complete, but only a's rows are all candidates of it.
+        assert journal.journaled_ids() == ["a", "b"]
+        assert journal.lookup(PASSAGE_A) == [Candidate("question q answer a", -1.0)]
+        assert journal.lookup(PASSAGE_B) is None
+
+    def test_block_with_an_invalid_row_is_generated_again(self, tmp_path):
+        baseline = run_pipeline(make_config(tmp_path, "baseline"))
+        passages = [
+            Passage(**json.loads(line))
+            for line in Path(baseline.outputs["passages"]).read_text("utf-8").splitlines()
+        ]
+        rows: dict[str, list[dict]] = {}
+        for line in Path(baseline.outputs["candidates"]).read_text("utf-8").splitlines():
+            row = json.loads(line)
+            rows.setdefault(row["passage_id"], []).append(row)
+        config = make_config(tmp_path, "resumed", resume=True)
+        # The second block's second row is not a candidate; every other block is valid.
+        corrupt = sorted(rows)[1]
+        rows[corrupt][1]["text"] = 5
+        journal = json.dumps({"format": 2, "fingerprint": resume_fingerprint(config)}) + "\n"
+        for passage in sorted(passages, key=lambda passage: passage.id):
+            journal += "".join(json.dumps(row) + "\n" for row in rows[passage.id])
+            journal += marker(passage)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir()
+        (out_dir / "checkpoint.jsonl").write_text(journal, encoding="utf-8")
+
+        backend = _Counting(build_backend(config))
+        resumed = run_pipeline(config, backend=backend)
+        texts = {passage.id: passage.text for passage in passages}
+        assert backend.passages == [texts[corrupt]]
+        assert same_artifacts(resumed, baseline)
 
 
 class TestEmitFailure:
