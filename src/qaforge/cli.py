@@ -139,10 +139,23 @@ def cmd_mix(args) -> int:
 
 
 def _read_text(path: str) -> str:
+    """The file's text as written: no newline is translated."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_lines(path: str) -> list[str]:
+    """The lines of a text file, ended by "\n" only, as in the JSONL readers.
+
+    Other line boundaries (``"\r"``, U+2028, ...) stay inside their line, an
+    empty line is an empty string, and a final newline ends the last line.
+    """
+    lines = _read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
@@ -175,8 +188,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bleu(args) -> int:
     profile = make_profile("mlqa", args.language)
-    hypotheses = [tokenize_for_f1(line, profile) for line in _read_text(args.hyp).splitlines()]
-    references = [tokenize_for_f1(line, profile) for line in _read_text(args.ref).splitlines()]
+    hypotheses = [tokenize_for_f1(line, profile) for line in _read_lines(args.hyp)]
+    references = [tokenize_for_f1(line, profile) for line in _read_lines(args.ref)]
     score = bleu(hypotheses, references, max_n=args.max_n)
     print(json.dumps({"bleu": score}))
     return EXIT_OK

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from typing import Any, NamedTuple
 
+from .corpus import language_code
 from .errors import ConfigurationError, DataError
 
 __all__ = [
@@ -53,8 +54,9 @@ class GenerationRequest:
     """One conditional generation call.
 
     ``target_language`` switches on cross-lingual conditioning: the backend
-    must generate in that language regardless of the passage language; a
-    blank one is a ValueError.
+    must generate in that language regardless of the passage language. It
+    is kept as its language code (``" DE"`` is ``"de"``); a blank one is a
+    ValueError.
     ``answer`` is opaque request metadata for backends that condition on a
     pre-specified answer; it is forwarded on the wire and otherwise ignored.
     """
@@ -76,8 +78,13 @@ class GenerationRequest:
             raise ValueError(
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
             )
-        if self.target_language is not None and not self.target_language.strip():
-            raise ValueError(f"target_language must not be blank, got {self.target_language!r}")
+        if self.target_language is not None:
+            code = language_code(self.target_language)
+            if not code:
+                raise ValueError(
+                    f"target_language must not be blank, got {self.target_language!r}"
+                )
+            object.__setattr__(self, "target_language", code)
 
 
 @dataclass(frozen=True)

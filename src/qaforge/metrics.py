@@ -16,7 +16,7 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -153,9 +153,13 @@ def make_profile(
     ``squad`` mode ignores the language table entirely (English articles,
     ASCII punctuation, whitespace tokens, whatever the language). ``mlqa``
     mode looks the language up in the table; unlisted languages fall back
-    to no article removal with whitespace segmentation.
+    to no article removal with whitespace segmentation. A blank language
+    is a ``ConfigurationError`` in either mode.
     """
-    language = language_code(language)
+    code = language_code(language)
+    if not code:
+        raise ConfigurationError(f"language must not be blank, got {language!r}")
+    language = code
     if mode == "squad":
         return NormalizationProfile(
             mode="squad",
@@ -204,12 +208,23 @@ def _normalized_tokens(text: str, profile: NormalizationProfile) -> tuple[str, l
 def _token_f1(
     prediction_counts: Counter, prediction_length: int, gold_tokens: list[str]
 ) -> float:
-    """Multiset token-overlap F1 of a prediction, given as its token counts, with one gold."""
+    """Multiset token-overlap F1 of a prediction, given as its token counts, with one gold.
+
+    The overlap is counted by walking the gold tokens against a copy of the
+    prediction's counts, taking one from a token's count at each match: the
+    same integer as ``sum((prediction_counts & Counter(gold_tokens)).values())``.
+    """
     if not prediction_length and not gold_tokens:
         return 1.0
     if not prediction_length or not gold_tokens:
         return 0.0
-    num_same = sum((prediction_counts & Counter(gold_tokens)).values())
+    remaining = dict(prediction_counts)
+    num_same = 0
+    for token in gold_tokens:
+        count = remaining.get(token)
+        if count:
+            remaining[token] = count - 1
+            num_same += 1
     if num_same == 0:
         return 0.0
     precision = num_same / prediction_length
@@ -311,12 +326,9 @@ def evaluate_dataset(
     )
 
 
-def _ngram_counts(tokens: Sequence[str], max_n: int) -> Counter:
-    """Count of every n-gram of ``tokens`` (a tuple) for n = 1..max_n."""
-    counts = Counter()
-    for n in range(1, max_n + 1):
-        counts.update(zip(*(tokens[i:] for i in range(n))))
-    return counts
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """Every n-gram of ``tokens``, in order, as tuples."""
+    return zip(*[tokens[i:] for i in range(n)])
 
 
 def bleu(
@@ -346,13 +358,21 @@ def bleu(
     # clipped[n] and total[n]: matched and all hypothesis n-grams, corpus-wide.
     clipped = [0] * (max_n + 1)
     total = [0] * (max_n + 1)
+    # When a hypothesis's n-grams are all distinct, each is matched at most
+    # once, so the clipped count is the size of a set intersection. Only a
+    # (pair, n) with a repeated n-gram clips by counts.
     for hypothesis, reference in zip(hypotheses, references):
-        counts = _ngram_counts(hypothesis, max_n)
-        reference_counts = _ngram_counts(reference, max_n)
-        for ngram in counts.keys() & reference_counts.keys():
-            clipped[len(ngram)] += min(counts[ngram], reference_counts[ngram])
-        for n in range(1, max_n + 1):
-            total[n] += max(len(hypothesis) - n + 1, 0)
+        for n in range(1, min(len(hypothesis), max_n) + 1):
+            count = len(hypothesis) - n + 1
+            total[n] += count
+            ngrams = set(_ngrams(hypothesis, n))
+            if len(ngrams) == count:
+                clipped[n] += len(ngrams.intersection(_ngrams(reference, n)))
+            else:
+                counts = Counter(_ngrams(hypothesis, n))
+                reference_counts = Counter(_ngrams(reference, n))
+                for ngram in counts.keys() & reference_counts.keys():
+                    clipped[n] += min(counts[ngram], reference_counts[ngram])
 
     log_precision_sum = 0.0
     for n in range(1, max_n + 1):

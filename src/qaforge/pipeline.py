@@ -268,16 +268,21 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
     """Parse ``config.input``, keep ``config.language``, length-filter, then sample.
 
     Malformed records are logged and skipped. Returns the sampled passages,
-    the passage-stage funnel counts, and the number of skipped records.
+    the passage-stage funnel counts, and the number of skipped records. A
+    blank ``config.language`` is a ConfigurationError, raised before any read.
     """
+    language = config.language
+    if language is not None:
+        language = language_code(language)
+        if not language:
+            raise ConfigurationError(f"language must not be blank, got {config.language!r}")
     record_errors: list[RecordError] = []
     ingested = read_passages(config.input, on_error=record_errors.append)
     for record_error in record_errors:
         logger.warning(
             "skipped record at line %d: %s", record_error.line_number, record_error.message
         )
-    if config.language:
-        language = language_code(config.language)
+    if language is not None:
         ingested = [p for p in ingested if language_code(p.language) == language]
 
     length_kept = list(filter_by_length(ingested, config.min_tokens, config.max_tokens))
@@ -305,6 +310,8 @@ def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
     ``reference``, or the resolved endpoint for ``remote``.
     """
     fingerprint = {key: getattr(config, key) for key in _FINGERPRINT_KEYS}
+    # The language code the backend is sent, not its spelling in the config.
+    fingerprint["target_language"] = config.request_template().target_language
     fingerprint["seed"] = config.resolved_seed()
     if config.backend == "remote":
         fingerprint["endpoint"] = resolve_endpoint(config.endpoint)

@@ -9,7 +9,7 @@ import pytest
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
-from qaforge.metrics import load_profile_table
+from qaforge.metrics import bleu, load_profile_table
 from qaforge.pipeline import PipelineConfig, resume_fingerprint
 
 
@@ -55,6 +55,19 @@ class TestIngestCommand:
         assert code == 0
         assert len(output.read_text("utf-8").splitlines()) == 12
         assert "wrote 12 passages" in capsys.readouterr().out
+
+    def test_blank_language_exit_usage(self, workspace, capsys):
+        # Once accepted: the filter kept the empty code, 0 of 12 passages, with exit 0.
+        output = workspace / "kept.jsonl"
+        code = run_cli(
+            "ingest",
+            "--input", str(workspace / "passages.jsonl"),
+            "--language", " ",
+            "--output", str(output),
+        )
+        assert code == 1
+        assert "language" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_invalid_bounds_exit_usage(self, workspace, capsys):
         code = run_cli(
@@ -220,6 +233,20 @@ class TestEvalCommand:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["exact_match"] == 0.0
 
+    def test_blank_language_exit_usage(self, fixtures_dir, capsys):
+        # Once accepted: scored with the default mlqa profile, exit 0.
+        code = run_cli(
+            "eval",
+            "--dataset", str(fixtures_dir / "metric_oracle_dataset.json"),
+            "--predictions", str(fixtures_dir / "metric_oracle_predictions.json"),
+            "--mode", "mlqa",
+            "--language", " ",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "language" in captured.err
+        assert captured.out == ""
+
     def test_mlqa_mode_applies_language_rules(self, fixtures_dir, tmp_path, capsys):
         document = json.loads(
             (fixtures_dir / "metric_oracle_dataset.json").read_text("utf-8")
@@ -267,6 +294,42 @@ class TestBleuCommand:
             "bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")
         )
         assert code == 2
+
+    def test_blank_language_exit_usage(self, tmp_path, capsys):
+        (tmp_path / "hyp.txt").write_text("a b c d\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("a b c d\n", encoding="utf-8")
+        code = run_cli(
+            "bleu",
+            "--hyp", str(tmp_path / "hyp.txt"),
+            "--ref", str(tmp_path / "ref.txt"),
+            "--language", " ",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "language" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c", "\r"])
+    def test_lines_end_only_at_newline(self, tmp_path, capsys, separator):
+        # Other line boundaries sit inside a line, where they are whitespace.
+        # An empty line is an empty hypothesis, and only the final newline
+        # ends the file. Once split on every Unicode line boundary: each file
+        # read as 5 lines, paired wrongly.
+        (tmp_path / "hyp.txt").write_text(
+            f"a b c d{separator}e f\n\ng h i j\n\n", encoding="utf-8", newline=""
+        )
+        (tmp_path / "ref.txt").write_text(
+            f"a b c d e f\nx\ng h{separator}i j\ny", encoding="utf-8", newline=""
+        )
+        code = run_cli(
+            "bleu", "--hyp", str(tmp_path / "hyp.txt"), "--ref", str(tmp_path / "ref.txt")
+        )
+        assert code == 0
+        expected = bleu(
+            [list("abcdef"), [], list("ghij"), []],
+            [list("abcdef"), ["x"], list("ghij"), ["y"]],
+        )
+        assert json.loads(capsys.readouterr().out) == {"bleu": expected}
 
     def test_chinese_lines_segment_per_character(self, tmp_path, capsys):
         # Identical four-ideograph lines only reach 100 if each Han
@@ -515,6 +578,24 @@ class TestMalformedRecords:
         )
         assert code == 1
         assert "target_language" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    def test_run_blank_language_exit_usage(self, workspace, capsys):
+        # Once accepted: the run kept the empty code, 0 of 12 passages, with exit 0.
+        config_path = workspace / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "input": str(workspace / "passages.jsonl"),
+                    "output_dir": str(workspace / "out"),
+                    "train_corpus": str(workspace / "train.jsonl"),
+                    "language": " ",
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--config", str(config_path)) == 1
+        assert "language" in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
     def test_generate_missing_train_corpus_exit_data(self, workspace):

@@ -9,7 +9,7 @@ import unicodedata
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qaforge.dataset import (
@@ -336,6 +336,13 @@ class TestProfileTable:
         assert profile.segmentation == "per-character-mixed"
         assert profile.articles == frozenset()
 
+    @pytest.mark.parametrize("mode", ["squad", "mlqa"])
+    @pytest.mark.parametrize("language", ["", " ", "\t"])
+    def test_blank_language_is_a_configuration_error(self, mode, language):
+        # Once accepted: mlqa mode fell back to the default profile.
+        with pytest.raises(ConfigurationError, match="language"):
+            make_profile(mode, language)
+
     def test_unlisted_language_falls_back(self):
         profile = make_profile("mlqa", "xx")
         assert profile.articles == frozenset()
@@ -513,6 +520,9 @@ def _single_qa_dataset(golds: list[str]) -> SquadDataset:
     return SquadDataset(version="1.1", articles=[SquadArticle(title="t", paragraphs=[paragraph])])
 
 
+TWENTY_SYMBOLS = [f"w{i}" for i in range(20)]
+
+
 class TestScoresEqualReference:
     @pytest.mark.parametrize(
         "profile", [SQUAD_EN, MLQA_ES, MLQA_ZH], ids=["squad", "mlqa-es", "mlqa-zh"]
@@ -527,16 +537,29 @@ class TestScoresEqualReference:
         assert f1(prediction, golds, profile) == f1_value
 
     @given(
-        pairs=st.lists(
-            st.tuples(
-                st.lists(st.sampled_from("abcde"), max_size=8),
-                st.lists(st.sampled_from("abcde"), max_size=8),
+        pairs=st.one_of(
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from("abcde"), max_size=8),
+                    st.lists(st.sampled_from("abcde"), max_size=8),
+                ),
+                min_size=1,
+                max_size=6,
             ),
-            min_size=1,
-            max_size=6,
+            # Mostly hypotheses without a repeated n-gram, at every n.
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(TWENTY_SYMBOLS), max_size=30),
+                    st.lists(st.sampled_from(TWENTY_SYMBOLS), max_size=30),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
         ),
         max_n=st.integers(min_value=1, max_value=5),
     )
+    # A repeated hypothesis bigram, ("a", "b"), clipped to the one in the reference.
+    @example(pairs=[(["a", "b", "x", "a", "b"], ["a", "b", "c"])], max_n=2)
     def test_bleu_identical(self, pairs, max_n):
         hypotheses = [hypothesis for hypothesis, _ in pairs]
         references = [reference for _, reference in pairs]

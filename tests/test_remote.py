@@ -9,7 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from qaforge.errors import ConfigurationError, ProtocolError, TransportError
-from qaforge.generator import GenerationRequest
+from qaforge.generator import GenerationRequest, conditioning_text
+from qaforge.pipeline import PipelineConfig, resume_fingerprint
 from qaforge.remote import GENERATOR_URL_ENV, RemoteGeneratorClient
 
 
@@ -117,6 +118,30 @@ class TestRemoteGeneratorClient:
         client.generate(request)
         assert "target_language" not in script.bodies[0]
         assert "answer" not in script.bodies[0]
+
+    def test_target_language_is_read_as_a_code(self, serve):
+        # Once used as written: " DE" conditioned on "<lang: DE>", went on the
+        # wire as " DE" and gave another resume fingerprint than "de".
+        script = _Script([(200, _ok_payload())])
+        endpoint = serve(script)
+        client = RemoteGeneratorClient(endpoint, backoff_base=0.01)
+        seen = []
+        for spelling in ("de", " DE", "De\t"):
+            config = PipelineConfig(
+                input="passages.jsonl",
+                output_dir="out",
+                backend="remote",
+                endpoint=endpoint,
+                num_samples=2,
+                target_language=spelling,
+            )
+            request = replace(config.request_template(), passage="isla", language="es")
+            client.generate(request)
+            seen.append((conditioning_text(request), resume_fingerprint(config)))
+        fingerprint = resume_fingerprint(replace(config, target_language="de"))
+        assert seen == [("isla <lang:de>", fingerprint)] * 3
+        assert script.bodies == [script.bodies[0]] * 3
+        assert script.bodies[0]["target_language"] == "de"
 
     def test_pre_specified_answer_forwarded_as_metadata(self, serve):
         script = _Script([(200, _ok_payload(1))])
