@@ -10,18 +10,20 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Collection, Iterable
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
 from .dataset import (
+    SquadWriter,
     atomic_write,
     build_training_mix,
-    emit_squad,
+    jsonl_line,
     read_squad,
+    squad_article,
     write_json,
     write_jsonl,
-    write_squad,
 )
 from .errors import (
     ConfigurationError,
@@ -38,16 +40,16 @@ from .metrics import (
     make_profile,
     tokenize_for_f1,
 )
-from .parsefilter import SyntheticExample
+from .generator import Candidate
+from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
 from .pipeline import (
+    _FINGERPRINT_KEYS,
     PipelineConfig,
     PipelineReport,
     build_backend,
-    filter_candidates,
     generate_passage,
     ingest,
-    read_candidates,
-    read_jsonl,
+    read_passage_groups,
     read_passages,
     run_pipeline,
     stats_summary,
@@ -66,6 +68,36 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigurationError(f"{self.prog}: {message}")
 
 
+# Earlier spellings of some config-key flags, each one more name of the flag it maps to.
+_FLAG_ALIASES = {
+    "--input": ("--passages",),
+    "--sample-n": ("--sample",),
+    "--keep-per-passage": ("--keep",),
+    "--no-require-extractive": ("--no-extractive",),
+}
+
+
+def _add_config_flags(parser, keys: Iterable[str], required: Collection[str] = ()) -> None:
+    """Add ``--k`` for each config key k (underscores as dashes), and ``--no-k`` for a boolean.
+
+    Each flag also answers to its ``_FLAG_ALIASES`` and stores its value
+    under k; a flag left out is None.
+    """
+    types = PipelineConfig.field_types()
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if types[key][0] is bool:
+            for name, value in ((flag, True), ("--no-" + flag[2:], False)):
+                parser.add_argument(
+                    name, *_FLAG_ALIASES.get(name, ()), dest=key, action="store_const", const=value
+                )
+        else:
+            parser.add_argument(
+                flag, *_FLAG_ALIASES.get(flag, ()),
+                dest=key, type=types[key][0], required=key in required,
+            )
+
+
 def _flag_values(args) -> dict:
     """The config keys given on the command line; a flag left out is None."""
     return {
@@ -76,8 +108,10 @@ def _flag_values(args) -> dict:
 
 
 def _stage_config(args) -> PipelineConfig:
-    """Config of a stage subcommand, whose flags are stored under config key names."""
-    return PipelineConfig(output_dir=str(Path(args.output).parent), **_flag_values(args))
+    """Config of a stage subcommand, checked as ``run`` checks its config."""
+    return PipelineConfig.from_mapping(
+        {"output_dir": str(Path(args.output).parent), **_flag_values(args)}
+    )
 
 
 def cmd_ingest(args) -> int:
@@ -91,7 +125,7 @@ def cmd_generate(args) -> int:
     config = _stage_config(args)
     config.validate()
     request = config.request_template()
-    passages = read_passages(config.input)
+    passages = sorted(read_passages(config.input), key=lambda passage: passage.id)
     backend, seed = build_backend(config), config.resolved_seed()
     total = 0
     with atomic_write(args.output) as handle:
@@ -106,9 +140,13 @@ def cmd_generate(args) -> int:
 def cmd_filter(args) -> int:
     config = _stage_config(args).filter_config()
     passages = {p.id: p for p in read_passages(args.input)}
-    candidates = read_candidates(args.candidates, passages)
-    examples, totals = filter_candidates(passages, candidates, config)
-    write_jsonl(args.output, (e.to_record() for e in examples))
+    totals = FilterStats()
+    with atomic_write(args.output) as handle:
+        groups = read_passage_groups(args.candidates, passages, Candidate.from_record)
+        for passage, candidates in groups:
+            kept, stats = run_filter_pipeline(passage, candidates, config)
+            totals.merge(stats)
+            handle.writelines(jsonl_line(e.to_record()) for e in kept)
     if args.stats:
         write_json(args.stats, totals.to_record())
     print(f"kept {totals.kept} of {totals.candidates} candidates -> {args.output}")
@@ -116,12 +154,17 @@ def cmd_filter(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    passages = {p.id: p for p in read_passages(args.passages)}
-    examples = read_jsonl(args.examples, SyntheticExample.from_record)
-    dataset = emit_squad(examples, passages)
-    write_squad(dataset, args.output)
-    total = sum(len(p.qas) for a in dataset.articles for p in a.paragraphs)
-    print(f"wrote {total} entries across {len(dataset.articles)} articles to {args.output}")
+    passages = {p.id: p for p in read_passages(args.input)}
+    entries = articles = 0
+    with atomic_write(args.output) as handle:
+        document = SquadWriter(handle)
+        groups = read_passage_groups(args.examples, passages, SyntheticExample.from_record)
+        for passage, examples in groups:
+            document.add(squad_article(passage, examples))
+            entries += len(examples)
+            articles += 1
+        document.finish()
+    print(f"wrote {entries} entries across {articles} articles to {args.output}")
     return EXIT_OK
 
 
@@ -224,49 +267,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log at INFO level")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    # Stage flags are stored under the matching config key; PipelineConfig
-    # supplies the default of every flag left out.
+    # Stage flags are config-key flags, as run's are; PipelineConfig supplies
+    # the default of every flag left out.
     p = subparsers.add_parser("ingest", help="parse, length-filter, and sample passages")
-    p.add_argument("--input", required=True)
-    p.add_argument("--language", help="keep only passages in this language")
-    p.add_argument("--min-tokens", type=int)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--sample", dest="sample_n", metavar="SAMPLE", type=int)
-    p.add_argument("--seed", type=int)
+    keys = ("input", "language", "min_tokens", "max_tokens", "sample_n", "seed")
+    _add_config_flags(p, keys, required=("input",))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = subparsers.add_parser("generate", help="sample candidates for each passage")
-    p.add_argument("--passages", dest="input", metavar="PASSAGES", required=True)
-    p.add_argument("--backend", choices=["reference", "remote"])
-    p.add_argument("--train-corpus", help="JSONL of passage/question/answer triples")
-    p.add_argument("--order", type=int)
-    p.add_argument("--endpoint", help="remote service base URL")
-    p.add_argument("--num-samples", type=int)
-    p.add_argument("--top-k", type=int)
-    p.add_argument("--max-output-tokens", type=int)
-    p.add_argument("--target-language")
-    p.add_argument("--seed", type=int)
+    keys = ("input", *_FINGERPRINT_KEYS, "train_corpus", "endpoint", "seed")
+    _add_config_flags(p, keys, required=("input",))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = subparsers.add_parser("filter", help="parse, validate, and rank candidates")
     p.add_argument("--candidates", required=True)
-    p.add_argument("--passages", dest="input", metavar="PASSAGES", required=True)
-    p.add_argument("--keep", dest="keep_per_passage", metavar="KEEP", type=int)
-    p.add_argument("--per-passage", dest="num_samples", metavar="PER_PASSAGE", type=int)
-    p.add_argument(
-        "--no-extractive", dest="require_extractive", action="store_false", default=None
-    )
-    p.add_argument("--no-dedup", dest="dedup", action="store_false", default=None)
-    p.add_argument("--length-normalize", action="store_true", default=None)
+    keys = ("input", *(f.name for f in fields(FilterConfig)))
+    _add_config_flags(p, keys, required=("input",))
     p.add_argument("--stats")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_filter)
 
     p = subparsers.add_parser("emit", help="write examples as a training document")
     p.add_argument("--examples", required=True)
-    p.add_argument("--passages", required=True)
+    _add_config_flags(p, ("input",), required=("input",))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_emit)
 
@@ -298,14 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config")
-    # Every config key k has the flag --k (underscores as dashes); booleans
-    # also take --no-k. A flag overrides the key from --config.
-    for name, types in PipelineConfig.field_types().items():
-        flag = "--" + name.replace("_", "-")
-        if types[0] is bool:
-            p.add_argument(flag, action=argparse.BooleanOptionalAction)
-        else:
-            p.add_argument(flag, type=types[0])
+    # A flag overrides the key from --config.
+    _add_config_flags(p, PipelineConfig.field_types())
     p.set_defaults(func=cmd_run)
 
     p = subparsers.add_parser("stats", help="print the stage funnel of a pipeline report")

@@ -103,25 +103,15 @@ class FilterConfig:
     outputs; it is off by default.
     """
 
-    samples_per_passage: int = 20
     keep_per_passage: int = 10
     require_extractive: bool = True
     dedup: bool = True
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
-        if self.samples_per_passage < 1:
-            raise ConfigurationError(
-                f"samples_per_passage must be >= 1, got {self.samples_per_passage}"
-            )
         if self.keep_per_passage < 1:
             raise ConfigurationError(
                 f"keep_per_passage must be >= 1, got {self.keep_per_passage}"
-            )
-        if self.keep_per_passage > self.samples_per_passage:
-            raise ConfigurationError(
-                f"keep_per_passage ({self.keep_per_passage}) exceeds "
-                f"samples_per_passage ({self.samples_per_passage})"
             )
 
 

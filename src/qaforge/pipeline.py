@@ -17,10 +17,10 @@ document. With ``workers > 1``, threads generate up to 64 passages per
 worker ahead of the one being written, and results are consumed in order.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
-functions: ``generate_passage``, ``run_filter_pipeline`` (through
-``filter_candidates`` for the subcommand) and ``dataset.squad_article``
-(through ``emit_squad``). Every artifact is written through
-``dataset.atomic_write``.
+functions, ``generate_passage``, ``run_filter_pipeline`` and
+``dataset.squad_article``, in the same passage order; ``filter`` and ``emit``
+read one passage's rows at a time (``read_passage_groups``). Every artifact is
+written through ``dataset.atomic_write``.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import os
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
 
@@ -45,7 +46,7 @@ from .corpus import (
 from .dataset import SquadWriter, atomic_write, jsonl_line, squad_article, write_json, write_jsonl
 from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
-from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
+from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
 from .remote import RemoteGeneratorClient, resolve_endpoint
 
 logger = logging.getLogger(__name__)
@@ -119,13 +120,8 @@ class PipelineConfig:
         return self.seed if self.seed is not None else default_seed()
 
     def filter_config(self) -> FilterConfig:
-        return FilterConfig(
-            samples_per_passage=self.num_samples,
-            keep_per_passage=self.keep_per_passage,
-            require_extractive=self.require_extractive,
-            dedup=self.dedup,
-            length_normalize=self.length_normalize,
-        )
+        """The filter knobs, each a config key of the same name."""
+        return FilterConfig(**{f.name: getattr(self, f.name) for f in fields(FilterConfig)})
 
     def request_template(self) -> GenerationRequest:
         """The generation request every passage fills in, checked before any I/O."""
@@ -162,13 +158,12 @@ class PipelineReport:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
+def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
     """``parse(record)`` for each non-blank line of a JSONL file, in file order.
 
     An unreadable file, a line that is not JSON, or a record that ``parse``
     rejects with DataError raises DataError naming the path and line.
     """
-    items = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -180,12 +175,11 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], Any]) -> list:
                     reason = json_error_reason(exc)
                     raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
                 try:
-                    items.append(parse(record))
+                    yield parse(record)
                 except DataError as exc:
                     raise DataError(f"{path}:{line_number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return items
 
 
 def read_passages(
@@ -214,25 +208,30 @@ def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
     )
 
 
-def read_candidates(
-    path: str | Path, passages: Mapping[str, Passage]
-) -> dict[str, list[Candidate]]:
-    """Candidates of a file of ``candidate_rows`` lines, grouped by passage id.
+def read_passage_groups(
+    path: str | Path, passages: Mapping[str, Passage], parse: Callable[[Any], T]
+) -> Iterator[tuple[Passage, list[T]]]:
+    """``(passage, [parse(record), ...])`` for each run of records naming the same passage.
 
-    Every row must name one of ``passages``; anything else is a DataError.
+    Each record's ``passage_id`` must name one of ``passages`` and be no lower
+    than the one before it, the order ``run_pipeline`` writes, so a passage
+    has one run and one run is held at a time; otherwise DataError names the line.
     """
+    previous = ""
 
-    def parse(record: Any) -> tuple[str, Candidate]:
-        candidate = Candidate.from_record(record)
+    def parse_row(record: Any) -> tuple[str, T]:
+        nonlocal previous
+        row = parse(record)
         passage_id = record.get("passage_id")
         if not isinstance(passage_id, str) or passage_id not in passages:
             raise DataError(f"unknown passage id {passage_id!r}")
-        return passage_id, candidate
+        if passage_id < previous:
+            raise DataError(f"passage id {passage_id!r} follows {previous!r}: ids must ascend")
+        previous = passage_id
+        return passage_id, row
 
-    grouped: dict[str, list[Candidate]] = {}
-    for passage_id, candidate in read_jsonl(path, parse):
-        grouped.setdefault(passage_id, []).append(candidate)
-    return grouped
+    for passage_id, group in groupby(read_jsonl(path, parse_row), key=lambda item: item[0]):
+        yield passages[passage_id], [row for _, row in group]
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
@@ -255,7 +254,7 @@ def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
             "record needs string passage/question/answer, the question and answer non-blank"
         )
 
-    return read_jsonl(path, parse)
+    return list(read_jsonl(path, parse))
 
 
 def build_backend(config: PipelineConfig):
@@ -528,21 +527,6 @@ def _in_order(function: Callable[[T], R], items: Iterable[T], workers: int) -> I
                 future.cancel()
 
 
-def filter_candidates(
-    passages: Mapping[str, Passage],
-    candidates: Mapping[str, Sequence[Candidate]],
-    config: FilterConfig,
-) -> tuple[list[SyntheticExample], FilterStats]:
-    """Filter each passage's candidates in ascending passage-id order; merge the stats."""
-    examples: list[SyntheticExample] = []
-    totals = FilterStats()
-    for passage_id in sorted(candidates):
-        kept, stats = run_filter_pipeline(passages[passage_id], candidates[passage_id], config)
-        examples.extend(kept)
-        totals.merge(stats)
-    return examples, totals
-
-
 def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     """Execute the full pipeline and write all artifacts under ``output_dir``.
 
@@ -559,6 +543,11 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     config.validate()
     request = config.request_template()
     filter_config = config.filter_config()
+    if config.keep_per_passage > config.num_samples:
+        raise ConfigurationError(
+            f"keep_per_passage ({config.keep_per_passage}) exceeds "
+            f"num_samples ({config.num_samples})"
+        )
     started = time.monotonic()
     seed = config.resolved_seed()
 

@@ -13,6 +13,7 @@ import os
 import threading
 import time
 from dataclasses import asdict
+from urllib.parse import urlsplit
 
 import requests
 
@@ -25,11 +26,23 @@ GENERATOR_URL_ENV = "QAFORGE_GENERATOR_URL"
 
 
 def resolve_endpoint(endpoint: str | None) -> str:
-    """The service base URL: ``endpoint``, else ``$QAFORGE_GENERATOR_URL``, no trailing slash."""
+    """The service base URL: ``endpoint``, else ``$QAFORGE_GENERATOR_URL``, no trailing slash.
+
+    Anything but an ``http`` or ``https`` URL with a host is a ConfigurationError.
+    """
     endpoint = endpoint or os.environ.get(GENERATOR_URL_ENV)
     if not endpoint:
         raise ConfigurationError(
             f"no generator endpoint configured (flag, config, or {GENERATOR_URL_ENV})"
+        )
+    try:
+        parts = urlsplit(endpoint)
+        parts.port  # a port that is not a number in range raises ValueError
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigurationError(
+            f"generator endpoint {endpoint!r} is not an http(s) URL with a host"
         )
     return endpoint.rstrip("/")
 

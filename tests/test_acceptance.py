@@ -231,7 +231,7 @@ def test_lm_filter_property_suite():
 def test_extractiveness_guarantee(toy_backend):
     with criterion("extractiveness guarantee over 200 randomized pipeline runs"):
         passages = make_passages(count=200, seed=31)
-        config = FilterConfig(samples_per_passage=20, keep_per_passage=10)
+        config = FilterConfig(keep_per_passage=10)
         violations = 0
         emitted = 0
         for run_index, passage in enumerate(passages):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -10,7 +11,8 @@ from conftest import make_passages, make_training_corpus, write_passage_file, wr
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
 from qaforge.metrics import bleu, load_profile_table
-from qaforge.pipeline import PipelineConfig, resume_fingerprint
+from qaforge.parsefilter import FilterConfig
+from qaforge.pipeline import _FINGERPRINT_KEYS, PipelineConfig, resume_fingerprint
 
 
 @pytest.fixture()
@@ -93,6 +95,30 @@ class TestIngestCommand:
         assert code == 1
 
 
+ROWS_FLAG = {"filter": "--candidates", "emit": "--examples"}
+
+
+def write_stage_rows(workspace, command: str, passage_ids: list[str]):
+    """One extractive input row of ``filter`` or ``emit`` per entry of ``passage_ids``."""
+    texts = {}
+    for line in (workspace / "passages.jsonl").read_text("utf-8").splitlines():
+        record = json.loads(line)
+        texts[record["id"]] = record["text"]
+    rows = workspace / f"{command}-rows.jsonl"
+    with open(rows, "w", encoding="utf-8") as handle:
+        for index, passage_id in enumerate(passage_ids):
+            answer = texts[passage_id].split()[0]
+            if command == "filter":
+                record = {"passage_id": passage_id, "lm_score": -1.0 - index,
+                          "text": f"question what is {index} answer {answer}"}
+            else:
+                record = {"passage_id": passage_id, "question": f"what is {index}",
+                          "answer": answer, "answer_start": 0, "lm_score": -1.0 - index,
+                          "language": "en"}
+            handle.write(json.dumps(record) + "\n")
+    return rows
+
+
 class TestStageCommands:
     def test_generate_filter_emit_chain(self, workspace, capsys):
         candidates = workspace / "candidates.jsonl"
@@ -119,7 +145,6 @@ class TestStageCommands:
             "--candidates", str(candidates),
             "--passages", str(workspace / "passages.jsonl"),
             "--keep", "10",
-            "--per-passage", "20",
             "--stats", str(stats),
             "--output", str(examples),
         )
@@ -147,6 +172,40 @@ class TestStageCommands:
             "--output", str(workspace / "c.jsonl"),
         )
         assert code == 1
+
+    def test_generate_fewer_samples_than_the_default_keep(self, workspace, capsys):
+        # keep <= num_samples is a check of run alone: only there do both take effect.
+        code = run_cli(
+            "generate",
+            "--input", str(workspace / "passages.jsonl"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--num-samples", "5",
+            "--max-output-tokens", "8",
+            "--output", str(workspace / "c.jsonl"),
+        )
+        assert code == 0
+        assert "wrote 60 candidates for 12 passages" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["filter", "emit"])
+    @pytest.mark.parametrize(
+        "order, bad_line",
+        [(["p001", "p000"], 2), (["p000", "p001", "p001", "p000"], 4)],
+        ids=["descending", "reappearing"],
+    )
+    def test_rows_out_of_passage_order_exit_data(
+        self, workspace, capsys, command, order, bad_line
+    ):
+        # Once accepted: both stages grouped every row of the file in memory.
+        rows = write_stage_rows(workspace, command, order)
+        output = workspace / "out.json"
+        code = run_cli(
+            command, ROWS_FLAG[command], str(rows),
+            "--input", str(workspace / "passages.jsonl"),
+            "--output", str(output),
+        )
+        assert code == 2
+        assert f"{rows}:{bad_line}: passage id" in capsys.readouterr().err
+        assert not output.exists()
 
     def test_filter_rejects_unknown_passage_ids(self, workspace):
         candidates = workspace / "bad.jsonl"
@@ -633,6 +692,35 @@ class TestMalformedRecords:
         assert run_cli("run", "--config", str(config_path)) == 1
 
 
+# The config keys each stage subcommand reads, and so takes a flag for.
+STAGE_KEYS = {
+    "ingest": ("input", "language", "min_tokens", "max_tokens", "sample_n", "seed"),
+    "generate": ("input", *_FINGERPRINT_KEYS, "train_corpus", "endpoint", "seed"),
+    "filter": ("input", *(f.name for f in fields(FilterConfig))),
+    "emit": ("input",),
+}
+# The smallest command line of each stage.
+STAGE_ARGV = {
+    "ingest": ["ingest", "--input", "i", "--output", "o"],
+    "generate": ["generate", "--input", "i", "--output", "o"],
+    "filter": ["filter", "--candidates", "c", "--input", "i", "--output", "o"],
+    "emit": ["emit", "--examples", "e", "--input", "i", "--output", "o"],
+}
+# Earlier spellings, each with the flag and the config key it stands for.
+FLAG_ALIASES = [
+    ("--passages", "--input", "input"),
+    ("--sample", "--sample-n", "sample_n"),
+    ("--keep", "--keep-per-passage", "keep_per_passage"),
+    ("--no-extractive", "--no-require-extractive", "require_extractive"),
+]
+ALIAS_CASES = [
+    (command, alias, flag)
+    for command, keys in {"run": tuple(PipelineConfig.field_types()), **STAGE_KEYS}.items()
+    for alias, flag, key in FLAG_ALIASES
+    if key in keys
+]
+
+
 class TestRunFlags:
     def test_every_config_key_has_a_flag(self):
         parser = build_parser()
@@ -648,6 +736,32 @@ class TestRunFlags:
     def test_flags_left_out_keep_config_values(self):
         args = build_parser().parse_args(["run", "--config", "c.json"])
         assert all(getattr(args, f.name) is None for f in fields(PipelineConfig))
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_KEYS))
+    def test_every_stage_key_has_its_run_flag(self, stage):
+        parser = build_parser()
+        base = STAGE_ARGV[stage]
+        types = PipelineConfig.field_types()
+        config_keys = set(types) & set(vars(parser.parse_args(base)))
+        assert config_keys == set(STAGE_KEYS[stage])
+        for name in STAGE_KEYS[stage]:
+            flag = "--" + name.replace("_", "-")
+            if types[name][0] is bool:
+                assert getattr(parser.parse_args([*base, flag]), name) is True
+                assert getattr(parser.parse_args([*base, "--no-" + flag[2:]]), name) is False
+            else:
+                value = "3" if types[name][0] is int else "x"
+                parsed = getattr(parser.parse_args([*base, flag, value]), name)
+                assert parsed == types[name][0](value)
+
+    @pytest.mark.parametrize("command, alias, flag", ALIAS_CASES)
+    def test_alias_parses_to_the_flags_value(self, command, alias, flag):
+        parser = build_parser()
+        base = STAGE_ARGV.get(command, [command])
+        value = [] if flag.startswith("--no-") else ["7"]
+        assert vars(parser.parse_args([*base, alias, *value])) == vars(
+            parser.parse_args([*base, flag, *value])
+        )
 
 
 class TestStagedChainMatchesRun:
@@ -667,7 +781,7 @@ class TestStagedChainMatchesRun:
         ) == 0
         assert run_cli(
             "filter", "--candidates", str(staged / "candidates.jsonl"),
-            "--passages", str(staged / "passages.jsonl"), "--per-passage", "12",
+            "--passages", str(staged / "passages.jsonl"),
             "--output", str(staged / "examples.jsonl"),
         ) == 0
         assert run_cli(
@@ -682,11 +796,35 @@ class TestStagedChainMatchesRun:
         ) == 0
 
         assert (staged / "examples.jsonl").read_text("utf-8")
-        for name in ("passages.jsonl", "examples.jsonl", "dataset.json"):
+        for name in ("passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json"):
             assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
-        staged_rows = (staged / "candidates.jsonl").read_text("utf-8").splitlines()
-        run_rows = (run_dir / "candidates.jsonl").read_text("utf-8").splitlines()
-        assert sorted(staged_rows) == sorted(run_rows)
+
+
+def traced_stage_peak(workspace, command: str, rows_per_passage: int) -> int:
+    """Traced peak of ``filter`` or ``emit`` over the workspace's passages."""
+    lines = (workspace / "passages.jsonl").read_text("utf-8").splitlines()
+    ids = [json.loads(line)["id"] for line in lines for _ in range(rows_per_passage)]
+    rows = write_stage_rows(workspace, command, ids)
+    argv = [command, ROWS_FLAG[command], str(rows), "--input", str(workspace / "passages.jsonl"),
+            "--output", str(workspace / "out.json")]
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageMemory:
+    @pytest.mark.parametrize("command", ["filter", "emit"])
+    def test_peak_grows_with_the_passages_not_the_rows(self, tmp_path, capsys, command):
+        # Once both stages held every row: 10x the rows per passage raised
+        # this traced peak 4.5x for filter and 6.3x for emit.
+        write_passage_file(tmp_path / "passages.jsonl", make_passages(count=400))
+        traced_stage_peak(tmp_path, command, 2)  # first use of each code path
+        small = traced_stage_peak(tmp_path, command, 2)
+        large = traced_stage_peak(tmp_path, command, 20)
+        assert large < 1.5 * small, (small, large)
 
 
 class TestCandidateScores:
@@ -872,6 +1010,37 @@ class TestRunUsageErrors:
         assert code == 1
         assert flag[0][2:] in capsys.readouterr().err
         assert not (workspace / "out").exists()
+
+    def test_keep_above_num_samples_exit_usage(self, workspace, capsys):
+        # Once named samples_per_passage, a key run has no flag for.
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(workspace / "train.jsonl"),
+            "--keep-per-passage", "30",
+        )
+        assert code == 1
+        assert "keep_per_passage (30) exceeds num_samples (20)" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("endpoint", ["ftp://x", "http://[::1", "http://"])
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_malformed_endpoint_exit_usage(self, workspace, capsys, command, endpoint):
+        # Once exit 2 from the first request ("No connection adapters ..."),
+        # after run had written checkpoint.json and checkpoint.jsonl.
+        output = workspace / "out"
+        where = ["--output-dir", str(output)] if command == "run" else ["--output", str(output)]
+        code = run_cli(
+            command,
+            "--input", str(workspace / "passages.jsonl"),
+            "--backend", "remote",
+            "--endpoint", endpoint,
+            *where,
+        )
+        assert code == 1
+        assert "generator endpoint" in capsys.readouterr().err
+        assert not output.exists()
 
 
 # Each subcommand writing into a directory that does not exist.

@@ -528,6 +528,7 @@ class TestScoresEqualReference:
         "profile", [SQUAD_EN, MLQA_ES, MLQA_ZH], ids=["squad", "mlqa-es", "mlqa-zh"]
     )
     @given(prediction=answer_text, golds=st.lists(answer_text, min_size=1, max_size=3))
+    @example(prediction="island x", golds=["island island x"])
     def test_per_example_scores_identical(self, profile, prediction, golds):
         report = evaluate_dataset({"q": prediction}, _single_qa_dataset(golds), profile)
         em, f1_value = reference_scores(prediction, golds, profile)

@@ -275,14 +275,3 @@ class TestRunFilterPipeline:
         _, stats = run_filter_pipeline(passage, candidates, FilterConfig())
         assert stats.candidates >= stats.parsed >= stats.extractive
         assert stats.extractive >= stats.deduped >= stats.kept
-
-
-class TestFilterConfig:
-    def test_keep_cannot_exceed_samples(self):
-        with pytest.raises(ConfigurationError):
-            FilterConfig(samples_per_passage=10, keep_per_passage=11)
-
-    @pytest.mark.parametrize("field", ["samples_per_passage", "keep_per_passage"])
-    def test_counts_must_be_positive(self, field):
-        with pytest.raises(ConfigurationError):
-            FilterConfig(**{field: 0})

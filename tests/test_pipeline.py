@@ -221,6 +221,21 @@ class TestPipelineConfig:
         config = PipelineConfig(input="x", output_dir=str(tmp_path), seed=5)
         assert config.resolved_seed() == 5
 
+    def test_keep_cannot_exceed_num_samples(self, tmp_path):
+        # Once checked by FilterConfig, under the name samples_per_passage.
+        config = make_config(tmp_path, num_samples=10, keep_per_passage=11)
+        with pytest.raises(ConfigurationError, match=r"exceeds num_samples \(10\)"):
+            run_pipeline(config)
+        assert not Path(config.output_dir).exists()
+
+    @pytest.mark.parametrize("field", ["num_samples", "keep_per_passage"])
+    def test_counts_must_be_positive(self, tmp_path, field):
+        # Once FilterConfig tests of samples_per_passage and keep_per_passage.
+        config = make_config(tmp_path, **{field: 0})
+        with pytest.raises(ConfigurationError, match=field):
+            run_pipeline(config)
+        assert not Path(config.output_dir).exists()
+
 
 class TestZeroKeptWarning:
     def warnings(self, caplog) -> list[str]:

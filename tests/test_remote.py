@@ -206,6 +206,15 @@ class TestRemoteGeneratorClient:
         with pytest.raises(ConfigurationError):
             RemoteGeneratorClient()
 
+    @pytest.mark.parametrize(
+        "endpoint", ["ftp://x", "http://[::1", "http://", "http://host:port", "localhost:8000"]
+    )
+    def test_malformed_endpoint_is_configuration_error(self, monkeypatch, endpoint):
+        # Once accepted here, to fail at the first request as a pipeline error.
+        monkeypatch.setenv(GENERATOR_URL_ENV, endpoint)
+        with pytest.raises(ConfigurationError, match="generator endpoint"):
+            RemoteGeneratorClient()
+
 
 class TestFailurePaths:
     def test_client_error_is_not_retried(self, serve):
