@@ -28,6 +28,7 @@ from .dataset import (
 from .errors import (
     ConfigurationError,
     DataError,
+    EmissionError,
     PipelineError,
     QAForgeError,
     TransportError,
@@ -143,7 +144,7 @@ def cmd_filter(args) -> int:
     totals = FilterStats()
     with atomic_write(args.output) as handle:
         groups = read_passage_groups(args.candidates, passages, Candidate.from_record)
-        for passage, candidates in groups:
+        for passage, candidates, _ in groups:
             kept, stats = run_filter_pipeline(passage, candidates, config)
             totals.merge(stats)
             handle.writelines(jsonl_line(e.to_record()) for e in kept)
@@ -159,8 +160,11 @@ def cmd_emit(args) -> int:
     with atomic_write(args.output) as handle:
         document = SquadWriter(handle)
         groups = read_passage_groups(args.examples, passages, SyntheticExample.from_record)
-        for passage, examples in groups:
-            document.add(squad_article(passage, examples))
+        for passage, examples, lines in groups:
+            try:
+                document.add(squad_article(passage, examples))
+            except EmissionError as exc:
+                raise EmissionError(f"{args.examples}:{lines[exc.position]}: {exc}") from exc
             entries += len(examples)
             articles += 1
         document.finish()

@@ -205,20 +205,22 @@ def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> Squ
 
     Each example must carry a verified answer offset into ``passage``, and
     no two may share an entry id; violations raise EmissionError naming the
-    example.
+    example and carrying its ``position``.
     """
     qas: dict[str, SquadQA] = {}
-    for example in examples:
+    for position, example in enumerate(examples):
         if not _span_matches(passage.text, example.answer, example.answer_start):
             raise EmissionError(
                 f"answer offset mismatch in passage {example.passage_id!r} "
-                f"for question {example.question!r}"
+                f"for question {example.question!r}",
+                position=position,
             )
         qa_id = qa_content_id(passage.id, example.question, example.answer)
         if qa_id in qas:
             raise EmissionError(
                 f"duplicate example in passage {example.passage_id!r} "
-                f"for question {example.question!r}"
+                f"for question {example.question!r}",
+                position=position,
             )
         qas[qa_id] = SquadQA(
             id=qa_id,

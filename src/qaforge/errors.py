@@ -48,7 +48,15 @@ class ProtocolError(TransportError):
 
 
 class EmissionError(DataError):
-    """A training example cannot be written to the output document format."""
+    """A training example cannot be written to the output document format.
+
+    ``position`` is the offending example's index among those given, when
+    one example is at fault.
+    """
+
+    def __init__(self, message: str, *, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 class SquadParseError(DataError):

@@ -13,8 +13,10 @@ and appends them to the journal and to the candidates artifact; filters
 them; and appends the kept examples and the passage's article to the
 examples and dataset artifacts. Then it lets them go, so a run holds the
 passages and the counts, never every candidate, example or the whole
-document. With ``workers > 1``, threads generate up to 64 passages per
-worker ahead of the one being written, and results are consumed in order.
+document. With ``workers > 1``, ``2 * workers`` threads generate up to 64
+passages per worker ahead of the one being written, and results are consumed
+in order; the remote backend then has ``workers`` connections, so a passage
+waiting out a retry's backoff leaves its connection to another thread.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
 functions, ``generate_passage``, ``run_filter_pipeline`` and
@@ -158,8 +160,8 @@ class PipelineReport:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
-    """``parse(record)`` for each non-blank line of a JSONL file, in file order.
+def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
+    """The line number and ``parse(record)`` of each non-blank line of a JSONL file, in order.
 
     An unreadable file, a line that is not JSON, or a record that ``parse``
     rejects with DataError raises DataError naming the path and line.
@@ -175,7 +177,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[T]:
                     reason = json_error_reason(exc)
                     raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
                 try:
-                    yield parse(record)
+                    yield line_number, parse(record)
                 except DataError as exc:
                     raise DataError(f"{path}:{line_number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -210,10 +212,11 @@ def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
 
 def read_passage_groups(
     path: str | Path, passages: Mapping[str, Passage], parse: Callable[[Any], T]
-) -> Iterator[tuple[Passage, list[T]]]:
-    """``(passage, [parse(record), ...])`` for each run of records naming the same passage.
+) -> Iterator[tuple[Passage, list[T], list[int]]]:
+    """``(passage, rows, lines)`` for each run of records naming the same passage.
 
-    Each record's ``passage_id`` must name one of ``passages`` and be no lower
+    ``rows`` holds ``parse(record)`` of each record of the run, ``lines`` its
+    line number in the file. Each record's ``passage_id`` must name one of ``passages`` and be no lower
     than the one before it, the order ``run_pipeline`` writes, so a passage
     has one run and one run is held at a time; otherwise DataError names the line.
     """
@@ -230,8 +233,9 @@ def read_passage_groups(
         previous = passage_id
         return passage_id, row
 
-    for passage_id, group in groupby(read_jsonl(path, parse_row), key=lambda item: item[0]):
-        yield passages[passage_id], [row for _, row in group]
+    for passage_id, group in groupby(read_jsonl(path, parse_row), key=lambda item: item[1][0]):
+        numbered = list(group)
+        yield passages[passage_id], [row for _, (_, row) in numbered], [n for n, _ in numbered]
 
 
 def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
@@ -254,12 +258,12 @@ def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
             "record needs string passage/question/answer, the question and answer non-blank"
         )
 
-    return list(read_jsonl(path, parse))
+    return [triple for _, triple in read_jsonl(path, parse)]
 
 
 def build_backend(config: PipelineConfig):
     if config.backend == "remote":
-        return RemoteGeneratorClient(config.endpoint)
+        return RemoteGeneratorClient(config.endpoint, connections=config.workers)
     return train_reference(read_training_corpus(config.train_corpus), order=config.order)
 
 
@@ -496,24 +500,26 @@ R = TypeVar("R")
 
 # How many items each worker may compute ahead of the one consumed. One slow
 # item (a remote call sleeping 0.5 s or more before a retry) holds up the
-# consumer; meanwhile the other workers go on, until this many items per
-# worker are done or running. It bounds what is held ahead to that many
-# passages' candidates.
+# consumer, but not a connection; meanwhile the other threads keep every
+# connection busy, until this many items per worker are done or running. It
+# bounds what is held ahead to that many passages' candidates.
 _AHEAD_PER_WORKER = 64
 
 
 def _in_order(function: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
     """``function(item)`` for each item, in order.
 
-    With ``workers > 1``, threads compute up to ``_AHEAD_PER_WORKER * workers``
-    items ahead of the one consumed. The first failure, in item order, is
-    raised; when the iterator is closed early, items not yet started are
-    cancelled.
+    With ``workers > 1``, ``2 * workers`` threads compute up to
+    ``_AHEAD_PER_WORKER * workers`` items ahead of the one consumed: one
+    thread per connection of the remote backend to use it, and one that may
+    be waiting out a retry's backoff, which holds no connection. The first
+    failure, in item order, is raised; when the iterator is closed early,
+    items not yet started are cancelled.
     """
     if workers == 1:
         yield from map(function, items)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=2 * workers) as pool:
         ahead: deque[Future[R]] = deque()
         try:
             for item in items:
@@ -552,7 +558,8 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     seed = config.resolved_seed()
 
     sampled, passage_counts, record_errors = ingest(config)
-    if backend is None:
+    built = backend is None
+    if built:
         backend = build_backend(config)
 
     out_dir = Path(config.output_dir)
@@ -574,6 +581,8 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     try:
         try:
             with ExitStack() as stack:
+                if built and isinstance(backend, RemoteGeneratorClient):
+                    stack.callback(backend.close)
                 # Left in reverse order, so the artifacts replace their
                 # targets in the order passages, candidates, examples, dataset.
                 document = SquadWriter(stack.enter_context(atomic_write(outputs["dataset"])))

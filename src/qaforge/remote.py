@@ -4,18 +4,23 @@ Wire contract: POST ``{endpoint}/generate`` with a JSON body carrying the
 ``GenerationRequest`` fields that are not None, in field order; the service
 answers ``{"candidates": [{"text": ..., "lm_score": ...}, ...]}``. A candidate
 that ``Candidate.from_record`` rejects is a protocol violation.
+
+The client speaks HTTP/1.1 through ``http.client`` on a pool of keep-alive
+connections. It reads no proxy variables or netrc, follows no redirect, and
+verifies https against the system CA store.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
-import threading
+import queue
+import selectors
 import time
 from dataclasses import asdict
 from urllib.parse import urlsplit
-
-import requests
 
 from .errors import ConfigurationError, DataError, ProtocolError, TransportError
 from .generator import Candidate, GenerationRequest
@@ -47,19 +52,36 @@ def resolve_endpoint(endpoint: str | None) -> str:
     return endpoint.rstrip("/")
 
 
+_HEADERS = {"Content-Type": "application/json"}
+
+
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """True if an idle connection's socket is readable: the server closed it (or misbehaved)."""
+    if connection.sock is None:
+        return False
+    with selectors.DefaultSelector() as selector:
+        selector.register(connection.sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
 class RemoteGeneratorClient:
     """Client with bounded retries for transient service faults.
 
     Connection failures, timeouts, responses cut short of their declared
     length, and 5xx responses are retried up to ``max_attempts`` times with
-    exponential backoff; malformed responses are not retried. Safe to share
-    across threads (one session per thread).
+    exponential backoff; malformed responses and any other status are not
+    retried. Safe to share across threads: an attempt borrows one of
+    ``connections`` keep-alive connections and returns it once the response
+    is read, so at most ``connections`` requests are in flight, and a call
+    waiting out its backoff holds none. ``timeout`` bounds each socket
+    operation.
     """
 
     def __init__(
         self,
         endpoint: str | None = None,
         *,
+        connections: int = 1,
         max_attempts: int = 3,
         backoff_base: float = 0.5,
         timeout: float = 30.0,
@@ -67,43 +89,61 @@ class RemoteGeneratorClient:
         self.endpoint = resolve_endpoint(endpoint)
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
-        self.timeout = timeout
-        self._local = threading.local()
+        parts = urlsplit(self.endpoint)
+        self._path = parts.path + "/generate"
+        https = parts.scheme == "https"
+        kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        # An explicit port: left to parse one from the host, http.client
+        # reads "::1" as host ":" and port 1.
+        port = parts.port or kind.default_port
+        self._pool: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+        for _ in range(connections):
+            self._pool.put(kind(parts.hostname, port, timeout=timeout))
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
+    def close(self) -> None:
+        """Close every connection, for use when no call is in flight; a later call reconnects."""
+        for _ in range(self._pool.qsize()):
+            connection = self._pool.get()
+            connection.close()
+            self._pool.put(connection)
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One attempt on a pooled connection: the response status and body."""
+        connection = self._pool.get()
+        try:
+            if _closed_by_peer(connection):
+                connection.close()
+            connection.request("POST", self._path, body, _HEADERS)
+            with connection.getresponse() as response:
+                return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
+        finally:
+            self._pool.put(connection)
 
     def generate(self, request: GenerationRequest, seed: int = 0) -> list[Candidate]:
         """Request ``num_samples`` candidates; the service owns its own randomness."""
         del seed  # not part of the wire contract
         url = f"{self.endpoint}/generate"
         payload = {key: value for key, value in asdict(request).items() if value is not None}
+        body = json.dumps(payload).encode("utf-8")
 
         last_fault = "no attempt made"
         for attempt in range(1, self.max_attempts + 1):
             try:
-                response = self._session().post(url, json=payload, timeout=self.timeout)
-            except (
-                requests.ConnectionError,
-                requests.Timeout,
-                requests.exceptions.ChunkedEncodingError,
-            ) as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_fault = f"{type(exc).__name__}: {exc}"
             else:
-                if response.status_code >= 500:
-                    last_fault = f"server error {response.status_code}"
-                elif response.status_code != 200:
+                if status >= 500:
+                    last_fault = f"server error {status}"
+                elif status != 200:
                     raise TransportError(
-                        f"generator returned status {response.status_code}",
-                        url=url,
-                        attempts=attempt,
+                        f"generator returned status {status}", url=url, attempts=attempt
                     )
                 else:
-                    return self._parse_response(response, request, url, attempt)
+                    return self._parse_response(data, request, url, attempt)
             if attempt < self.max_attempts:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 logger.warning(
@@ -122,13 +162,13 @@ class RemoteGeneratorClient:
 
     def _parse_response(
         self,
-        response: requests.Response,
+        data: bytes,
         request: GenerationRequest,
         url: str,
         attempts: int,
     ) -> list[Candidate]:
         try:
-            body = response.json()
+            body = json.loads(data)
         except ValueError as exc:
             raise ProtocolError(
                 f"generator response is not JSON: {exc}", url=url, attempts=attempts

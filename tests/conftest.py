@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import random
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -94,6 +97,93 @@ def toy_passages() -> list[Passage]:
 @pytest.fixture()
 def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
+
+
+TRUNCATED = object()
+# Like TRUNCATED, but the connection stays open: the client waits for the rest.
+STALLED = object()
+
+
+class _Script:
+    """Canned responses served in order; records request bodies and client addresses.
+
+    A response is ``(status, payload)`` or ``(status, payload, headers)``.
+    With ``close_idle``, the server closes each connection after its
+    response without telling the client, and sets ``closed``.
+    """
+
+    def __init__(self, responses, close_idle=False):
+        self.responses = list(responses)
+        self.close_idle = close_idle
+        self.closed = threading.Event()
+        self.bodies = []
+        self.clients = []
+        self.lock = threading.Lock()
+
+    def next_response(self, body):
+        with self.lock:
+            self.bodies.append(body)
+            if len(self.responses) > 1:
+                return self.responses.pop(0)
+            return self.responses[0]
+
+
+@pytest.fixture()
+def serve():
+    """``serve(script, keep_alive=False)`` starts a loopback service and returns its URL.
+
+    With ``keep_alive``, the service speaks HTTP/1.1 and keeps each connection
+    open for the next request.
+    """
+    servers = []
+
+    def _start(script, keep_alive: bool = False) -> str:
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            # Headers and body go out in two writes; with Nagle's algorithm the
+            # body of a kept-alive response waits on the client's delayed ACK.
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                body = json.loads(self.rfile.read(length)) if length else None
+                with script.lock:
+                    script.clients.append(self.client_address)
+                status, payload, *headers = script.next_response(body)
+                if payload is TRUNCATED or payload is STALLED:
+                    # Promise more bytes than are sent.
+                    self.send_response(status)
+                    self.send_header("Content-Length", "500")
+                    self.end_headers()
+                    self.wfile.write(b'{"candidates": [{"te')
+                    self.close_connection = payload is TRUNCATED
+                    return
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                for name, value in (headers[0] if headers else {}).items():
+                    self.send_header(name, value)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+                if getattr(script, "close_idle", False):
+                    self.close_connection = True
+                    self.request.shutdown(socket.SHUT_WR)
+                    script.closed.set()
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}"
+
+    yield _start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 # Hypothesis reports a failing example through libcst, whose import warns

@@ -7,7 +7,9 @@ from dataclasses import fields
 
 import pytest
 
-from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
+from conftest import (
+    _Script, make_passages, make_training_corpus, write_passage_file, write_training_file
+)
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
 from qaforge.metrics import bleu, load_profile_table
@@ -205,6 +207,33 @@ class TestStageCommands:
         )
         assert code == 2
         assert f"{rows}:{bad_line}: passage id" in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("duplicate", "duplicate example in passage 'p001'"),
+         ("offset", "answer offset mismatch in passage 'p001'")],
+        ids=["duplicate", "offset"],
+    )
+    def test_bad_example_names_its_file_and_line(self, workspace, capsys, fault, message):
+        # Once named only the passage and question, not where the row is.
+        rows = write_stage_rows(workspace, "emit", ["p000", "p001", "p002"])
+        lines = rows.read_text("utf-8").splitlines(keepends=True)
+        if fault == "duplicate":
+            lines.insert(2, lines[1])
+        else:
+            lines[1] = lines[1].replace('"answer_start": 0', '"answer_start": 1')
+        # A blank line counts: the reported number is the line in the file.
+        rows.write_text("\n" + "".join(lines), encoding="utf-8")
+        output = workspace / "dataset.json"
+        code = run_cli(
+            "emit", "--examples", str(rows),
+            "--input", str(workspace / "passages.jsonl"),
+            "--output", str(output),
+        )
+        assert code == 2
+        bad_line = 4 if fault == "duplicate" else 3
+        assert f"{rows}:{bad_line}: {message}" in capsys.readouterr().err
         assert not output.exists()
 
     def test_filter_rejects_unknown_passage_ids(self, workspace):
@@ -501,6 +530,22 @@ class TestRunCommand:
         assert code == 3
         checkpoint = workspace / "remote_out" / "checkpoint.json"
         assert checkpoint.exists()
+
+    @pytest.mark.parametrize("status", [302, 307])
+    def test_remote_redirect_exit_transport(self, workspace, serve, status):
+        # Once followed: a 307 loop gave up after 31 requests with exit 2.
+        script = _Script([(status, {}, {"Location": "/generate"})])
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "remote_out"),
+            "--backend", "remote",
+            "--endpoint", serve(script),
+            "--sample-n", "2",
+            "--seed", "1",
+        )
+        assert code == 3
+        assert len(script.bodies) == 1
 
     def test_runs_are_byte_identical_across_processes(self, workspace):
         # Fresh interpreters get fresh hash randomization; outputs must not

@@ -4,7 +4,9 @@ import json
 import os
 import tempfile
 import threading
+import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from conftest import make_passages, make_training_corpus, write_passage_file, wr
 from qaforge.corpus import Passage
 from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError, PipelineError, TransportError
-from qaforge.generator import Candidate
+from qaforge.generator import Candidate, GenerationRequest
 from qaforge.pipeline import (
     PipelineConfig,
     PipelineReport,
@@ -818,3 +820,84 @@ class TestInOrder:
                 results.append(value)
         assert results == list(range(10))
         assert len(started) < 1000
+
+
+class _PassageService:
+    """A remote generation service for the ``serve`` fixture.
+
+    Each request takes ``delay`` seconds. The first request for each passage
+    text in ``faulted`` is answered 503, as is every request when
+    ``always_fail``; the others get ``_QuotingBackend``'s candidates. Records
+    each request's passage, arrival and end time, and the number of requests
+    in flight when it arrived.
+    """
+
+    def __init__(self, delay: float, faulted=(), always_fail=False):
+        self.delay = delay
+        self.faulted = set(faulted)
+        self.always_fail = always_fail
+        self.lock = threading.Lock()
+        self.clients: list = []
+        self.requests: list[dict] = []
+        self._in_flight = 0
+
+    def next_response(self, body):
+        with self.lock:
+            self._in_flight += 1
+            entry = {"passage": body["passage"], "in_flight": self._in_flight,
+                     "arrived": time.monotonic()}
+            self.requests.append(entry)
+            fault = self.always_fail or body["passage"] in self.faulted
+            self.faulted.discard(body["passage"])
+        time.sleep(self.delay)
+        with self.lock:
+            self._in_flight -= 1
+            entry["ended"] = time.monotonic()
+        if fault:
+            return 503, {}
+        candidates = _QuotingBackend().generate(GenerationRequest(**body))
+        return 200, {"candidates": [candidate.to_record() for candidate in candidates]}
+
+
+def remote_config(tmp_path: Path, endpoint: str, out_name: str, **overrides) -> PipelineConfig:
+    passages = tmp_path / "passages.jsonl"
+    if not passages.exists():
+        write_passage_file(passages, make_passages(count=40))
+    return make_config(
+        tmp_path, out_name, backend="remote", endpoint=endpoint, train_corpus=None,
+        sample_n=None, **overrides,
+    )
+
+
+class TestRemoteWorkers:
+    def test_a_passage_waiting_to_retry_leaves_its_connection_to_the_others(
+        self, tmp_path, serve
+    ):
+        texts = [p.text for p in make_passages(count=40)]
+        service = _PassageService(delay=0.005, faulted=[texts[2]])
+        config = remote_config(tmp_path, serve(service, keep_alive=True), "two", workers=2)
+        with closing(build_backend(config)) as backend:
+            report = run_pipeline(config, backend=backend)
+        assert max(entry["in_flight"] for entry in service.requests) <= 2
+        fault, retry = [entry for entry in service.requests if entry["passage"] == texts[2]]
+        during_backoff = [
+            entry for entry in service.requests
+            if fault["ended"] < entry["arrived"] < retry["arrived"]
+        ]
+        # Both connections stay busy while the faulted passage sleeps: with
+        # one thread per connection, its sleep idled one of them.
+        assert max(entry["in_flight"] for entry in during_backoff) == 2
+        assert len(service.requests) == 41
+
+        sequential = replace(config, output_dir=str(tmp_path / "one"), workers=1)
+        assert same_artifacts(report, run_pipeline(sequential))
+
+    def test_service_that_always_fails_is_a_transport_error(self, tmp_path, serve):
+        service = _PassageService(delay=0.005, always_fail=True)
+        config = remote_config(tmp_path, serve(service, keep_alive=True), "out", workers=2)
+        with closing(build_backend(config)) as backend:
+            backend.backoff_base = 0.02
+            with pytest.raises(PipelineError) as exc:
+                run_pipeline(config, backend=backend)
+        assert isinstance(exc.value.cause, TransportError)
+        assert max(entry["in_flight"] for entry in service.requests) <= 2

@@ -1,76 +1,20 @@
 from __future__ import annotations
 
-import json
+import logging
 import math
+import socket
 import threading
+import time
+from contextlib import closing
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import STALLED, TRUNCATED, _Script
 from qaforge.errors import ConfigurationError, ProtocolError, TransportError
 from qaforge.generator import GenerationRequest, conditioning_text
 from qaforge.pipeline import PipelineConfig, resume_fingerprint
 from qaforge.remote import GENERATOR_URL_ENV, RemoteGeneratorClient
-
-
-TRUNCATED = object()
-
-
-class _Script:
-    """Canned responses served in order; records request bodies."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.bodies = []
-        self.lock = threading.Lock()
-
-    def next_response(self, body):
-        with self.lock:
-            self.bodies.append(body)
-            if len(self.responses) > 1:
-                return self.responses.pop(0)
-            return self.responses[0]
-
-
-@pytest.fixture()
-def serve():
-    servers = []
-
-    def _start(script: _Script) -> str:
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length)) if length else None
-                status, payload = script.next_response(body)
-                if payload is TRUNCATED:
-                    # Promise more bytes than are sent, then close the connection.
-                    self.send_response(status)
-                    self.send_header("Content-Length", "500")
-                    self.end_headers()
-                    self.wfile.write(b'{"candidates": [{"te')
-                    self.close_connection = True
-                    return
-                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}"
-
-    yield _start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
 
 
 def _request(num_samples=2) -> GenerationRequest:
@@ -265,3 +209,96 @@ class TestTruncatedResponse:
         assert exc.value.attempts == 3
         assert not isinstance(exc.value, ProtocolError)
         assert len(script.bodies) == 3
+
+
+class TestRedirect:
+    @pytest.mark.parametrize("status", [302, 307])
+    def test_redirect_is_a_transport_error_after_one_request(self, serve, status):
+        # Once followed: a 302 came back as a GET, a 307 loop sent 31 requests
+        # and raised an error outside the documented exit codes.
+        script = _Script([(status, {}, {"Location": "/generate"}), (200, _ok_payload())])
+        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        with pytest.raises(TransportError, match=f"status {status}") as exc:
+            client.generate(_request())
+        assert exc.value.attempts == 1
+        assert len(script.bodies) == 1
+
+
+class TestKeepAlive:
+    def test_calls_reuse_one_connection(self, serve):
+        script = _Script([(200, _ok_payload())])
+        with closing(RemoteGeneratorClient(serve(script, keep_alive=True))) as client:
+            for _ in range(3):
+                client.generate(_request())
+        assert len(script.clients) == 3
+        assert len(set(script.clients)) == 1
+
+    def test_connection_closed_by_the_server_while_idle_costs_no_attempt(self, serve, caplog):
+        script = _Script([(200, _ok_payload())], close_idle=True)
+        with closing(RemoteGeneratorClient(serve(script, keep_alive=True))) as client:
+            client.generate(_request())
+            assert script.closed.wait(5)
+            with caplog.at_level(logging.WARNING, logger="qaforge.remote"):
+                assert len(client.generate(_request())) == 2
+        assert caplog.records == []
+        assert len(script.bodies) == 2
+        assert len(set(script.clients)) == 2
+
+    def test_connection_of_a_failed_attempt_is_not_reused(self, serve):
+        # The first response stalls mid-body on an open connection; the
+        # retry must not be sent on it.
+        script = _Script([(200, STALLED), (200, _ok_payload())])
+        client = RemoteGeneratorClient(
+            serve(script, keep_alive=True), backoff_base=0.01, timeout=0.2
+        )
+        with closing(client):
+            assert len(client.generate(_request())) == 2
+        assert len(script.bodies) == 2
+        assert len(set(script.clients)) == 2
+
+    def test_shared_client_has_at_most_its_connections_in_flight(self, serve):
+        script = _Script([(200, _ok_payload())])
+        in_flight = peak = 0
+        inner = script.next_response
+
+        def slow_response(body):
+            nonlocal in_flight, peak
+            with script.lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            time.sleep(0.02)
+            with script.lock:
+                in_flight -= 1
+            return inner(body)
+
+        script.next_response = slow_response
+        client = RemoteGeneratorClient(serve(script), connections=2)
+        threads = [threading.Thread(target=client.generate, args=(_request(),)) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(script.bodies) == 6
+        assert peak == 2
+
+
+class TestEndpointAddress:
+    @pytest.mark.parametrize(
+        "endpoint, address",
+        [("http://[::1]", ("::1", 80)), ("http://[::1]:8080/api", ("::1", 8080)),
+         ("https://localhost", ("localhost", 443))],
+    )
+    def test_connects_to_the_endpoints_host_and_port(self, monkeypatch, endpoint, address):
+        # Once, without a port in the URL, "::1" was dialled as host ":" port 1.
+        dialled = []
+
+        def refuse(target, *args, **kwargs):
+            dialled.append(target)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        client = RemoteGeneratorClient(endpoint, max_attempts=1)
+        with pytest.raises(TransportError, match="ConnectionRefusedError"):
+            client.generate(_request())
+        assert dialled == [address]
