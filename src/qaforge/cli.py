@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 from collections.abc import Collection, Iterable
+from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -55,6 +56,7 @@ from .pipeline import (
     run_pipeline,
     stats_summary,
 )
+from .remote import RemoteGeneratorClient
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +76,6 @@ _FLAG_ALIASES = {
     "--input": ("--passages",),
     "--sample-n": ("--sample",),
     "--keep-per-passage": ("--keep",),
-    "--no-require-extractive": ("--no-extractive",),
 }
 
 
@@ -129,7 +130,10 @@ def cmd_generate(args) -> int:
     passages = sorted(read_passages(config.input), key=lambda passage: passage.id)
     backend, seed = build_backend(config), config.resolved_seed()
     total = 0
-    with atomic_write(args.output) as handle:
+    with ExitStack() as stack:
+        if isinstance(backend, RemoteGeneratorClient):
+            stack.callback(backend.close)
+        handle = stack.enter_context(atomic_write(args.output))
         for passage in passages:
             candidates, rows = generate_passage(passage, backend, request, seed)
             handle.write(rows)

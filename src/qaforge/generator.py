@@ -57,8 +57,6 @@ class GenerationRequest:
     must generate in that language regardless of the passage language. It
     is kept as its language code (``" DE"`` is ``"de"``); a blank one is a
     ValueError.
-    ``answer`` is opaque request metadata for backends that condition on a
-    pre-specified answer; it is forwarded on the wire and otherwise ignored.
     """
 
     passage: str
@@ -67,7 +65,6 @@ class GenerationRequest:
     top_k: int
     max_output_tokens: int
     target_language: str | None = None
-    answer: str | None = None
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
@@ -158,12 +155,12 @@ class ReferenceBackend:
 
     Conditioning keeps the last ``order - 1`` whitespace tokens of the
     passage as the initial context, so every conditional
-    ``p(token | context)`` is ``(count + a) / (total + a * (V + 1))`` with
-    ``a`` the smoothing constant and ``V + 1`` the vocabulary plus the
-    end-of-sequence symbol. Per context these sum to exactly 1. Scores are
-    sums of token log-probabilities and exclude the end-of-sequence term,
-    so rescoring a decoded text reproduces its sampling-time score and the
-    score of a full target splits exactly into prefix + continuation.
+    ``p(token | context)`` is ``(count + 1) / (total + V + 1)`` with ``V + 1``
+    the vocabulary plus the end-of-sequence symbol. Per context these sum to
+    exactly 1. Scores are sums of token log-probabilities and exclude the
+    end-of-sequence term, so rescoring a decoded text reproduces its
+    sampling-time score and the score of a full target splits exactly into
+    prefix + continuation.
 
     The model is fixed at construction. Each decode step reads a sampling
     table built at the first use of its (context, k) and memoized; instances
@@ -179,16 +176,12 @@ class ReferenceBackend:
         order: int,
         vocabulary: Iterable[str],
         counts: dict[tuple[str, ...], Counter],
-        smoothing: float = 1.0,
     ):
         if order < 1:
             raise ConfigurationError(f"order must be >= 1, got {order}")
-        if smoothing <= 0:
-            raise ConfigurationError(f"smoothing must be positive, got {smoothing}")
         self.order = order
         self.vocabulary = tuple(sorted(set(vocabulary)))
         self.counts = counts
-        self.smoothing = smoothing
         # Every emittable symbol in lexicographic order: EOS goes where it sorts.
         eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
         self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
@@ -198,12 +191,11 @@ class ReferenceBackend:
         self._top_k_cache: dict[tuple[tuple[str, ...] | None, int], _SamplingTable] = {}
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
-        """Smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
+        """Add-one-smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
         counter = self.counts.get(context)
         count = counter[token] if counter is not None else 0
         total = self._context_totals.get(context, 0)
-        slots = len(self.vocabulary) + 1
-        return (count + self.smoothing) / (total + self.smoothing * slots)
+        return (count + 1.0) / (total + len(self.vocabulary) + 1)
 
     def score_sequence(self, passage: str, target: str) -> float:
         """Sum of conditional token log-probabilities of ``target`` given ``passage``.
@@ -305,7 +297,6 @@ class ReferenceBackend:
 def train_reference(
     corpus: Iterable[tuple[str, str, str]],
     order: int = 3,
-    smoothing: float = 1.0,
 ) -> ReferenceBackend:
     """Fit a ReferenceBackend on (passage, question, answer) triples.
 
@@ -328,4 +319,4 @@ def train_reference(
         for token in [*target_tokens, EOS_TOKEN]:
             counts[context][token] += 1
             context = _shift_context(context, token, order)
-    return ReferenceBackend(order, vocabulary, dict(counts), smoothing)
+    return ReferenceBackend(order, vocabulary, dict(counts))

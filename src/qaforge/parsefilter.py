@@ -104,8 +104,6 @@ class FilterConfig:
     """
 
     keep_per_passage: int = 10
-    require_extractive: bool = True
-    dedup: bool = True
     length_normalize: bool = False
 
     def __post_init__(self) -> None:
@@ -181,7 +179,7 @@ class _Draft(NamedTuple):
     question: str
     answer: str
     lm_score: float
-    answer_start: int | None
+    answer_start: int
 
 
 def _dedup_keep_best(drafts: list[_Draft]) -> list[_Draft]:
@@ -202,16 +200,12 @@ def run_filter_pipeline(
 ) -> tuple[list[SyntheticExample], FilterStats]:
     """Turn raw candidates for one passage into validated examples plus stage stats.
 
-    Stages, in order: structural parse, extractiveness check (when
-    ``require_extractive``), exact-duplicate removal keeping the
-    highest-scored instance (when ``dedup``), then top-``keep_per_passage``
+    Stages, in order: structural parse, extractiveness check, exact-duplicate
+    removal keeping the highest-scored instance, then top-``keep_per_passage``
     selection by score. Question and answer text is NFC-normalized so the
-    substring check against the (already normalized) passage is exact.
-
-    With ``require_extractive`` off, non-extractive pairs stay in the
-    ranking and only drop at example construction, where a verified
-    character offset is mandatory; that spends the keep budget differently
-    but can never emit a non-extractive example.
+    substring check against the (already normalized) passage is exact. Every
+    example therefore has a verified character offset and a distinct
+    (question, answer) pair.
     """
     stats = FilterStats(candidates=len(candidates))
 
@@ -222,20 +216,19 @@ def run_filter_pipeline(
         except CandidateParseError as exc:
             stats.parse_failures[exc.part] = stats.parse_failures.get(exc.part, 0) + 1
             continue
-        question = unicodedata.normalize("NFC", pair.question)
+        stats.parsed += 1
         answer = unicodedata.normalize("NFC", pair.answer)
+        answer_start = check_extractive(answer, passage.text)
+        if answer_start is None:
+            continue
         score = candidate.lm_score
         if config.length_normalize:
             score /= len(candidate.text.split())
-        drafts.append(_Draft(question, answer, score, check_extractive(answer, passage.text)))
-    stats.parsed = len(drafts)
-
-    if config.require_extractive:
-        drafts = [draft for draft in drafts if draft.answer_start is not None]
+        question = unicodedata.normalize("NFC", pair.question)
+        drafts.append(_Draft(question, answer, score, answer_start))
     stats.extractive = len(drafts)
 
-    if config.dedup:
-        drafts = _dedup_keep_best(drafts)
+    drafts = _dedup_keep_best(drafts)
     stats.deduped = len(drafts)
 
     ranked = lm_filter([(draft, draft.lm_score) for draft in drafts], config.keep_per_passage)
@@ -249,7 +242,6 @@ def run_filter_pipeline(
             language=passage.language,
         )
         for draft, _ in ranked
-        if draft.answer_start is not None
     ]
     stats.kept = len(examples)
     return examples, stats

@@ -90,8 +90,6 @@ class PipelineConfig:
     top_k: int = 10
     max_output_tokens: int = 64
     keep_per_passage: int = 10
-    require_extractive: bool = True
-    dedup: bool = True
     length_normalize: bool = False
     target_language: str | None = None
     workers: int = 1
@@ -513,17 +511,30 @@ def _in_order(function: Callable[[T], R], items: Iterable[T], workers: int) -> I
     ``_AHEAD_PER_WORKER * workers`` items ahead of the one consumed: one
     thread per connection of the remote backend to use it, and one that may
     be waiting out a retry's backoff, which holds no connection. The first
-    failure, in item order, is raised; when the iterator is closed early,
-    items not yet started are cancelled.
+    failure, in item order, is raised. Once any item has failed, an item not
+    yet started raises without running; items start in order, so the failure
+    raised is a real one. When the iterator is closed early, items not yet
+    started are cancelled.
     """
     if workers == 1:
         yield from map(function, items)
         return
+    failed = threading.Event()
+
+    def guarded(item: T) -> R:
+        if failed.is_set():
+            raise RuntimeError("not started: an earlier item failed")
+        try:
+            return function(item)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=2 * workers) as pool:
         ahead: deque[Future[R]] = deque()
         try:
             for item in items:
-                ahead.append(pool.submit(function, item))
+                ahead.append(pool.submit(guarded, item))
                 if len(ahead) > _AHEAD_PER_WORKER * workers:
                     yield ahead.popleft().result()
             while ahead:
@@ -573,7 +584,6 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         "candidates": str(out_dir / "candidates.jsonl"),
         "examples": str(out_dir / "examples.jsonl"),
         "dataset": str(out_dir / "dataset.json"),
-        "stats": str(out_dir / "stats.json"),
         "report": str(out_dir / "report.json"),
     }
     ordered = sorted(sampled, key=lambda passage: passage.id)
@@ -602,16 +612,6 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                         document.add(squad_article(passage, kept))
                 document.finish()
                 write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
-
-            counts = {
-                **passage_counts,
-                "generated": totals.candidates,
-                "parsed": totals.parsed,
-                "extractive": totals.extractive,
-                "deduped": totals.deduped,
-                "kept": totals.kept,
-            }
-            write_json(outputs["stats"], {"counts": counts, "record_errors": record_errors})
         except PipelineError:
             raise
         except Exception as exc:
@@ -628,6 +628,14 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     journal.close(discard=True)
     checkpoint_meta.unlink(missing_ok=True)
 
+    counts = {
+        **passage_counts,
+        "generated": totals.candidates,
+        "parsed": totals.parsed,
+        "extractive": totals.extractive,
+        "deduped": totals.deduped,
+        "kept": totals.kept,
+    }
     report = PipelineReport(
         counts=counts,
         record_errors=record_errors,

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import argparse
+import gc
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,24 @@ class TestStageCommands:
             "--output", str(workspace / "e.jsonl"),
         )
         assert code == 2
+
+
+class TestGenerateRemote:
+    def test_closes_its_connections(self, workspace, serve):
+        # Once the client was never closed: collecting it warned of an
+        # unclosed socket, an error under this suite's warnings filter.
+        payload = {"candidates": [{"text": "question q answer a", "lm_score": -1.0}]}
+        endpoint = serve(_Script([(200, payload)]), keep_alive=True)
+        code = run_cli(
+            "generate",
+            "--input", str(workspace / "passages.jsonl"),
+            "--backend", "remote",
+            "--endpoint", endpoint,
+            "--num-samples", "1",
+            "--output", str(workspace / "candidates.jsonl"),
+        )
+        assert code == 0
+        gc.collect()
 
 
 class TestMixCommand:
@@ -720,7 +742,7 @@ class TestMalformedRecords:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("override", [{"workers": "2"}, {"top_k": "3"}, {"dedup": "no"}])
+    @pytest.mark.parametrize("override", [{"workers": "2"}, {"top_k": "3"}, {"resume": "no"}])
     def test_run_config_value_of_wrong_type_exit_usage(self, workspace, override):
         config_path = workspace / "config.json"
         config_path.write_text(
@@ -756,7 +778,6 @@ FLAG_ALIASES = [
     ("--passages", "--input", "input"),
     ("--sample", "--sample-n", "sample_n"),
     ("--keep", "--keep-per-passage", "keep_per_passage"),
-    ("--no-extractive", "--no-require-extractive", "require_extractive"),
 ]
 ALIAS_CASES = [
     (command, alias, flag)
@@ -803,10 +824,81 @@ class TestRunFlags:
     def test_alias_parses_to_the_flags_value(self, command, alias, flag):
         parser = build_parser()
         base = STAGE_ARGV.get(command, [command])
-        value = [] if flag.startswith("--no-") else ["7"]
-        assert vars(parser.parse_args([*base, alias, *value])) == vars(
-            parser.parse_args([*base, flag, *value])
+        assert vars(parser.parse_args([*base, alias, "7"])) == vars(
+            parser.parse_args([*base, flag, "7"])
         )
+
+
+# Spellings of the filter switches that are gone: their off-states only lost
+# valid examples (extractiveness) or wrote a document that failed (dedup).
+REMOVED_FLAGS = [
+    "--require-extractive", "--no-require-extractive", "--no-extractive", "--dedup", "--no-dedup",
+]
+
+
+class TestRemovedFilterSwitches:
+    @pytest.mark.parametrize("key", ["dedup", "require_extractive"])
+    def test_config_key_exit_usage(self, workspace, capsys, key):
+        config_path = workspace / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "input": str(workspace / "passages.jsonl"),
+                    "output_dir": str(workspace / "out"),
+                    "train_corpus": str(workspace / "train.jsonl"),
+                    key: False,
+                }
+            ),
+            encoding="utf-8",
+        )
+        assert run_cli("run", "--config", str(config_path)) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("flag", REMOVED_FLAGS)
+    @pytest.mark.parametrize("command", ["run", "filter"])
+    def test_flag_exit_usage(self, workspace, capsys, command, flag):
+        before = sorted(os.listdir(workspace))
+        argv = {
+            "run": ["run", "--input", str(workspace / "passages.jsonl"),
+                    "--output-dir", str(workspace / "out"),
+                    "--train-corpus", str(workspace / "train.jsonl")],
+            "filter": ["filter", "--candidates", str(workspace / "candidates.jsonl"),
+                       "--input", str(workspace / "passages.jsonl"),
+                       "--output", str(workspace / "examples.jsonl")],
+        }[command]
+        assert run_cli(*argv, flag) == 1
+        assert flag in capsys.readouterr().err
+        assert sorted(os.listdir(workspace)) == before
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_flags() -> set[str]:
+    """Every ``--flag`` in the README's code spans and blocks; ``--[no-]x`` is two flags."""
+    text = README.read_text(encoding="utf-8")
+    flags = set()
+    for span in re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S):
+        for negatable, name in re.findall(r"(?<![\w-])--(\[no-\])?([a-z][a-z0-9-]*)", span):
+            flags.add("--" + name)
+            if negatable:
+                flags.add("--no-" + name)
+    # The placeholders of "every key k has the flag --k, a boolean --k / --no-k".
+    return flags - {"--k", "--no-k"}
+
+
+class TestReadmeFlags:
+    def test_every_named_flag_is_an_option(self):
+        parser = build_parser()
+        options = set(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for subparser in action.choices.values():
+                    options |= set(subparser._option_string_actions)
+        flags = readme_flags()
+        assert {"--input", "--no-length-normalize", "--passages"} <= flags
+        assert sorted(flags - options) == []
 
 
 class TestStagedChainMatchesRun:

@@ -221,8 +221,7 @@ def small_models(draw):
             max_size=5,
         )
     )
-    smoothing = draw(st.sampled_from([1.0, 0.5, 0.1, 2.5]))
-    backend = ReferenceBackend(order, vocabulary, counts, smoothing)
+    backend = ReferenceBackend(order, vocabulary, counts)
     queries = [*counts, draw(contexts), ("never", "seen")[: order - 1]]
     k = draw(st.integers(1, len(vocabulary) + 4))
     return backend, queries, k

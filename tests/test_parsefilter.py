@@ -188,14 +188,6 @@ class TestRunFilterPipeline:
         assert examples[0].lm_score == -3.0
         assert stats.deduped == 1
 
-    def test_dedup_disabled_keeps_duplicates(self, passage):
-        candidates = [
-            _candidate("which wall", "harbor wall", -5.0),
-            _candidate("which wall", "harbor wall", -3.0),
-        ]
-        examples, _ = run_filter_pipeline(passage, candidates, FilterConfig(dedup=False))
-        assert len(examples) == 2
-
     def test_non_extractive_candidates_drop(self, passage):
         candidates = [
             _candidate("what guards the bay", "harbor wall", -1.0),
@@ -223,23 +215,18 @@ class TestRunFilterPipeline:
         assert examples[0].language == "en"
         assert examples[0].passage_id == "p1"
 
-    def test_extractiveness_off_ranks_before_span_lookup(self, passage):
-        # Two junk answers outscore the extractive one; with the check off
-        # they eat the keep budget and vanish at construction.
+    def test_non_extractive_candidates_spend_no_keep_budget(self, passage):
+        # Two junk answers outscore the extractive one; they drop before the
+        # ranking, so the extractive one is kept.
         candidates = [
             _candidate("q one", "not in passage", -0.1),
             _candidate("q two", "also missing", -0.2),
             _candidate("q three", "harbor wall", -5.0),
         ]
-        config = FilterConfig(keep_per_passage=2, require_extractive=False)
+        config = FilterConfig(keep_per_passage=2)
         examples, stats = run_filter_pipeline(passage, candidates, config)
-        assert examples == []
-        assert stats.extractive == 3
-        assert stats.kept == 0
-
-        strict = FilterConfig(keep_per_passage=2, require_extractive=True)
-        examples, stats = run_filter_pipeline(passage, candidates, strict)
         assert [e.answer for e in examples] == ["harbor wall"]
+        assert (stats.parsed, stats.extractive, stats.kept) == (3, 1, 1)
 
     def test_length_normalized_ranking_flips_order(self, passage):
         # Short candidate wins on total score; long one wins per token.

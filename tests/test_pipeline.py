@@ -87,7 +87,7 @@ class TestRunPipeline:
         dataset_b = Path(report_b.outputs["dataset"]).read_bytes()
         assert dataset_a == dataset_b
         assert read_squad(dataset_a).violations == []
-        for artifact in ("passages", "candidates", "examples", "stats"):
+        for artifact in ("passages", "candidates", "examples"):
             assert (
                 Path(report_a.outputs[artifact]).read_bytes()
                 == Path(report_b.outputs[artifact]).read_bytes()
@@ -323,7 +323,7 @@ class TestConfigValueTypes:
         [
             {"workers": "2"},
             {"top_k": "3"},
-            {"dedup": "no"},
+            {"resume": "no"},
             {"workers": True},
             {"min_tokens": 30.0},
             {"top_k": None},
@@ -337,9 +337,9 @@ class TestConfigValueTypes:
     def test_declared_types_accepted(self):
         config = PipelineConfig.from_mapping(
             {"input": "x", "output_dir": "y", "seed": None, "sample_n": 3,
-             "dedup": False, "language": "en"}
+             "length_normalize": True, "language": "en"}
         )
-        assert (config.seed, config.sample_n, config.dedup) == (None, 3, False)
+        assert (config.seed, config.sample_n, config.length_normalize) == (None, 3, True)
 
 
 CANDIDATE_RECORD = {"text": "question q answer a", "lm_score": -1.0}
@@ -583,8 +583,6 @@ class TestResumeFingerprint:
             {"max_tokens": 50},
             {"language": "en"},
             {"keep_per_passage": 3},
-            {"require_extractive": False},
-            {"dedup": False},
             {"length_normalize": True},
             {"workers": 2},
         ],
@@ -602,8 +600,7 @@ class TestResumeFingerprint:
 
 
 ARTIFACTS = {
-    "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json", "stats.json",
-    "report.json",
+    "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json", "report.json",
 }
 
 
@@ -628,7 +625,7 @@ class TestNoTemporaryLeftBehind:
 def same_artifacts(first: PipelineReport, second: PipelineReport) -> bool:
     return all(
         Path(first.outputs[name]).read_bytes() == Path(second.outputs[name]).read_bytes()
-        for name in ("passages", "candidates", "examples", "dataset", "stats")
+        for name in ("passages", "candidates", "examples", "dataset")
     )
 
 
@@ -821,6 +818,23 @@ class TestInOrder:
         assert results == list(range(10))
         assert len(started) < 1000
 
+    def test_no_item_starts_after_a_failure(self):
+        # Item 1 fails at once; item 0 fails later, while the consumer waits
+        # on it. Once, the idle threads went on starting items meanwhile.
+        started: list[int] = []
+
+        def fail_first_two(item: int) -> int:
+            started.append(item)
+            time.sleep({0: 0.1, 1: 0}.get(item, 0.01))
+            if item < 2:
+                raise ValueError(item)
+            return item
+
+        with pytest.raises(ValueError, match="^0$"):
+            list(_in_order(fail_first_two, range(1000), workers=2))
+        # Only the items the 2 * workers threads had already started ran.
+        assert len(started) <= 4
+
 
 class _PassageService:
     """A remote generation service for the ``serve`` fixture.
@@ -901,3 +915,14 @@ class TestRemoteWorkers:
                 run_pipeline(config, backend=backend)
         assert isinstance(exc.value.cause, TransportError)
         assert max(entry["in_flight"] for entry in service.requests) <= 2
+
+    def test_dead_service_costs_one_retry_budget_per_thread(self, tmp_path, serve):
+        # Once, passages queued behind the first failure still started, and
+        # a run against a dead service spent two retry budgets (24 requests).
+        service = _PassageService(delay=0.005, always_fail=True)
+        config = remote_config(tmp_path, serve(service, keep_alive=True), "out", workers=2)
+        with closing(build_backend(config)) as backend:
+            backend.backoff_base = 0.02
+            with pytest.raises(PipelineError):
+                run_pipeline(config, backend=backend)
+        assert len(service.requests) <= 2 * config.workers * backend.max_attempts

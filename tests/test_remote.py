@@ -87,16 +87,6 @@ class TestRemoteGeneratorClient:
         assert script.bodies == [script.bodies[0]] * 3
         assert script.bodies[0]["target_language"] == "de"
 
-    def test_pre_specified_answer_forwarded_as_metadata(self, serve):
-        script = _Script([(200, _ok_payload(1))])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        request = GenerationRequest(
-            passage="p", language="en", num_samples=1, top_k=1,
-            max_output_tokens=4, answer="the span",
-        )
-        client.generate(request)
-        assert script.bodies[0]["answer"] == "the span"
-
     def test_retries_through_server_errors(self, serve):
         script = _Script([(500, {}), (503, {}), (200, _ok_payload())])
         client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
@@ -187,10 +177,10 @@ class TestFailurePaths:
     def test_request_body_keys_in_field_order(self, serve):
         script = _Script([(200, _ok_payload(1))])
         client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        client.generate(replace(_request(num_samples=1), answer="río"))
+        client.generate(_request(num_samples=1))
         assert list(script.bodies[0]) == [
             "passage", "language", "num_samples", "top_k", "max_output_tokens",
-            "target_language", "answer",
+            "target_language",
         ]
 
 
