@@ -20,7 +20,7 @@ from .dataset import (
     SquadWriter,
     atomic_write,
     build_training_mix,
-    jsonl_line,
+    example_line,
     read_squad,
     squad_article,
     write_json,
@@ -151,7 +151,7 @@ def cmd_filter(args) -> int:
         for passage, candidates, _ in groups:
             kept, stats = run_filter_pipeline(passage, candidates, config)
             totals.merge(stats)
-            handle.writelines(jsonl_line(e.to_record()) for e in kept)
+            handle.writelines(map(example_line, kept))
     if args.stats:
         write_json(args.stats, totals.to_record())
     print(f"kept {totals.kept} of {totals.candidates} candidates -> {args.output}")

@@ -18,15 +18,18 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import IO, Any
 
 from .corpus import Passage
 from .errors import ConfigurationError, EmissionError, SquadParseError, json_error_reason
+from .generator import Candidate
 from .parsefilter import SyntheticExample
 
 __all__ = [
@@ -48,6 +51,8 @@ __all__ = [
     "dumps_squad",
     "write_squad",
     "jsonl_line",
+    "candidate_rows",
+    "example_line",
     "atomic_write",
     "write_json",
     "write_jsonl",
@@ -57,7 +62,11 @@ __all__ = [
 SQUAD_VERSION = "1.1"
 
 # Encodes as json.dumps(value, ensure_ascii=False) does, without building a
-# new encoder per call.
+# new encoder per call. The per-record lines, ``candidate_rows``,
+# ``example_line`` and ``qa_content_id``'s payload, are filled into templates
+# instead, from ``_json_string`` (the escaper this encoder uses) and
+# ``_json_number``; tests/test_dataset.py::TestEncodingsEqualJsonDumps checks
+# that they equal json.dumps.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 # Encodes as json.dumps(value, ensure_ascii=False, separators=(",", ":"))
 # does: the compact layout of a document, used for every article.
@@ -67,6 +76,40 @@ _SQUAD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 def jsonl_line(record: Any) -> str:
     """``record`` as one JSONL line, newline included."""
     return _ENCODER.encode(record) + "\n"
+
+
+def _json_number(value: Any) -> str:
+    """``value`` as ``_ENCODER`` writes it; the repr of an exact finite float or an int."""
+    kind = type(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)  # NaN, infinities, bools, subclasses
+
+
+def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
+    """One passage's ``candidates.jsonl`` lines, ``{"passage_id", "text", "lm_score"}`` each.
+
+    Each line is ``jsonl_line({"passage_id": passage_id, **candidate.to_record()})``.
+    """
+    prefix = '{"passage_id": ' + _json_string(passage_id) + ', "text": '
+    return "".join(
+        f'{prefix}{_json_string(c.text)}, "lm_score": {_json_number(c.lm_score)}}}\n'
+        for c in candidates
+    )
+
+
+def example_line(example: SyntheticExample) -> str:
+    """The ``examples.jsonl`` line of one example: ``jsonl_line(example.to_record())``."""
+    return (
+        f'{{"passage_id": {_json_string(example.passage_id)}, '
+        f'"question": {_json_string(example.question)}, '
+        f'"answer": {_json_string(example.answer)}, '
+        f'"answer_start": {_json_number(example.answer_start)}, '
+        f'"lm_score": {_json_number(example.lm_score)}, '
+        f'"language": {_json_string(example.language)}}}\n'
+    )
 
 
 @contextmanager
@@ -192,7 +235,7 @@ class SquadReadResult:
 
 def qa_content_id(passage_id: str, question: str, answer: str) -> str:
     """Deterministic entry id: stable across re-runs and parallel schedules."""
-    payload = _ENCODER.encode([passage_id, question, answer])
+    payload = f"[{_json_string(passage_id)}, {_json_string(question)}, {_json_string(answer)}]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 

@@ -143,9 +143,11 @@ class _SamplingTable(NamedTuple):
     """What a decode step needs of the top-k symbols after one context."""
 
     symbols: list[str]
-    cumulative: list[float]  # running sums of the probabilities, left to right
+    # Running sums of the probabilities, left to right, but the last: the
+    # boundaries between the symbols' intervals.
+    bounds: list[float]
     # sum() of the probabilities, the draw's scale; from Python 3.12 sum()
-    # compensates rounding, so it need not equal cumulative[-1].
+    # compensates rounding, so it need not equal the last running sum.
     mass: float
     logs: list[float]  # natural log of each probability
 
@@ -163,9 +165,12 @@ class ReferenceBackend:
     prefix + continuation.
 
     The model is fixed at construction. Each decode step reads a sampling
-    table built at the first use of its (context, k) and memoized; instances
-    are safe to share across threads, since racing threads build and store
-    equal tables. Sampling determinism comes from the caller-provided seed.
+    table built at the first use of its (context, k) and memoized: the cache
+    maps k to a dict from trained context to table, in which every untrained
+    context shares the table under None. A sequence fetches its k's dict
+    once, so a step in a trained context is one dict lookup. Instances are
+    safe to share across threads, since racing threads build and store equal
+    tables. Sampling determinism comes from the caller-provided seed.
     A table ranks by count, ties lexicographic, which is the probability
     order: a new context costs a C sort of its counted symbols plus O(k)
     Python work. A counted symbol outside the vocabulary is never emitted.
@@ -186,9 +191,10 @@ class ReferenceBackend:
         eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
         self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
         self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
-        # Keyed by (trained context or None, k): every untrained context has
-        # total 0 and so the same ranking, which bounds the cache by the model.
-        self._top_k_cache: dict[tuple[tuple[str, ...] | None, int], _SamplingTable] = {}
+        # k -> {trained context or None: table}. Every untrained context has
+        # total 0 and so the same ranking: it shares the table under None,
+        # which bounds the cache by the model.
+        self._top_k_cache: dict[int, dict[tuple[str, ...] | None, _SamplingTable]] = {}
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Add-one-smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
@@ -240,16 +246,22 @@ class ReferenceBackend:
         top_k: int,
         max_tokens: int,
     ) -> tuple[list[str], float]:
+        # A trained context's table is one dict probe; a miss (a new or an
+        # untrained context) falls back to _sampling_table.
+        tables = self._top_k_cache.setdefault(top_k, {})
+        get_table = tables.get
+        draw = rng.random
+        bisect_right = bisect.bisect_right
         tokens: list[str] = []
         score = 0.0
         shifts = self.order > 1
-        while len(tokens) < max_tokens:
-            symbols, cumulative, mass, logs = self._sampling_table(context, top_k)
-            # The first running sum above the draw; a draw that rounding puts
-            # past the last sum takes the last symbol.
-            pick = bisect.bisect_right(cumulative, rng.random() * mass)
-            if pick == len(symbols):
-                pick -= 1
+        for _ in range(max_tokens):
+            symbols, bounds, mass, logs = (
+                get_table(context) or self._sampling_table(context, top_k)
+            )
+            # The first boundary above the draw; a draw past the last boundary,
+            # even one that rounding puts past the total, takes the last symbol.
+            pick = bisect_right(bounds, draw() * mass)
             symbol = symbols[pick]
             if symbol == EOS_TOKEN:
                 break
@@ -262,14 +274,15 @@ class ReferenceBackend:
 
     def _sampling_table(self, context: tuple[str, ...], k: int) -> _SamplingTable:
         """The decode-step table of the top ``k`` symbols after ``context``, built at first use."""
-        key = (context if context in self.counts else None, k)
-        table = self._top_k_cache.get(key)
+        tables = self._top_k_cache.setdefault(k, {})
+        key = context if context in self.counts else None
+        table = tables.get(key)
         if table is None:
             symbols, probs = self._top_k(context, k)
             table = _SamplingTable(
-                symbols, list(accumulate(probs)), sum(probs), [math.log(p) for p in probs]
+                symbols, list(accumulate(probs[:-1])), sum(probs), [math.log(p) for p in probs]
             )
-            self._top_k_cache[key] = table
+            tables[key] = table
         return table
 
     def _top_k(self, context: tuple[str, ...], k: int) -> tuple[list[str], list[float]]:

@@ -46,6 +46,28 @@ class CandidateParseError(QAForgeError):
         self.part = part
 
 
+def _split_candidate(text: str) -> tuple[str, str] | str:
+    """``(question, answer)`` of a decoded sequence, or the name of its first unusable part.
+
+    Parts are checked in the order question marker, answer marker, question,
+    answer.
+    """
+    head = _QUESTION_MARKER.match(text)
+    if head is None:
+        return "question_marker"
+    rest = text[head.end():]
+    marker = _ANSWER_MARKER.search(rest)
+    if marker is None:
+        return "answer_marker"
+    question = rest[: marker.start()].strip()
+    if not question:
+        return "question"
+    answer = rest[marker.end():].strip()
+    if not answer:
+        return "answer"
+    return question, answer
+
+
 def parse_candidate(text: str) -> QAPair:
     """Split a decoded sequence into its question and answer parts.
 
@@ -54,20 +76,10 @@ def parse_candidate(text: str) -> QAPair:
     between them, the answer the trimmed material after the first ``answer``
     marker. Raises CandidateParseError naming the missing part otherwise.
     """
-    head = _QUESTION_MARKER.match(text)
-    if head is None:
-        raise CandidateParseError("question_marker")
-    rest = text[head.end():]
-    marker = _ANSWER_MARKER.search(rest)
-    if marker is None:
-        raise CandidateParseError("answer_marker")
-    question = rest[: marker.start()].strip()
-    answer = rest[marker.end():].strip()
-    if not question:
-        raise CandidateParseError("question")
-    if not answer:
-        raise CandidateParseError("answer")
-    return QAPair(question=question, answer=answer)
+    split = _split_candidate(text)
+    if isinstance(split, str):
+        raise CandidateParseError(split)
+    return QAPair(*split)
 
 
 def check_extractive(answer: str, passage_text: str) -> int | None:
@@ -211,20 +223,20 @@ def run_filter_pipeline(
 
     drafts: list[_Draft] = []
     for candidate in candidates:
-        try:
-            pair = parse_candidate(candidate.text)
-        except CandidateParseError as exc:
-            stats.parse_failures[exc.part] = stats.parse_failures.get(exc.part, 0) + 1
+        split = _split_candidate(candidate.text)
+        if isinstance(split, str):
+            stats.parse_failures[split] = stats.parse_failures.get(split, 0) + 1
             continue
         stats.parsed += 1
-        answer = unicodedata.normalize("NFC", pair.answer)
+        question, answer = split
+        answer = unicodedata.normalize("NFC", answer)
         answer_start = check_extractive(answer, passage.text)
         if answer_start is None:
             continue
         score = candidate.lm_score
         if config.length_normalize:
             score /= len(candidate.text.split())
-        question = unicodedata.normalize("NFC", pair.question)
+        question = unicodedata.normalize("NFC", question)
         drafts.append(_Draft(question, answer, score, answer_start))
     stats.extractive = len(drafts)
 

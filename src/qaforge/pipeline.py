@@ -45,7 +45,16 @@ from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
 from .corpus import (
     Passage, RecordError, filter_by_length, language_code, parse_passage_stream, sample_passages
 )
-from .dataset import SquadWriter, atomic_write, jsonl_line, squad_article, write_json, write_jsonl
+from .dataset import (
+    SquadWriter,
+    atomic_write,
+    candidate_rows,
+    example_line,
+    jsonl_line,
+    squad_article,
+    write_json,
+    write_jsonl,
+)
 from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
@@ -199,13 +208,6 @@ def read_passages(
             return list(parse_passage_stream(handle, on_error=on_error or reject))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
-    """One passage's ``candidates.jsonl`` lines, ``{"passage_id", "text", "lm_score"}`` each."""
-    return "".join(
-        jsonl_line({"passage_id": passage_id, **candidate.to_record()}) for candidate in candidates
-    )
 
 
 def read_passage_groups(
@@ -607,7 +609,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                     candidates_out.write(rows)
                     kept, stats = run_filter_pipeline(passage, candidates, filter_config)
                     totals.merge(stats)
-                    examples_out.writelines(jsonl_line(e.to_record()) for e in kept)
+                    examples_out.writelines(map(example_line, kept))
                     if kept:
                         document.add(squad_article(passage, kept))
                 document.finish()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import stat
@@ -21,8 +22,10 @@ from qaforge.dataset import (
     SquadParagraph,
     SquadQA,
     build_training_mix,
+    candidate_rows,
     dumps_squad,
     emit_squad,
+    example_line,
     qa_content_id,
     read_squad,
     write_json,
@@ -30,6 +33,7 @@ from qaforge.dataset import (
     write_squad,
 )
 from qaforge.errors import ConfigurationError, DataError, EmissionError, SquadParseError
+from qaforge.generator import Candidate
 from qaforge.parsefilter import SyntheticExample
 
 
@@ -418,8 +422,45 @@ articles = st.builds(SquadArticle, st.text(), st.lists(paragraphs, max_size=2))
 datasets = st.builds(SquadDataset, st.text(), st.lists(articles, max_size=3))
 
 
+class _Score(float):
+    pass
+
+
+class _Offset(int):
+    pass
+
+
+# Strings with JSON's escapes, control characters, the line separators
+# JavaScript rejects and characters outside the BMP.
+json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001F600é') | st.characters())
+# Every kind of number a record may hold, with the values a repr gets wrong.
+json_numbers = (
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, True, False])
+    | st.floats()
+    | st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.builds(_Score, st.floats())
+    | st.builds(_Offset, st.integers())
+)
+
+
 class TestEncodingsEqualJsonDumps:
-    @given(st.text(), st.text(), st.text())
+    @given(json_texts, st.lists(st.tuples(json_texts, json_numbers), max_size=4))
+    def test_candidate_rows(self, passage_id, drawn):
+        candidates = [Candidate(text, lm_score) for text, lm_score in drawn]
+        expected = "".join(
+            json.dumps({"passage_id": passage_id, **c.to_record()}, ensure_ascii=False) + "\n"
+            for c in candidates
+        )
+        assert candidate_rows(passage_id, candidates) == expected
+
+    @given(json_texts, json_texts, json_texts, json_numbers, json_numbers, json_texts)
+    def test_example_line(self, passage_id, question, answer, answer_start, lm_score, language):
+        example = SyntheticExample(passage_id, question, answer, answer_start, lm_score, language)
+        expected = json.dumps(example.to_record(), ensure_ascii=False) + "\n"
+        assert example_line(example) == expected
+
+    @given(json_texts, json_texts, json_texts)
     def test_content_id(self, passage_id, question, answer):
         payload = json.dumps([passage_id, question, answer], ensure_ascii=False)
         expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]

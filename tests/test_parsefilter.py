@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaforge.corpus import Passage
@@ -13,6 +14,7 @@ from qaforge.parsefilter import (
     CandidateParseError,
     FilterConfig,
     QAPair,
+    SyntheticExample,
     check_extractive,
     lm_filter,
     parse_candidate,
@@ -48,6 +50,11 @@ class TestParseCandidate:
         with pytest.raises(CandidateParseError) as exc:
             parse_candidate("questionable words answer a")
         assert exc.value.part == "question_marker"
+
+    def test_empty_question_is_named_before_empty_answer(self):
+        with pytest.raises(CandidateParseError) as exc:
+            parse_candidate("question answer")
+        assert exc.value.part == "question"
 
     def test_missing_answer_marker(self):
         with pytest.raises(CandidateParseError) as exc:
@@ -262,3 +269,105 @@ class TestRunFilterPipeline:
         _, stats = run_filter_pipeline(passage, candidates, FilterConfig())
         assert stats.candidates >= stats.parsed >= stats.extractive
         assert stats.extractive >= stats.deduped >= stats.kept
+
+
+def oracle_filter(passage: Passage, candidates: list[Candidate], config: FilterConfig):
+    """The filter written on ``parse_candidate`` and ``check_extractive``: a failed
+    parse is a caught CandidateParseError, deduplication a pairwise comparison."""
+    parse_failures: dict[str, int] = {}
+    drafts = []
+    for candidate in candidates:
+        try:
+            pair = parse_candidate(candidate.text)
+        except CandidateParseError as exc:
+            parse_failures[exc.part] = parse_failures.get(exc.part, 0) + 1
+            continue
+        answer = unicodedata.normalize("NFC", pair.answer)
+        answer_start = check_extractive(answer, passage.text)
+        if answer_start is None:
+            continue
+        score = candidate.lm_score
+        if config.length_normalize:
+            score /= len(candidate.text.split())
+        drafts.append((unicodedata.normalize("NFC", pair.question), answer, answer_start, score))
+    # A draft survives unless a draft of the same pair scores higher, or as
+    # high and comes first.
+    deduped = [
+        draft
+        for i, draft in enumerate(drafts)
+        if not any(
+            other[:2] == draft[:2] and (other[3] > draft[3] or (other[3] == draft[3] and j < i))
+            for j, other in enumerate(drafts)
+        )
+    ]
+    kept = sorted(deduped, key=lambda draft: -draft[3])[: config.keep_per_passage]
+    examples = [
+        SyntheticExample(passage.id, question, answer, start, score, passage.language)
+        for question, answer, start, score in kept
+    ]
+    counts = {
+        "candidates": len(candidates),
+        "parsed": len(candidates) - sum(parse_failures.values()),
+        "extractive": len(drafts),
+        "deduped": len(deduped),
+        "kept": len(examples),
+        "parse_failures": parse_failures,
+    }
+    return examples, counts
+
+
+# Candidate texts laid out as question marker, words, answer marker, words,
+# each marker sometimes missing or misspelt; the words are passage spans (one
+# with a decomposed accent) or runs of markers and other words, between runs
+# of whitespace.
+_TOKENS = st.sampled_from(
+    ["question", "answer", "Question", "answers", "questions", "harbor", "wall", "cafe\u0301",
+     "café", "bay", "x"]
+)
+_SPACES = st.sampled_from([" ", " ", " ", "", "  ", "\t", "\n", "\u3000", " \u00a0"])
+_RUNS = st.lists(st.tuples(_SPACES, _TOKENS), max_size=4).map(
+    lambda parts: "".join(space + token for space, token in parts)
+)
+_SPANS = st.sampled_from(["", "harbor", "harbor wall", "café", "cafe\u0301 harbor", "x", "bay"])
+_TEXTS = st.tuples(
+    _SPACES,
+    st.sampled_from(["question"] * 4 + ["questions", "Question", ""]),
+    _SPACES,
+    _SPANS | _RUNS,
+    _SPACES,
+    st.sampled_from(["answer"] * 4 + ["answers", ""]),
+    _SPACES,
+    _SPANS | _RUNS,
+    _SPACES,
+).map("".join)
+
+
+class TestFilterMatchesParseCandidate:
+    @settings(max_examples=300)
+    # Equal scores: the first copy of a pair keeps its place before a later pair.
+    @example(
+        ["question which answer harbor", "question where answer bay"],
+        [(0, -1), (1, -1), (0, -1)],
+        3,
+        False,
+    )
+    @example(["question cafe\u0301 x answer cafe\u0301 harbor"], [(0, -1)], 1, False)
+    @given(
+        st.lists(_TEXTS, min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 0)), max_size=24),
+        st.integers(1, 6),
+        st.booleans(),
+    )
+    def test_funnel_and_examples(self, texts, drawn, keep, length_normalize):
+        # Candidates reuse a few texts and scores, so pairs repeat, and
+        # scores tie.
+        passage = Passage.build("p1", "the café harbor wall x guards the bay", "en")
+        candidates = [Candidate(texts[i % len(texts)], float(score)) for i, score in drawn]
+        config = FilterConfig(keep_per_passage=keep, length_normalize=length_normalize)
+        examples, stats = run_filter_pipeline(passage, candidates, config)
+        expected_examples, expected_counts = oracle_filter(passage, candidates, config)
+        assert examples == expected_examples
+        assert stats.to_record() == {
+            **expected_counts,
+            "parse_failures": dict(sorted(expected_counts["parse_failures"].items())),
+        }
