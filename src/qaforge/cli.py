@@ -27,6 +27,7 @@ from .dataset import (
     write_jsonl,
 )
 from .errors import (
+    JSON_ERRORS,
     ConfigurationError,
     DataError,
     EmissionError,
@@ -67,37 +68,28 @@ EXIT_TRANSPORT = 3
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    """Every flag has one spelling: an abbreviation (``--sample`` for ``--sample-n``) is unknown."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ConfigurationError(f"{self.prog}: {message}")
-
-
-# Earlier spellings of some config-key flags, each one more name of the flag it maps to.
-_FLAG_ALIASES = {
-    "--input": ("--passages",),
-    "--sample-n": ("--sample",),
-    "--keep-per-passage": ("--keep",),
-}
 
 
 def _add_config_flags(parser, keys: Iterable[str], required: Collection[str] = ()) -> None:
     """Add ``--k`` for each config key k (underscores as dashes), and ``--no-k`` for a boolean.
 
-    Each flag also answers to its ``_FLAG_ALIASES`` and stores its value
-    under k; a flag left out is None.
+    Each flag stores its value under k; a flag left out is None.
     """
     types = PipelineConfig.field_types()
     for key in keys:
         flag = "--" + key.replace("_", "-")
         if types[key][0] is bool:
             for name, value in ((flag, True), ("--no-" + flag[2:], False)):
-                parser.add_argument(
-                    name, *_FLAG_ALIASES.get(name, ()), dest=key, action="store_const", const=value
-                )
+                parser.add_argument(name, dest=key, action="store_const", const=value)
         else:
-            parser.add_argument(
-                flag, *_FLAG_ALIASES.get(flag, ()),
-                dest=key, type=types[key][0], required=key in required,
-            )
+            parser.add_argument(flag, dest=key, type=types[key][0], required=key in required)
 
 
 def _flag_values(args) -> dict:
@@ -213,7 +205,7 @@ def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
     """A JSON document; invalid JSON raises ``invalid``."""
     try:
         return json.loads(_read_text(path))
-    except ValueError as exc:
+    except JSON_ERRORS as exc:
         raise invalid(f"{path}: invalid JSON: {json_error_reason(exc)}") from exc
 
 

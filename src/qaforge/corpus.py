@@ -8,18 +8,8 @@ import unicodedata
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, json_error_reason
+from .errors import JSON_ERRORS, ConfigurationError, json_error_reason
 from .segmentation import mixed_segment
-
-__all__ = [
-    "Passage",
-    "RecordError",
-    "count_tokens",
-    "language_code",
-    "filter_by_length",
-    "sample_passages",
-    "parse_passage_stream",
-]
 
 
 def language_code(language: str) -> str:
@@ -140,7 +130,7 @@ def parse_passage_stream(
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except JSON_ERRORS as exc:
             report(line_number, f"invalid record: {json_error_reason(exc)}")
             continue
         if not isinstance(record, dict):

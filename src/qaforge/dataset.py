@@ -28,36 +28,11 @@ from pathlib import Path
 from typing import IO, Any
 
 from .corpus import Passage
-from .errors import ConfigurationError, EmissionError, SquadParseError, json_error_reason
+from .errors import (
+    JSON_ERRORS, ConfigurationError, EmissionError, SquadParseError, json_error_reason
+)
 from .generator import Candidate
 from .parsefilter import SyntheticExample
-
-__all__ = [
-    "SQUAD_VERSION",
-    "SquadAnswer",
-    "SquadQA",
-    "SquadParagraph",
-    "SquadArticle",
-    "SquadDataset",
-    "SquadViolation",
-    "SquadReadResult",
-    "TrainingStage",
-    "TrainingManifest",
-    "qa_content_id",
-    "squad_article",
-    "emit_squad",
-    "read_squad",
-    "SquadWriter",
-    "dumps_squad",
-    "write_squad",
-    "jsonl_line",
-    "candidate_rows",
-    "example_line",
-    "atomic_write",
-    "write_json",
-    "write_jsonl",
-    "build_training_mix",
-]
 
 SQUAD_VERSION = "1.1"
 
@@ -116,6 +91,10 @@ def example_line(example: SyntheticExample) -> str:
 def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     """A temporary sibling of ``path``, open for writing; renamed to ``path`` on success.
 
+    The temporary is ``.NAME.tmp`` for a target named NAME. The name is fixed,
+    so a temporary left by a killed process is replaced by the next writer of
+    the same target; two processes must not write one target at once.
+
     The temporary is opened like any ``open(path, "w")`` file, so the
     artifact gets the same permission bits. A symlinked ``path`` is resolved
     first, so the link is kept and its target replaced. If the block raises,
@@ -133,7 +112,7 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
         temporary = target
     else:
         target = Path(os.path.realpath(target))
-        temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        temporary = target.with_name(f".{target.name}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
             yield handle
@@ -366,7 +345,7 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
             raise SquadParseError(f"document is not valid utf-8: {exc}") from exc
     try:
         document = json.loads(source)
-    except ValueError as exc:
+    except JSON_ERRORS as exc:
         raise SquadParseError(f"document is not valid JSON: {json_error_reason(exc)}") from exc
 
     version = _expect_key(document, "version", str, "$")

@@ -9,13 +9,15 @@ from __future__ import annotations
 import json
 
 
-def json_error_reason(exc: ValueError) -> str:
-    """Why ``json.loads`` failed.
+# What ``json.loads`` raises on a document it cannot decode. Besides
+# ``JSONDecodeError``, it raises a plain ValueError for an integer literal past
+# the interpreter's digit limit (4300 by default), and RecursionError for
+# arrays or objects nested too deeply. Every JSON reader catches these.
+JSON_ERRORS = (ValueError, RecursionError)
 
-    Besides ``JSONDecodeError``, ``json.loads`` raises a plain ValueError for
-    an integer literal past the interpreter's digit limit (4300 by default),
-    so readers catch ValueError and describe it with this.
-    """
+
+def json_error_reason(exc: ValueError | RecursionError) -> str:
+    """Why ``json.loads`` failed, for any of ``JSON_ERRORS``."""
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
@@ -34,12 +36,11 @@ class DataError(QAForgeError):
 class TransportError(QAForgeError):
     """Remote generation service unreachable or misbehaving.
 
-    Carries retry metadata so batch drivers can report how hard we tried.
+    ``attempts`` is how many requests were made before giving up.
     """
 
-    def __init__(self, message: str, *, url: str | None = None, attempts: int = 1):
+    def __init__(self, message: str, *, attempts: int = 1):
         super().__init__(message)
-        self.url = url
         self.attempts = attempts
 
 

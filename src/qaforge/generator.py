@@ -21,17 +21,6 @@ from typing import Any, NamedTuple
 from .corpus import language_code
 from .errors import ConfigurationError, DataError
 
-__all__ = [
-    "EOS_TOKEN",
-    "GenerationRequest",
-    "Candidate",
-    "ReferenceBackend",
-    "format_target",
-    "conditioning_text",
-    "train_reference",
-    "derive_seed",
-]
-
 EOS_TOKEN = "</s>"
 _PAD_TOKEN = "<pad>"
 

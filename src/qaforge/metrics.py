@@ -24,22 +24,10 @@ from pathlib import Path
 
 from .corpus import language_code
 from .dataset import SquadDataset
-from .errors import ConfigurationError, DataError, MissingPredictionsError, json_error_reason
+from .errors import (
+    JSON_ERRORS, ConfigurationError, DataError, MissingPredictionsError, json_error_reason
+)
 from .segmentation import mixed_segment
-
-__all__ = [
-    "NormalizationProfile",
-    "ExampleScore",
-    "EvalReport",
-    "load_profile_table",
-    "make_profile",
-    "normalize_answer",
-    "tokenize_for_f1",
-    "exact_match",
-    "f1",
-    "evaluate_dataset",
-    "bleu",
-]
 
 _ENGLISH_ARTICLES = frozenset({"a", "an", "the"})
 
@@ -121,7 +109,7 @@ def load_profile_table(path: str | Path | None = None) -> dict:
             raise ConfigurationError(f"cannot read profile table {path}: {exc}") from exc
     try:
         table = json.loads(raw)
-    except ValueError as exc:
+    except JSON_ERRORS as exc:
         raise ConfigurationError(
             f"profile table is not valid JSON: {json_error_reason(exc)}"
         ) from exc

@@ -6,44 +6,16 @@ import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Any, NamedTuple, TypeVar
+from typing import Any, NamedTuple
 
 from .corpus import Passage
-from .errors import ConfigurationError, DataError, QAForgeError
+from .errors import ConfigurationError, DataError
 from .generator import Candidate
-
-__all__ = [
-    "QAPair",
-    "FilterConfig",
-    "SyntheticExample",
-    "FilterStats",
-    "CandidateParseError",
-    "parse_candidate",
-    "check_extractive",
-    "lm_filter",
-    "run_filter_pipeline",
-]
-
-T = TypeVar("T")
 
 # Markers must be standalone whitespace-delimited tokens; the split uses the
 # first "answer" token, so a question containing that word gets truncated.
 _QUESTION_MARKER = re.compile(r"\A\s*question(?:\s+|\Z)")
 _ANSWER_MARKER = re.compile(r"(?:\A|(?<=\s))answer(?:(?=\s)|\Z)")
-
-
-@dataclass(frozen=True)
-class QAPair:
-    question: str
-    answer: str
-
-
-class CandidateParseError(QAForgeError):
-    """A decoded candidate does not carry a well-formed question/answer pair."""
-
-    def __init__(self, part: str):
-        super().__init__(f"candidate has no usable {part.replace('_', ' ')}")
-        self.part = part
 
 
 def _split_candidate(text: str) -> tuple[str, str] | str:
@@ -66,44 +38,6 @@ def _split_candidate(text: str) -> tuple[str, str] | str:
     if not answer:
         return "answer"
     return question, answer
-
-
-def parse_candidate(text: str) -> QAPair:
-    """Split a decoded sequence into its question and answer parts.
-
-    The text must start with the standalone token ``question`` and contain a
-    later standalone ``answer`` token; the question is the trimmed material
-    between them, the answer the trimmed material after the first ``answer``
-    marker. Raises CandidateParseError naming the missing part otherwise.
-    """
-    split = _split_candidate(text)
-    if isinstance(split, str):
-        raise CandidateParseError(split)
-    return QAPair(*split)
-
-
-def check_extractive(answer: str, passage_text: str) -> int | None:
-    """Character offset of the first exact occurrence of ``answer``, or None.
-
-    Matching is case- and whitespace-sensitive; both strings are expected
-    to be NFC-normalized.
-    """
-    offset = passage_text.find(answer)
-    return None if offset < 0 else offset
-
-
-def lm_filter(
-    candidates: Sequence[tuple[T, float]], keep: int
-) -> list[tuple[T, float]]:
-    """Keep the ``keep`` highest-scored items, ordered by score descending.
-
-    Ties preserve the original input order, and the result for ``keep`` is
-    always a prefix of the result for ``keep + 1``.
-    """
-    if keep < 1:
-        raise ConfigurationError(f"keep must be >= 1, got {keep}")
-    ranked = sorted(candidates, key=lambda item: -item[1])
-    return ranked[:keep]
 
 
 @dataclass(frozen=True)
@@ -215,9 +149,10 @@ def run_filter_pipeline(
     Stages, in order: structural parse, extractiveness check, exact-duplicate
     removal keeping the highest-scored instance, then top-``keep_per_passage``
     selection by score. Question and answer text is NFC-normalized so the
-    substring check against the (already normalized) passage is exact. Every
-    example therefore has a verified character offset and a distinct
-    (question, answer) pair.
+    substring check against the (already normalized) passage is exact: case-
+    and whitespace-sensitive, at the answer's first occurrence. Every example
+    therefore has a verified character offset and a distinct (question, answer)
+    pair.
     """
     stats = FilterStats(candidates=len(candidates))
 
@@ -230,8 +165,8 @@ def run_filter_pipeline(
         stats.parsed += 1
         question, answer = split
         answer = unicodedata.normalize("NFC", answer)
-        answer_start = check_extractive(answer, passage.text)
-        if answer_start is None:
+        answer_start = passage.text.find(answer)
+        if answer_start < 0:
             continue
         score = candidate.lm_score
         if config.length_normalize:
@@ -243,7 +178,9 @@ def run_filter_pipeline(
     drafts = _dedup_keep_best(drafts)
     stats.deduped = len(drafts)
 
-    ranked = lm_filter([(draft, draft.lm_score) for draft in drafts], config.keep_per_passage)
+    # A stable sort: of equal scores, the earlier draft ranks first, so the
+    # result for k is a prefix of the result for k + 1.
+    ranked = sorted(drafts, key=lambda draft: -draft.lm_score)[: config.keep_per_passage]
     examples = [
         SyntheticExample(
             passage_id=passage.id,
@@ -253,7 +190,7 @@ def run_filter_pipeline(
             lm_score=draft.lm_score,
             language=passage.language,
         )
-        for draft, _ in ranked
+        for draft in ranked
     ]
     stats.kept = len(examples)
     return examples, stats

@@ -55,29 +55,17 @@ from .dataset import (
     write_json,
     write_jsonl,
 )
-from .errors import ConfigurationError, DataError, PipelineError, json_error_reason
+from .errors import JSON_ERRORS, ConfigurationError, DataError, PipelineError, json_error_reason
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
 from .remote import RemoteGeneratorClient, resolve_endpoint
 
 logger = logging.getLogger(__name__)
 
-SEED_ENV = "QAFORGE_SEED"
-
 # Stage names in funnel order; "generated" starts the per-candidate section.
 PASSAGE_STAGES = ("ingested", "length_kept", "sampled")
 CANDIDATE_STAGES = ("generated", "parsed", "extractive", "deduped", "kept")
 _SECTION_STARTS = {PASSAGE_STAGES[0], CANDIDATE_STAGES[0]}
-
-
-def default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{SEED_ENV} must be an integer, got {raw!r}") from exc
 
 
 @dataclass
@@ -126,7 +114,8 @@ class PipelineConfig:
         return cls(**mapping)
 
     def resolved_seed(self) -> int:
-        return self.seed if self.seed is not None else default_seed()
+        """``seed``, or 0 when it is unset."""
+        return self.seed or 0
 
     def filter_config(self) -> FilterConfig:
         """The filter knobs, each a config key of the same name."""
@@ -180,7 +169,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[in
                     continue
                 try:
                     record = json.loads(line)
-                except ValueError as exc:
+                except JSON_ERRORS as exc:
                     reason = json_error_reason(exc)
                     raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
                 try:
@@ -394,7 +383,7 @@ class _CheckpointJournal:
                 offset += len(line)
                 try:
                     record = json.loads(line)
-                except ValueError:
+                except JSON_ERRORS:
                     continue
                 if isinstance(record, dict) and "passage_sha256" in record:
                     if isinstance(record.get("passage_id"), str):
@@ -408,7 +397,7 @@ class _CheckpointJournal:
         """Raise ConfigurationError unless ``line`` is ``header`` and its newline."""
         try:
             recorded = json.loads(line) if line.endswith(b"\n") else None
-        except ValueError:
+        except JSON_ERRORS:
             recorded = None
         if recorded == header:
             return
@@ -442,7 +431,7 @@ class _CheckpointJournal:
         try:
             records = [json.loads(row) for row in data.split(b"\n")[:-1]]
             candidates = [Candidate.from_record(record) for record in records]
-        except (ValueError, DataError):
+        except (*JSON_ERRORS, DataError):
             return None
         if any(record.get("passage_id") != passage.id for record in records):
             return None

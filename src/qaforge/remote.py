@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict
 from urllib.parse import urlsplit
 
-from .errors import ConfigurationError, DataError, ProtocolError, TransportError
+from .errors import JSON_ERRORS, ConfigurationError, DataError, ProtocolError, TransportError
 from .generator import Candidate, GenerationRequest
 
 logger = logging.getLogger(__name__)
@@ -125,7 +125,6 @@ class RemoteGeneratorClient:
     def generate(self, request: GenerationRequest, seed: int = 0) -> list[Candidate]:
         """Request ``num_samples`` candidates; the service owns its own randomness."""
         del seed  # not part of the wire contract
-        url = f"{self.endpoint}/generate"
         payload = {key: value for key, value in asdict(request).items() if value is not None}
         body = json.dumps(payload).encode("utf-8")
 
@@ -139,11 +138,9 @@ class RemoteGeneratorClient:
                 if status >= 500:
                     last_fault = f"server error {status}"
                 elif status != 200:
-                    raise TransportError(
-                        f"generator returned status {status}", url=url, attempts=attempt
-                    )
+                    raise TransportError(f"generator returned status {status}", attempts=attempt)
                 else:
-                    return self._parse_response(data, request, url, attempt)
+                    return self._parse_response(data, request, attempt)
             if attempt < self.max_attempts:
                 delay = self.backoff_base * (2 ** (attempt - 1))
                 logger.warning(
@@ -156,39 +153,29 @@ class RemoteGeneratorClient:
                 time.sleep(delay)
         raise TransportError(
             f"generator unreachable after {self.max_attempts} attempts: {last_fault}",
-            url=url,
             attempts=self.max_attempts,
         )
 
     def _parse_response(
-        self,
-        data: bytes,
-        request: GenerationRequest,
-        url: str,
-        attempts: int,
+        self, data: bytes, request: GenerationRequest, attempts: int
     ) -> list[Candidate]:
         try:
             body = json.loads(data)
-        except ValueError as exc:
+        except JSON_ERRORS as exc:
             raise ProtocolError(
-                f"generator response is not JSON: {exc}", url=url, attempts=attempts
+                f"generator response is not JSON: {exc}", attempts=attempts
             ) from exc
         if not isinstance(body, dict) or not isinstance(body.get("candidates"), list):
-            raise ProtocolError(
-                "generator response missing 'candidates' array", url=url, attempts=attempts
-            )
+            raise ProtocolError("generator response missing 'candidates' array", attempts=attempts)
         candidates = []
         for position, item in enumerate(body["candidates"]):
             try:
                 candidates.append(Candidate.from_record(item))
             except DataError as exc:
-                raise ProtocolError(
-                    f"candidate {position}: {exc}", url=url, attempts=attempts
-                ) from exc
+                raise ProtocolError(f"candidate {position}: {exc}", attempts=attempts) from exc
         if len(candidates) != request.num_samples:
             raise ProtocolError(
                 f"expected {request.num_samples} candidates, got {len(candidates)}",
-                url=url,
                 attempts=attempts,
             )
         return candidates

@@ -28,7 +28,7 @@ from qaforge.corpus import Passage
 from qaforge.dataset import SquadDataset, dumps_squad, emit_squad, read_squad
 from qaforge.generator import Candidate, GenerationRequest, derive_seed, format_target
 from qaforge.metrics import bleu, evaluate_dataset, make_profile
-from qaforge.parsefilter import FilterConfig, SyntheticExample, lm_filter, run_filter_pipeline
+from qaforge.parsefilter import FilterConfig, SyntheticExample, run_filter_pipeline
 from qaforge.pipeline import PipelineConfig, run_pipeline
 
 
@@ -204,11 +204,24 @@ def test_lm_filter_property_suite():
     with criterion("score filter properties over 1000 randomized sets", 5.0):
         rng = random.Random(404)
         tie_pool = [-4.0, -3.5, -3.0, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0]
+        passage = Passage.build("p1", "the harbor wall guards the bay", "en")
+
+        def ranked(candidates: list[Candidate], keep: int) -> list[tuple[int, float]]:
+            config = FilterConfig(keep_per_passage=keep)
+            examples, _ = run_filter_pipeline(passage, candidates, config)
+            return [(int(example.question), example.lm_score) for example in examples]
+
         for _ in range(1000):
             size = rng.randint(0, 40)
             items = [(index, rng.choice(tie_pool)) for index in range(size)]
+            # Distinct, extractive pairs, so only the ranking drops any; each
+            # question is its item's index.
+            candidates = [
+                Candidate(format_target(str(index), "harbor wall"), score)
+                for index, score in items
+            ]
             keep = rng.randint(1, 15)
-            kept = lm_filter(items, keep)
+            kept = ranked(candidates, keep)
 
             assert len(kept) == min(keep, size)
 
@@ -222,7 +235,7 @@ def test_lm_filter_property_suite():
 
             assert set(kept) <= set(items)
 
-            wider = lm_filter(items, keep + 1)
+            wider = ranked(candidates, keep + 1)
             assert kept == wider[: len(kept)]
 
 

@@ -16,6 +16,7 @@ from conftest import (
 )
 from qaforge.cli import build_parser, main
 from qaforge.dataset import read_squad
+from qaforge.errors import ConfigurationError
 from qaforge.metrics import bleu, load_profile_table
 from qaforge.parsefilter import FilterConfig
 from qaforge.pipeline import _FINGERPRINT_KEYS, PipelineConfig, resume_fingerprint
@@ -41,7 +42,7 @@ class TestIngestCommand:
             "--language", "en",
             "--min-tokens", "30",
             "--max-tokens", "450",
-            "--sample", "5",
+            "--sample-n", "5",
             "--seed", "3",
             "--output", str(output),
         )
@@ -130,7 +131,7 @@ class TestStageCommands:
         candidates = workspace / "candidates.jsonl"
         code = run_cli(
             "generate",
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--backend", "reference",
             "--train-corpus", str(workspace / "train.jsonl"),
             "--num-samples", "20",
@@ -149,8 +150,8 @@ class TestStageCommands:
         code = run_cli(
             "filter",
             "--candidates", str(candidates),
-            "--passages", str(workspace / "passages.jsonl"),
-            "--keep", "10",
+            "--input", str(workspace / "passages.jsonl"),
+            "--keep-per-passage", "10",
             "--stats", str(stats),
             "--output", str(examples),
         )
@@ -163,7 +164,7 @@ class TestStageCommands:
         code = run_cli(
             "emit",
             "--examples", str(examples),
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--output", str(dataset),
         )
         assert code == 0
@@ -173,7 +174,7 @@ class TestStageCommands:
     def test_generate_reference_requires_train_corpus(self, workspace, capsys):
         code = run_cli(
             "generate",
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--backend", "reference",
             "--output", str(workspace / "c.jsonl"),
         )
@@ -250,7 +251,7 @@ class TestStageCommands:
         code = run_cli(
             "filter",
             "--candidates", str(candidates),
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--output", str(workspace / "e.jsonl"),
         )
         assert code == 2
@@ -638,12 +639,12 @@ class TestRunCommand:
 WRONG_TYPED_RECORDS = {
     "candidate-text": (
         {"passage_id": "p000", "text": 5, "lm_score": -1.0},
-        ["filter", "--candidates", "{bad}", "--passages", "{passages}", "--output", "{out}"],
+        ["filter", "--candidates", "{bad}", "--input", "{passages}", "--output", "{out}"],
     ),
     "example-answer-start": (
         {"passage_id": "p000", "question": "q", "answer": "a", "answer_start": "3",
          "lm_score": -1.0, "language": "en"},
-        ["emit", "--examples", "{bad}", "--passages", "{passages}", "--output", "{out}"],
+        ["emit", "--examples", "{bad}", "--input", "{passages}", "--output", "{out}"],
     ),
     "stats-count": (
         {"counts": {"ingested": "10", "length_kept": 5}},
@@ -674,7 +675,7 @@ class TestMalformedRecords:
     def test_generate_top_k_zero_exit_usage(self, workspace):
         code = run_cli(
             "generate",
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--train-corpus", str(workspace / "train.jsonl"),
             "--top-k", "0",
             "--output", str(workspace / "c.jsonl"),
@@ -684,7 +685,7 @@ class TestMalformedRecords:
     def test_generate_blank_target_language_exit_usage(self, workspace, capsys):
         code = run_cli(
             "generate",
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--train-corpus", str(workspace / "train.jsonl"),
             "--target-language", " ",
             "--output", str(workspace / "c.jsonl"),
@@ -727,7 +728,7 @@ class TestMalformedRecords:
     def test_generate_missing_train_corpus_exit_data(self, workspace):
         code = run_cli(
             "generate",
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--train-corpus", str(workspace / "absent.jsonl"),
             "--output", str(workspace / "c.jsonl"),
         )
@@ -773,16 +774,13 @@ STAGE_ARGV = {
     "filter": ["filter", "--candidates", "c", "--input", "i", "--output", "o"],
     "emit": ["emit", "--examples", "e", "--input", "i", "--output", "o"],
 }
-# Earlier spellings, each with the flag and the config key it stands for.
-FLAG_ALIASES = [
-    ("--passages", "--input", "input"),
-    ("--sample", "--sample-n", "sample_n"),
-    ("--keep", "--keep-per-passage", "keep_per_passage"),
-]
-ALIAS_CASES = [
-    (command, alias, flag)
+# Spellings that are gone, each with the config key it stood for; the last
+# two are also abbreviations of that key's flag.
+OLD_SPELLINGS = [("--passages", "input"), ("--sample", "sample_n"), ("--keep", "keep_per_passage")]
+OLD_SPELLING_CASES = [
+    (command, old)
     for command, keys in {"run": tuple(PipelineConfig.field_types()), **STAGE_KEYS}.items()
-    for alias, flag, key in FLAG_ALIASES
+    for old, key in OLD_SPELLINGS
     if key in keys
 ]
 
@@ -820,13 +818,11 @@ class TestRunFlags:
                 parsed = getattr(parser.parse_args([*base, flag, value]), name)
                 assert parsed == types[name][0](value)
 
-    @pytest.mark.parametrize("command, alias, flag", ALIAS_CASES)
-    def test_alias_parses_to_the_flags_value(self, command, alias, flag):
-        parser = build_parser()
+    @pytest.mark.parametrize("command, old", OLD_SPELLING_CASES)
+    def test_old_spelling_is_an_unknown_flag(self, command, old):
         base = STAGE_ARGV.get(command, [command])
-        assert vars(parser.parse_args([*base, alias, "7"])) == vars(
-            parser.parse_args([*base, flag, "7"])
-        )
+        with pytest.raises(ConfigurationError, match=f"unrecognized arguments: {old} 7"):
+            build_parser().parse_args([*base, old, "7"])
 
 
 # Spellings of the filter switches that are gone: their off-states only lost
@@ -897,7 +893,7 @@ class TestReadmeFlags:
                 for subparser in action.choices.values():
                     options |= set(subparser._option_string_actions)
         flags = readme_flags()
-        assert {"--input", "--no-length-normalize", "--passages"} <= flags
+        assert {"--input", "--no-length-normalize", "--keep-per-passage"} <= flags
         assert sorted(flags - options) == []
 
 
@@ -908,22 +904,22 @@ class TestStagedChainMatchesRun:
         staged = workspace / "staged"
         staged.mkdir()
         assert run_cli(
-            "ingest", "--input", passages, "--sample", "6", "--seed", "11",
+            "ingest", "--input", passages, "--sample-n", "6", "--seed", "11",
             "--output", str(staged / "passages.jsonl"),
         ) == 0
         assert run_cli(
-            "generate", "--passages", str(staged / "passages.jsonl"), "--train-corpus", train,
+            "generate", "--input", str(staged / "passages.jsonl"), "--train-corpus", train,
             "--num-samples", "12", "--max-output-tokens", "24", "--seed", "11",
             "--output", str(staged / "candidates.jsonl"),
         ) == 0
         assert run_cli(
             "filter", "--candidates", str(staged / "candidates.jsonl"),
-            "--passages", str(staged / "passages.jsonl"),
+            "--input", str(staged / "passages.jsonl"),
             "--output", str(staged / "examples.jsonl"),
         ) == 0
         assert run_cli(
             "emit", "--examples", str(staged / "examples.jsonl"),
-            "--passages", str(staged / "passages.jsonl"),
+            "--input", str(staged / "passages.jsonl"),
             "--output", str(staged / "dataset.json"),
         ) == 0
         run_dir = workspace / "run"
@@ -977,7 +973,7 @@ class TestCandidateScores:
         return run_cli(
             "filter",
             "--candidates", str(candidates),
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--output", str(workspace / "examples.jsonl"),
         )
 
@@ -1011,7 +1007,7 @@ class TestIntegerPastTheDigitLimit:
         code = run_cli(
             "filter",
             "--candidates", str(candidates),
-            "--passages", str(workspace / "passages.jsonl"),
+            "--input", str(workspace / "passages.jsonl"),
             "--output", str(workspace / "examples.jsonl"),
         )
         assert code == 2
@@ -1027,6 +1023,51 @@ class TestIntegerPastTheDigitLimit:
         )
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    """JSON nested past the recursion limit makes json.loads raise RecursionError."""
+
+    DEEP = "[" * 200_000
+
+    def test_passages_file_skips_the_record(self, workspace, capsys):
+        passages = workspace / "passages.jsonl"
+        with passages.open("a", encoding="utf-8") as handle:
+            handle.write(self.DEEP + "\n")
+        output = workspace / "kept.jsonl"
+        assert run_cli("ingest", "--input", str(passages), "--output", str(output)) == 0
+        assert capsys.readouterr().out == f"wrote 12 passages to {output} (1 records skipped)\n"
+
+    def test_dataset_file_exit_data(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(self.DEEP, encoding="utf-8")
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text("{}", encoding="utf-8")
+        code = run_cli("eval", "--dataset", str(dataset), "--predictions", str(predictions))
+        assert code == 2
+        assert "document is not valid JSON" in capsys.readouterr().err
+
+    def test_run_config_exit_usage(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(self.DEEP, encoding="utf-8")
+        assert run_cli("run", "--config", str(config)) == 1
+        assert f"{config}: invalid JSON" in capsys.readouterr().err
+
+    def test_candidates_file_exit_data_naming_line(self, workspace, capsys):
+        candidates = workspace / "scored.jsonl"
+        candidates.write_text(
+            '{"passage_id": "p000", "text": "question q answer a", "lm_score": -1.0}\n'
+            + self.DEEP + "\n",
+            encoding="utf-8",
+        )
+        code = run_cli(
+            "filter",
+            "--candidates", str(candidates),
+            "--input", str(workspace / "passages.jsonl"),
+            "--output", str(workspace / "examples.jsonl"),
+        )
+        assert code == 2
+        assert f"{candidates}:2: invalid record" in capsys.readouterr().err
 
 
 class TestTrainingCorpusRecords:
@@ -1184,7 +1225,7 @@ class TestRunUsageErrors:
 UNWRITABLE_OUTPUTS = {
     "ingest": ["ingest", "--input", "{passages}", "--output", "{target}"],
     "filter-stats": [
-        "filter", "--candidates", "{candidates}", "--passages", "{passages}",
+        "filter", "--candidates", "{candidates}", "--input", "{passages}",
         "--output", "{workspace}/examples.jsonl", "--stats", "{target}",
     ],
     "eval": [

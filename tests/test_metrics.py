@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
 import re
 import string
 import subprocess
 import sys
 import unicodedata
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -33,6 +35,8 @@ from qaforge.metrics import (
     tokenize_for_f1,
 )
 from qaforge.segmentation import mixed_segment
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SQUAD_EN = make_profile("squad", "en")
 MLQA_ES = make_profile("mlqa", "es")
@@ -391,8 +395,11 @@ class TestProfileValues:
             "import qaforge.metrics as m; "
             "print(len(m._PUNCTUATION_TABLES['unicode']))"
         )
+        # Pytest's pythonpath setting does not reach a subprocess.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout.strip() == "0"
 

@@ -2,22 +2,19 @@ from __future__ import annotations
 
 import random
 import unicodedata
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaforge.corpus import Passage
-from qaforge.errors import ConfigurationError
+from qaforge.errors import ConfigurationError, QAForgeError
 from qaforge.generator import Candidate, format_target
 from qaforge.parsefilter import (
-    CandidateParseError,
     FilterConfig,
-    QAPair,
     SyntheticExample,
-    check_extractive,
-    lm_filter,
-    parse_candidate,
+    _split_candidate,
     run_filter_pipeline,
 )
 
@@ -26,6 +23,37 @@ GLACIER_PASSAGE = (
     "Island. Bulgarische Wissenschaftler kartierten ihn 2009. Die Kommission "
     "benannte ihn 2010 nach Greg Landreth."
 )
+
+
+# The parse as a function of its own, the reference the filter's parse is
+# checked against: TestParseCandidate pins its contract, and oracle_filter
+# builds an independent filter on it.
+@dataclass(frozen=True)
+class QAPair:
+    question: str
+    answer: str
+
+
+class CandidateParseError(QAForgeError):
+    """A decoded candidate does not carry a well-formed question/answer pair."""
+
+    def __init__(self, part: str):
+        super().__init__(f"candidate has no usable {part.replace('_', ' ')}")
+        self.part = part
+
+
+def parse_candidate(text: str) -> QAPair:
+    """Split a decoded sequence into its question and answer parts.
+
+    The text must start with the standalone token ``question`` and contain a
+    later standalone ``answer`` token; the question is the trimmed material
+    between them, the answer the trimmed material after the first ``answer``
+    marker. Raises CandidateParseError naming the missing part otherwise.
+    """
+    split = _split_candidate(text)
+    if isinstance(split, str):
+        raise CandidateParseError(split)
+    return QAPair(*split)
 
 
 class TestParseCandidate:
@@ -95,63 +123,81 @@ class TestParseCandidate:
         assert parse_candidate(format_target(question, answer)) == QAPair(question, answer)
 
 
+def _candidate(question: str, answer: str, score: float) -> Candidate:
+    return Candidate(text=format_target(question, answer), lm_score=score)
+
+
+def answer_offset(answer: str, text: str) -> int | None:
+    """The ``answer_start`` the filter gives ``answer`` in a passage of ``text``.
+
+    None if the filter drops the candidate as not extractive.
+    """
+    passage = Passage.build("p1", text, "de")
+    examples, _ = run_filter_pipeline(passage, [_candidate("q", answer, -1.0)], FilterConfig())
+    return examples[0].answer_start if examples else None
+
+
 class TestCheckExtractive:
     def test_year_found_at_correct_offset(self):
-        offset = check_extractive("2009", GLACIER_PASSAGE)
+        offset = answer_offset("2009", GLACIER_PASSAGE)
         assert offset == GLACIER_PASSAGE.index("2009")
         assert GLACIER_PASSAGE[offset:offset + 4] == "2009"
 
     def test_absent_answer(self):
-        assert check_extractive("xyz-not-present", GLACIER_PASSAGE) is None
+        assert answer_offset("xyz-not-present", GLACIER_PASSAGE) is None
 
     def test_full_passage_matches_itself_at_zero(self):
-        assert check_extractive(GLACIER_PASSAGE, GLACIER_PASSAGE) == 0
+        assert answer_offset(GLACIER_PASSAGE, GLACIER_PASSAGE) == 0
 
     def test_first_occurrence_wins(self):
-        assert check_extractive("ab", "xx ab yy ab") == 3
+        assert answer_offset("ab", "xx ab yy ab") == 3
 
     def test_match_is_case_sensitive(self):
-        assert check_extractive("bulgarische", GLACIER_PASSAGE) is None
+        assert answer_offset("bulgarische", GLACIER_PASSAGE) is None
+
+
+def ranked(scores: list[float], keep: int) -> list[tuple[int, float]]:
+    """``(index, score)`` of each example kept from one candidate per score.
+
+    The candidates are distinct, extractive pairs, so only the ranking drops
+    any; the question of each is its index.
+    """
+    passage = Passage.build("p1", "the harbor wall guards the bay", "en")
+    candidates = [_candidate(str(i), "harbor wall", score) for i, score in enumerate(scores)]
+    examples, _ = run_filter_pipeline(passage, candidates, FilterConfig(keep_per_passage=keep))
+    return [(int(example.question), example.lm_score) for example in examples]
 
 
 class TestLmFilter:
     def test_keeps_top_ten_of_twenty(self):
-        items = [(f"c{i}", float(-i)) for i in range(20)]
-        random.Random(0).shuffle(items)
-        kept = lm_filter(items, 10)
+        scores = [float(-i) for i in range(20)]
+        random.Random(0).shuffle(scores)
+        kept = ranked(scores, 10)
         assert [score for _, score in kept] == [float(-i) for i in range(10)]
 
     def test_small_supply_returned_whole(self):
-        items = [("a", -3.0), ("b", -1.0), ("c", -2.0)]
-        kept = lm_filter(items, 10)
-        assert kept == [("b", -1.0), ("c", -2.0), ("a", -3.0)]
+        assert ranked([-3.0, -1.0, -2.0], 10) == [(1, -1.0), (2, -2.0), (0, -3.0)]
 
     def test_ties_keep_input_order(self):
-        items = [("first", -1.0), ("second", -1.0), ("third", -0.5)]
-        kept = lm_filter(items, 3)
-        assert kept == [("third", -0.5), ("first", -1.0), ("second", -1.0)]
+        assert ranked([-1.0, -1.0, -0.5], 3) == [(2, -0.5), (0, -1.0), (1, -1.0)]
 
     def test_zero_keep_rejected(self):
         with pytest.raises(ConfigurationError):
-            lm_filter([], 0)
+            FilterConfig(keep_per_passage=0)
 
     @given(
         scores=st.lists(st.integers(min_value=-8, max_value=0), max_size=30),
         keep=st.integers(min_value=1, max_value=12),
     )
     def test_contract_properties(self, scores, keep):
-        items = [(i, float(s)) for i, s in enumerate(scores)]
-        kept = lm_filter(items, keep)
-        assert len(kept) == min(keep, len(items))
+        scores = [float(s) for s in scores]
+        kept = ranked(scores, keep)
+        assert len(kept) == min(keep, len(scores))
         values = [score for _, score in kept]
         assert values == sorted(values, reverse=True)
-        assert set(kept) <= set(items)
+        assert set(kept) <= set(enumerate(scores))
         # Raising the budget only appends.
-        assert kept == lm_filter(items, keep + 1)[: len(kept)]
-
-
-def _candidate(question: str, answer: str, score: float) -> Candidate:
-    return Candidate(text=format_target(question, answer), lm_score=score)
+        assert kept == ranked(scores, keep + 1)[: len(kept)]
 
 
 @pytest.fixture()
@@ -272,8 +318,8 @@ class TestRunFilterPipeline:
 
 
 def oracle_filter(passage: Passage, candidates: list[Candidate], config: FilterConfig):
-    """The filter written on ``parse_candidate`` and ``check_extractive``: a failed
-    parse is a caught CandidateParseError, deduplication a pairwise comparison."""
+    """The filter written on ``parse_candidate`` and ``str.find``: a failed parse
+    is a caught CandidateParseError, deduplication a pairwise comparison."""
     parse_failures: dict[str, int] = {}
     drafts = []
     for candidate in candidates:
@@ -283,8 +329,8 @@ def oracle_filter(passage: Passage, candidates: list[Candidate], config: FilterC
             parse_failures[exc.part] = parse_failures.get(exc.part, 0) + 1
             continue
         answer = unicodedata.normalize("NFC", pair.answer)
-        answer_start = check_extractive(answer, passage.text)
-        if answer_start is None:
+        answer_start = passage.text.find(answer)
+        if answer_start < 0:
             continue
         score = candidate.lm_score
         if config.length_normalize:

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import tracemalloc
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -65,7 +68,7 @@ class _FlakyBackend:
 
     def generate(self, request, seed=0):
         if request.passage == self.poison_text:
-            raise TransportError("injected outage", url="http://test", attempts=3)
+            raise TransportError("injected outage", attempts=3)
         return self.inner.generate(request, seed=seed)
 
 
@@ -210,13 +213,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError):
             config.validate()
 
-    def test_seed_env_fallback(self, monkeypatch, tmp_path):
+    def test_unset_seed_is_zero(self, monkeypatch, tmp_path):
+        # QAFORGE_SEED once set the default seed; it is read no more.
         monkeypatch.setenv("QAFORGE_SEED", "777")
         config = PipelineConfig(input="x", output_dir=str(tmp_path))
-        assert config.resolved_seed() == 777
-        monkeypatch.setenv("QAFORGE_SEED", "not-a-number")
-        with pytest.raises(ConfigurationError):
-            config.resolved_seed()
+        assert config.resolved_seed() == 0
 
     def test_explicit_seed_wins_over_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("QAFORGE_SEED", "777")
@@ -498,7 +499,7 @@ class _FailAfter:
             self.calls += 1
             calls = self.calls
         if calls > self.limit:
-            raise TransportError("injected outage", url="http://test", attempts=3)
+            raise TransportError("injected outage", attempts=3)
         return self.inner.generate(request, seed=seed)
 
 
@@ -564,12 +565,13 @@ class TestResumeFingerprint:
         report = run_pipeline(resumed, backend=inner)
         assert report.counts["generated"] == 50 * 20
 
-    @pytest.mark.parametrize("journal", ["missing", "torn"])
+    @pytest.mark.parametrize("journal", ["missing", "torn", "nested-too-deep"])
     def test_journal_without_a_complete_header_is_refused(self, tmp_path, journal):
         config = interrupted_run(tmp_path)
         path = Path(config.output_dir) / "checkpoint.jsonl"
         header, rest = path.read_bytes().split(b"\n", 1)
-        path.write_bytes(rest if journal == "missing" else header[:-3])
+        deep = b"[" * 200_000 + b"\n" + rest
+        path.write_bytes({"missing": rest, "torn": header[:-3], "nested-too-deep": deep}[journal])
         before = checkpoint_bytes(config)
         with pytest.raises(ConfigurationError, match="header"):
             run_pipeline(replace(config, resume=True), backend=_NoBackend())
@@ -620,6 +622,34 @@ class TestNoTemporaryLeftBehind:
             "passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json",
             "checkpoint.json", "checkpoint.jsonl",
         }
+
+    def test_resume_after_a_kill_leaves_no_temporary(self, tmp_path):
+        # SIGKILL runs no cleanup, so the killed run leaves its temporaries;
+        # the resume writes the same artifacts through the same temporaries.
+        write_passage_file(tmp_path / "passages.jsonl", make_passages(count=600))
+        baseline = run_pipeline(make_config(tmp_path, "baseline", sample_n=None))
+        config = make_config(tmp_path, "killed", sample_n=None)
+        config_path = tmp_path / "killed.json"
+        config_path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+        out_dir = Path(config.output_dir)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        argv = [sys.executable, "-m", "qaforge.cli", "run", "--config", str(config_path)]
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        ) as process:
+            try:
+                deadline = time.monotonic() + 60
+                while not list(out_dir.glob("*.tmp")):
+                    assert process.poll() is None, "the run finished before it was killed"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            finally:
+                process.kill()
+        assert process.returncode == -signal.SIGKILL
+        assert list(out_dir.glob("*.tmp")) != []
+        resumed = run_pipeline(replace(config, resume=True))
+        assert list(out_dir.glob("*.tmp")) == []
+        assert same_artifacts(resumed, baseline)
 
 
 def same_artifacts(first: PipelineReport, second: PipelineReport) -> bool:

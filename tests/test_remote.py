@@ -124,10 +124,13 @@ class TestRemoteGeneratorClient:
             client.generate(_request(num_samples=2))
 
     def test_non_json_body_is_protocol_violation(self, serve):
-        script = _Script([(200, b"<html>oops</html>")])
+        # The second body nests past the recursion limit.
+        script = _Script([(200, b"<html>oops</html>"), (200, b"[" * 200_000)])
         client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        with pytest.raises(ProtocolError):
-            client.generate(_request())
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="not JSON"):
+                client.generate(_request())
+        assert len(script.bodies) == 2
 
     def test_endpoint_from_environment(self, serve, monkeypatch):
         script = _Script([(200, _ok_payload())])
