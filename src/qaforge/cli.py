@@ -20,9 +20,8 @@ from .dataset import (
     SquadWriter,
     atomic_write,
     build_training_mix,
-    example_line,
+    emit_passage,
     read_squad,
-    squad_article,
     write_json,
     write_jsonl,
 )
@@ -35,6 +34,7 @@ from .errors import (
     QAForgeError,
     TransportError,
     json_error_reason,
+    load_json,
 )
 from .metrics import (
     bleu,
@@ -143,7 +143,8 @@ def cmd_filter(args) -> int:
         for passage, candidates, _ in groups:
             kept, stats = run_filter_pipeline(passage, candidates, config)
             totals.merge(stats)
-            handle.writelines(map(example_line, kept))
+            if kept:
+                handle.write(emit_passage(passage, kept)[0])
     if args.stats:
         write_json(args.stats, totals.to_record())
     print(f"kept {totals.kept} of {totals.candidates} candidates -> {args.output}")
@@ -158,7 +159,7 @@ def cmd_emit(args) -> int:
         groups = read_passage_groups(args.examples, passages, SyntheticExample.from_record)
         for passage, examples, lines in groups:
             try:
-                document.add(squad_article(passage, examples))
+                document.add(emit_passage(passage, examples)[1])
             except EmissionError as exc:
                 raise EmissionError(f"{args.examples}:{lines[exc.position]}: {exc}") from exc
             entries += len(examples)
@@ -204,7 +205,7 @@ def _read_lines(path: str) -> list[str]:
 def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
     """A JSON document; invalid JSON raises ``invalid``."""
     try:
-        return json.loads(_read_text(path))
+        return load_json(_read_text(path))
     except JSON_ERRORS as exc:
         raise invalid(f"{path}: invalid JSON: {json_error_reason(exc)}") from exc
 

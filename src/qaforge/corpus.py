@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import random
 import unicodedata
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .errors import JSON_ERRORS, ConfigurationError, json_error_reason
+from .errors import JSON_ERRORS, ConfigurationError, json_error_reason, load_json
 from .segmentation import mixed_segment
 
 
@@ -129,7 +128,7 @@ def parse_passage_stream(
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = load_json(line)
         except JSON_ERRORS as exc:
             report(line_number, f"invalid record: {json_error_reason(exc)}")
             continue

@@ -5,6 +5,13 @@ Emission is fully deterministic: articles sort by passage id, entries sort
 by their content-hash id, and serialization uses a fixed compact layout,
 so identical inputs yield byte-identical documents.
 
+A document is written by ``SquadWriter``, one encoded article at a time.
+``run_pipeline`` and ``qaforge emit`` give it the articles of
+``emit_passage``, filled into templates one passage at a time;
+``write_squad`` and ``dumps_squad`` give it the articles of a
+``SquadDataset`` (``emit_squad``'s, say), each encoded whole. For the same
+examples the two routes write the same bytes.
+
 Every artifact (run outputs, stage-subcommand outputs, reports, manifests,
 ``checkpoint.json``) is written through ``atomic_write``: into a temporary
 sibling of the target, which then replaces the target in one rename. A
@@ -23,13 +30,18 @@ import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from json.encoder import encode_basestring as _json_string
+from json.encoder import encode_basestring as json_string
 from pathlib import Path
 from typing import IO, Any
 
 from .corpus import Passage
 from .errors import (
-    JSON_ERRORS, ConfigurationError, EmissionError, SquadParseError, json_error_reason
+    JSON_ERRORS,
+    ConfigurationError,
+    EmissionError,
+    SquadParseError,
+    json_error_reason,
+    load_json,
 )
 from .generator import Candidate
 from .parsefilter import SyntheticExample
@@ -37,14 +49,15 @@ from .parsefilter import SyntheticExample
 SQUAD_VERSION = "1.1"
 
 # Encodes as json.dumps(value, ensure_ascii=False) does, without building a
-# new encoder per call. The per-record lines, ``candidate_rows``,
-# ``example_line`` and ``qa_content_id``'s payload, are filled into templates
-# instead, from ``_json_string`` (the escaper this encoder uses) and
+# new encoder per call. The per-record strings (``candidate_rows``, and
+# ``emit_passage``'s lines, entry-id payloads and articles) are filled into
+# templates instead, from ``json_string`` (the escaper this encoder uses) and
 # ``_json_number``; tests/test_dataset.py::TestEncodingsEqualJsonDumps checks
 # that they equal json.dumps.
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
 # Encodes as json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-# does: the compact layout of a document, used for every article.
+# does: the compact layout of a document, used for the articles of a
+# SquadDataset.
 _SQUAD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -68,22 +81,10 @@ def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
 
     Each line is ``jsonl_line({"passage_id": passage_id, **candidate.to_record()})``.
     """
-    prefix = '{"passage_id": ' + _json_string(passage_id) + ', "text": '
+    prefix = '{"passage_id": ' + json_string(passage_id) + ', "text": '
     return "".join(
-        f'{prefix}{_json_string(c.text)}, "lm_score": {_json_number(c.lm_score)}}}\n'
-        for c in candidates
-    )
-
-
-def example_line(example: SyntheticExample) -> str:
-    """The ``examples.jsonl`` line of one example: ``jsonl_line(example.to_record())``."""
-    return (
-        f'{{"passage_id": {_json_string(example.passage_id)}, '
-        f'"question": {_json_string(example.question)}, '
-        f'"answer": {_json_string(example.answer)}, '
-        f'"answer_start": {_json_number(example.answer_start)}, '
-        f'"lm_score": {_json_number(example.lm_score)}, '
-        f'"language": {_json_string(example.language)}}}\n'
+        f'{prefix}{json_string(text)}, "lm_score": {_json_number(lm_score)}}}\n'
+        for text, lm_score in candidates
     )
 
 
@@ -214,7 +215,12 @@ class SquadReadResult:
 
 def qa_content_id(passage_id: str, question: str, answer: str) -> str:
     """Deterministic entry id: stable across re-runs and parallel schedules."""
-    payload = f"[{_json_string(passage_id)}, {_json_string(question)}, {_json_string(answer)}]"
+    return _content_id(json_string(passage_id), json_string(question), json_string(answer))
+
+
+def _content_id(passage_id: str, question: str, answer: str) -> str:
+    """``qa_content_id`` of the three strings, given as ``json_string`` escaped them."""
+    payload = f"[{passage_id}, {question}, {answer}]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
@@ -222,14 +228,17 @@ def _span_matches(context: str, text: str, start: int) -> bool:
     return start >= 0 and context[start:start + len(text)] == text
 
 
-def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> SquadArticle:
-    """The article of one passage: one paragraph, its entries sorted by id.
+def _entries(
+    passage: Passage, examples: Iterable[SyntheticExample], passage_id: str
+) -> Iterator[tuple[str, str, str, SyntheticExample]]:
+    """Each example's entry id, escaped question and escaped answer, and the example.
 
-    Each example must carry a verified answer offset into ``passage``, and
-    no two may share an entry id; violations raise EmissionError naming the
-    example and carrying its ``position``.
+    ``passage_id`` is ``json_string(passage.id)``. Each example must carry a
+    verified answer offset into ``passage``, and no two may share an entry
+    id; violations raise EmissionError naming the example and carrying its
+    ``position``.
     """
-    qas: dict[str, SquadQA] = {}
+    seen: set[str] = set()
     for position, example in enumerate(examples):
         if not _span_matches(passage.text, example.answer, example.answer_start):
             raise EmissionError(
@@ -237,20 +246,63 @@ def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> Squ
                 f"for question {example.question!r}",
                 position=position,
             )
-        qa_id = qa_content_id(passage.id, example.question, example.answer)
-        if qa_id in qas:
+        question = json_string(example.question)
+        answer = json_string(example.answer)
+        qa_id = _content_id(passage_id, question, answer)
+        if qa_id in seen:
             raise EmissionError(
                 f"duplicate example in passage {example.passage_id!r} "
                 f"for question {example.question!r}",
                 position=position,
             )
-        qas[qa_id] = SquadQA(
-            id=qa_id,
-            question=example.question,
-            answers=[SquadAnswer(text=example.answer, answer_start=example.answer_start)],
-        )
+        seen.add(qa_id)
+        yield qa_id, question, answer, example
+
+
+def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> SquadArticle:
+    """The article of one passage: one paragraph, its entries sorted by id.
+
+    The examples are checked as ``_entries`` checks them.
+    """
+    qas = {
+        qa_id: SquadQA(qa_id, example.question, [SquadAnswer(example.answer, example.answer_start)])
+        for qa_id, _, _, example in _entries(passage, examples, json_string(passage.id))
+    }
     paragraph = SquadParagraph(context=passage.text, qas=[qas[i] for i in sorted(qas)])
     return SquadArticle(title=passage.id, paragraphs=[paragraph])
+
+
+def emit_passage(passage: Passage, examples: Iterable[SyntheticExample]) -> tuple[str, str]:
+    """One passage's ``examples.jsonl`` lines and its compact article.
+
+    The examples are ``passage``'s, as ``run_filter_pipeline`` makes them: a
+    line takes its ``passage_id`` and ``language`` from ``passage``, and
+    equals ``jsonl_line(example.to_record())``. The article is the one
+    ``write_squad`` writes for ``squad_article(passage, examples)``, checked
+    the same way. The passage id, each question and each answer are escaped
+    once, for the line, the entry id and the article.
+    """
+    passage_id = json_string(passage.id)
+    head = '{"passage_id": ' + passage_id + ', "question": '
+    tail = ', "language": ' + json_string(passage.language) + "}\n"
+    lines = []
+    entries = {}
+    for qa_id, question, answer, example in _entries(passage, examples, passage_id):
+        start = _json_number(example.answer_start)
+        lines.append(
+            f'{head}{question}, "answer": {answer}, "answer_start": {start}, '
+            f'"lm_score": {_json_number(example.lm_score)}{tail}'
+        )
+        entries[qa_id] = (
+            f'{{"id":"{qa_id}","question":{question},'
+            f'"answers":[{{"text":{answer},"answer_start":{start}}}]}}'
+        )
+    qas = ",".join([entries[qa_id] for qa_id in sorted(entries)])
+    article = (
+        f'{{"title":{passage_id},"paragraphs":'
+        f'[{{"context":{json_string(passage.text)},"qas":[{qas}]}}]}}'
+    )
+    return "".join(lines), article
 
 
 def emit_squad(
@@ -274,10 +326,12 @@ def emit_squad(
 
 
 class SquadWriter:
-    """Writes a compact document into an open text file, one article at a time.
+    """Writes a compact document into an open text file, one encoded article at a time.
 
-    ``dumps_squad``, ``write_squad`` and ``run_pipeline`` all write through
-    it, so a document has the same bytes however it was built.
+    ``run_pipeline`` and ``qaforge emit`` add ``emit_passage``'s articles;
+    ``dumps_squad`` and ``write_squad`` add each article of a SquadDataset as
+    ``_SQUAD_ENCODER`` encodes it. For the same examples both give the same
+    bytes, so a document has the same bytes however it was built.
     """
 
     def __init__(self, handle: IO[str], version: str = SQUAD_VERSION):
@@ -285,8 +339,8 @@ class SquadWriter:
         self._handle = handle
         self._separator = ""
 
-    def add(self, article: SquadArticle) -> None:
-        self._handle.write(self._separator + _SQUAD_ENCODER.encode(_article_record(article)))
+    def add(self, article: str) -> None:
+        self._handle.write(self._separator + article)
         self._separator = ","
 
     def finish(self) -> None:
@@ -297,7 +351,7 @@ class SquadWriter:
 def _write_document(handle: IO[str], dataset: SquadDataset) -> None:
     writer = SquadWriter(handle, dataset.version)
     for article in dataset.articles:
-        writer.add(article)
+        writer.add(_SQUAD_ENCODER.encode(_article_record(article)))
     writer.finish()
 
 
@@ -344,7 +398,7 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
         except UnicodeDecodeError as exc:
             raise SquadParseError(f"document is not valid utf-8: {exc}") from exc
     try:
-        document = json.loads(source)
+        document = load_json(source)
     except JSON_ERRORS as exc:
         raise SquadParseError(f"document is not valid JSON: {json_error_reason(exc)}") from exc
 

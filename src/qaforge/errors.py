@@ -7,17 +7,57 @@ DataError -> 2 (bad inputs), TransportError -> 3 (remote service).
 from __future__ import annotations
 
 import json
+import re
+from typing import Any
 
 
-# What ``json.loads`` raises on a document it cannot decode. Besides
-# ``JSONDecodeError``, it raises a plain ValueError for an integer literal past
-# the interpreter's digit limit (4300 by default), and RecursionError for
-# arrays or objects nested too deeply. Every JSON reader catches these.
+# What ``load_json`` raises on a document it cannot decode. Besides
+# ``JSONDecodeError``, ``json.loads`` raises a plain ValueError for an integer
+# literal past the interpreter's digit limit (4300 by default), and
+# RecursionError for arrays or objects nested too deeply. Every JSON reader
+# catches these.
 JSON_ERRORS = (ValueError, RecursionError)
+
+# The escapes of the surrogate code points, \uD800-\uDFFF.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def load_json(document: str | bytes) -> Any:
+    """``json.loads(document)``, where a string holding an unpaired surrogate is invalid JSON.
+
+    ``json.loads`` accepts ``"\\ud800"`` and returns a string that no UTF-8
+    file can hold, so every reader decodes through here instead. Bytes are
+    decoded as ``json.loads`` decodes them, but strictly: an encoded
+    surrogate is a UnicodeDecodeError. In text, a surrogate can then come
+    only from an escape, so the decoded value is searched only when the text
+    holds one.
+    """
+    if isinstance(document, (bytes, bytearray)):
+        document = document.decode(json.detect_encoding(document))
+    value = json.loads(document)
+    if _SURROGATE_ESCAPE.search(document) and _holds_surrogate(value):
+        raise ValueError("a string holds an unpaired surrogate")
+    return value
+
+
+def _holds_surrogate(value: Any) -> bool:
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            if _SURROGATE.search(item):
+                return True
+        elif isinstance(item, dict):
+            pending.extend(item)
+            pending.extend(item.values())
+        elif isinstance(item, list):
+            pending.extend(item)
+    return False
 
 
 def json_error_reason(exc: ValueError | RecursionError) -> str:
-    """Why ``json.loads`` failed, for any of ``JSON_ERRORS``."""
+    """Why ``load_json`` failed, for any of ``JSON_ERRORS``."""
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 

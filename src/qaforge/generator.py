@@ -73,15 +73,14 @@ class GenerationRequest:
             object.__setattr__(self, "target_language", code)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One raw decoded sequence and its total log-probability (natural log)."""
 
     text: str
     lm_score: float
 
     def to_record(self) -> dict:
-        return {"text": self.text, "lm_score": self.lm_score}
+        return self._asdict()
 
     @classmethod
     def from_record(cls, record: Any) -> "Candidate":
@@ -156,7 +155,7 @@ class ReferenceBackend:
     The model is fixed at construction. Each decode step reads a sampling
     table built at the first use of its (context, k) and memoized: the cache
     maps k to a dict from trained context to table, in which every untrained
-    context shares the table under None. A sequence fetches its k's dict
+    context shares the table under None. A request fetches its k's dict
     once, so a step in a trained context is one dict lookup. Instances are
     safe to share across threads, since racing threads build and store equal
     tables. Sampling determinism comes from the caller-provided seed.
@@ -218,48 +217,39 @@ class ReferenceBackend:
         reported score is always the full-distribution log-probability of
         the emitted tokens, so it matches ``score_sequence`` exactly.
         """
-        rng = random.Random(seed)
+        # Bound once per request: a trained context's table is one dict probe;
+        # a miss (a new or an untrained context) falls back to _sampling_table.
+        top_k = request.top_k
+        get_table = self._top_k_cache.setdefault(top_k, {}).get
+        sampling_table = self._sampling_table
+        draw = random.Random(seed).random
+        bisect_right = bisect.bisect_right
+        eos = EOS_TOKEN
+        shifts = self.order > 1
+        steps = range(request.max_output_tokens)
         base_context = _initial_context(conditioning_text(request).split(), self.order)
         candidates = []
         for _ in range(request.num_samples):
-            tokens, score = self._sample_sequence(
-                rng, base_context, request.top_k, request.max_output_tokens
-            )
-            candidates.append(Candidate(text=" ".join(tokens), lm_score=score))
+            context = base_context
+            tokens: list[str] = []
+            score = 0.0
+            for _ in steps:
+                symbols, bounds, mass, logs = (
+                    get_table(context) or sampling_table(context, top_k)
+                )
+                # The first boundary above the draw; a draw past the last boundary,
+                # even one that rounding puts past the total, takes the last symbol.
+                pick = bisect_right(bounds, draw() * mass)
+                symbol = symbols[pick]
+                if symbol == eos:
+                    break
+                tokens.append(symbol)
+                score += logs[pick]
+                if shifts:
+                    # Initial contexts hold exactly order - 1 tokens.
+                    context = context[1:] + (symbol,)
+            candidates.append(Candidate(" ".join(tokens), score))
         return candidates
-
-    def _sample_sequence(
-        self,
-        rng: random.Random,
-        context: tuple[str, ...],
-        top_k: int,
-        max_tokens: int,
-    ) -> tuple[list[str], float]:
-        # A trained context's table is one dict probe; a miss (a new or an
-        # untrained context) falls back to _sampling_table.
-        tables = self._top_k_cache.setdefault(top_k, {})
-        get_table = tables.get
-        draw = rng.random
-        bisect_right = bisect.bisect_right
-        tokens: list[str] = []
-        score = 0.0
-        shifts = self.order > 1
-        for _ in range(max_tokens):
-            symbols, bounds, mass, logs = (
-                get_table(context) or self._sampling_table(context, top_k)
-            )
-            # The first boundary above the draw; a draw past the last boundary,
-            # even one that rounding puts past the total, takes the last symbol.
-            pick = bisect_right(bounds, draw() * mass)
-            symbol = symbols[pick]
-            if symbol == EOS_TOKEN:
-                break
-            tokens.append(symbol)
-            score += logs[pick]
-            if shifts:
-                # Initial contexts hold exactly order - 1 tokens.
-                context = context[1:] + (symbol,)
-        return tokens, score
 
     def _sampling_table(self, context: tuple[str, ...], k: int) -> _SamplingTable:
         """The decode-step table of the top ``k`` symbols after ``context``, built at first use."""

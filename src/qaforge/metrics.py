@@ -10,7 +10,6 @@ external scorers is diagnosable data rather than a code change.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import string
@@ -25,7 +24,12 @@ from pathlib import Path
 from .corpus import language_code
 from .dataset import SquadDataset
 from .errors import (
-    JSON_ERRORS, ConfigurationError, DataError, MissingPredictionsError, json_error_reason
+    JSON_ERRORS,
+    ConfigurationError,
+    DataError,
+    MissingPredictionsError,
+    json_error_reason,
+    load_json,
 )
 from .segmentation import mixed_segment
 
@@ -108,7 +112,7 @@ def load_profile_table(path: str | Path | None = None) -> dict:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read profile table {path}: {exc}") from exc
     try:
-        table = json.loads(raw)
+        table = load_json(raw)
     except JSON_ERRORS as exc:
         raise ConfigurationError(
             f"profile table is not valid JSON: {json_error_reason(exc)}"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
@@ -12,32 +11,34 @@ from .corpus import Passage
 from .errors import ConfigurationError, DataError
 from .generator import Candidate
 
-# Markers must be standalone whitespace-delimited tokens; the split uses the
-# first "answer" token, so a question containing that word gets truncated.
-_QUESTION_MARKER = re.compile(r"\A\s*question(?:\s+|\Z)")
-_ANSWER_MARKER = re.compile(r"(?:\A|(?<=\s))answer(?:(?=\s)|\Z)")
-
 
 def _split_candidate(text: str) -> tuple[str, str] | str:
     """``(question, answer)`` of a decoded sequence, or the name of its first unusable part.
 
-    Parts are checked in the order question marker, answer marker, question,
-    answer.
+    Markers are standalone tokens: whitespace (``str.isspace``) or an end of
+    the text on either side. The text must start with ``question``; the
+    question runs to the first ``answer`` after it, so a question containing
+    that word gets truncated. Parts are checked in the order question marker,
+    answer marker, question, answer.
     """
-    head = _QUESTION_MARKER.match(text)
-    if head is None:
+    rest = text.lstrip()
+    if not rest.startswith("question") or not (len(rest) == 8 or rest[8].isspace()):
         return "question_marker"
-    rest = text[head.end():]
-    marker = _ANSWER_MARKER.search(rest)
-    if marker is None:
-        return "answer_marker"
-    question = rest[: marker.start()].strip()
-    if not question:
-        return "question"
-    answer = rest[marker.end():].strip()
-    if not answer:
-        return "answer"
-    return question, answer
+    # Past the question marker and its whitespace, a hit always follows a
+    # character, and the question is what lies between.
+    at = rest.find("answer", 9)
+    while at >= 0:
+        end = at + 6
+        if rest[at - 1].isspace() and (end == len(rest) or rest[end].isspace()):
+            question = rest[8:at].strip()
+            if not question:
+                return "question"
+            answer = rest[end:].strip()
+            if not answer:
+                return "answer"
+            return question, answer
+        at = rest.find("answer", at + 1)
+    return "answer_marker"
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,7 @@ _EXAMPLE_FIELD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class SyntheticExample:
+class SyntheticExample(NamedTuple):
     """A validated question/answer pair anchored to its passage by character offset."""
 
     passage_id: str
@@ -82,7 +82,7 @@ class SyntheticExample:
     language: str
 
     def to_record(self) -> dict:
-        return {key: getattr(self, key) for key in _EXAMPLE_FIELD_TYPES}
+        return self._asdict()
 
     @classmethod
     def from_record(cls, record: Any) -> "SyntheticExample":
@@ -154,26 +154,30 @@ def run_filter_pipeline(
     therefore has a verified character offset and a distinct (question, answer)
     pair.
     """
-    stats = FilterStats(candidates=len(candidates))
-
+    failures: dict[str, int] = {}
+    context = passage.text
+    length_normalize = config.length_normalize
+    normalize = unicodedata.normalize
     drafts: list[_Draft] = []
-    for candidate in candidates:
-        split = _split_candidate(candidate.text)
+    for text, score in candidates:
+        split = _split_candidate(text)
         if isinstance(split, str):
-            stats.parse_failures[split] = stats.parse_failures.get(split, 0) + 1
+            failures[split] = failures.get(split, 0) + 1
             continue
-        stats.parsed += 1
         question, answer = split
-        answer = unicodedata.normalize("NFC", answer)
-        answer_start = passage.text.find(answer)
+        answer = normalize("NFC", answer)
+        answer_start = context.find(answer)
         if answer_start < 0:
             continue
-        score = candidate.lm_score
-        if config.length_normalize:
-            score /= len(candidate.text.split())
-        question = unicodedata.normalize("NFC", question)
-        drafts.append(_Draft(question, answer, score, answer_start))
-    stats.extractive = len(drafts)
+        if length_normalize:
+            score /= len(text.split())
+        drafts.append(_Draft(normalize("NFC", question), answer, score, answer_start))
+    stats = FilterStats(
+        candidates=len(candidates),
+        parsed=len(candidates) - sum(failures.values()),
+        extractive=len(drafts),
+        parse_failures=failures,
+    )
 
     drafts = _dedup_keep_best(drafts)
     stats.deduped = len(drafts)
@@ -182,15 +186,8 @@ def run_filter_pipeline(
     # result for k is a prefix of the result for k + 1.
     ranked = sorted(drafts, key=lambda draft: -draft.lm_score)[: config.keep_per_passage]
     examples = [
-        SyntheticExample(
-            passage_id=passage.id,
-            question=draft.question,
-            answer=draft.answer,
-            answer_start=draft.answer_start,
-            lm_score=draft.lm_score,
-            language=passage.language,
-        )
-        for draft in ranked
+        SyntheticExample(passage.id, question, answer, answer_start, score, passage.language)
+        for question, answer, score, answer_start in ranked
     ]
     stats.kept = len(examples)
     return examples, stats

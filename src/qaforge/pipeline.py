@@ -19,16 +19,17 @@ in order; the remote backend then has ``workers`` connections, so a passage
 waiting out a retry's backoff leaves its connection to another thread.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
-functions, ``generate_passage``, ``run_filter_pipeline`` and
-``dataset.squad_article``, in the same passage order; ``filter`` and ``emit``
-read one passage's rows at a time (``read_passage_groups``). Every artifact is
-written through ``dataset.atomic_write``.
+functions, in the same passage order: ``generate_passage`` (the backend's
+``generate`` and ``dataset.candidate_rows``), ``run_filter_pipeline``, and
+``dataset.emit_passage``, which gives a passage's ``examples.jsonl`` lines and
+its article. ``filter`` and ``emit`` read one passage's rows at a time
+(``read_passage_groups``). Every artifact is written through
+``dataset.atomic_write``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import threading
@@ -49,13 +50,15 @@ from .dataset import (
     SquadWriter,
     atomic_write,
     candidate_rows,
-    example_line,
+    emit_passage,
+    json_string,
     jsonl_line,
-    squad_article,
     write_json,
     write_jsonl,
 )
-from .errors import JSON_ERRORS, ConfigurationError, DataError, PipelineError, json_error_reason
+from .errors import (
+    JSON_ERRORS, ConfigurationError, DataError, PipelineError, json_error_reason, load_json
+)
 from .generator import GenerationRequest, Candidate, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
 from .remote import RemoteGeneratorClient, resolve_endpoint
@@ -168,7 +171,7 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[in
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
+                    record = load_json(line)
                 except JSON_ERRORS as exc:
                     reason = json_error_reason(exc)
                     raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
@@ -317,8 +320,12 @@ def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
 
 
 def passage_digest(passage: Passage) -> str:
-    """sha256 of what the backend conditions on: the passage text and its language."""
-    return hashlib.sha256(jsonl_line([passage.text, passage.language]).encode("utf-8")).hexdigest()
+    """sha256 of what the backend conditions on: the passage text and its language.
+
+    The payload is ``jsonl_line([passage.text, passage.language])``.
+    """
+    payload = f"[{json_string(passage.text)}, {json_string(passage.language)}]\n"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # Version of the journal layout below; a journal in another layout is
@@ -382,7 +389,7 @@ class _CheckpointJournal:
                     break
                 offset += len(line)
                 try:
-                    record = json.loads(line)
+                    record = load_json(line)
                 except JSON_ERRORS:
                     continue
                 if isinstance(record, dict) and "passage_sha256" in record:
@@ -396,7 +403,7 @@ class _CheckpointJournal:
     def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
         """Raise ConfigurationError unless ``line`` is ``header`` and its newline."""
         try:
-            recorded = json.loads(line) if line.endswith(b"\n") else None
+            recorded = load_json(line) if line.endswith(b"\n") else None
         except JSON_ERRORS:
             recorded = None
         if recorded == header:
@@ -429,7 +436,7 @@ class _CheckpointJournal:
             handle.seek(block.offset)
             data = handle.read(block.length)
         try:
-            records = [json.loads(row) for row in data.split(b"\n")[:-1]]
+            records = [load_json(row) for row in data.split(b"\n")[:-1]]
             candidates = [Candidate.from_record(record) for record in records]
         except (*JSON_ERRORS, DataError):
             return None
@@ -439,9 +446,9 @@ class _CheckpointJournal:
 
     def record(self, passage: Passage, rows: str) -> None:
         """Append ``rows`` (``candidate_rows`` of ``passage``) and the marker completing them."""
-        marker = {"passage_id": passage.id, "passage_sha256": passage_digest(passage)}
+        marker = _marker(passage).encode("utf-8")
         with self._lock:
-            self._write(rows.encode("utf-8"), jsonl_line(marker).encode("utf-8"))
+            self._write(rows.encode("utf-8"), marker)
             self._recorded.add(passage.id)
 
     def journaled_ids(self) -> list[str]:
@@ -452,6 +459,17 @@ class _CheckpointJournal:
         self._handle.close()
         if discard and self.path.exists():
             self.path.unlink()
+
+
+def _marker(passage: Passage) -> str:
+    """The journal line completing ``passage``'s block.
+
+    It is ``jsonl_line({"passage_id": passage.id, "passage_sha256": passage_digest(passage)})``.
+    """
+    return (
+        f'{{"passage_id": {json_string(passage.id)}, '
+        f'"passage_sha256": "{passage_digest(passage)}"}}\n'
+    )
 
 
 def generate_passage(
@@ -598,9 +616,10 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                     candidates_out.write(rows)
                     kept, stats = run_filter_pipeline(passage, candidates, filter_config)
                     totals.merge(stats)
-                    examples_out.writelines(map(example_line, kept))
                     if kept:
-                        document.add(squad_article(passage, kept))
+                        lines, article = emit_passage(passage, kept)
+                        examples_out.write(lines)
+                        document.add(article)
                 document.finish()
                 write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
         except PipelineError:

@@ -22,7 +22,9 @@ import time
 from dataclasses import asdict
 from urllib.parse import urlsplit
 
-from .errors import JSON_ERRORS, ConfigurationError, DataError, ProtocolError, TransportError
+from .errors import (
+    JSON_ERRORS, ConfigurationError, DataError, ProtocolError, TransportError, load_json
+)
 from .generator import Candidate, GenerationRequest
 
 logger = logging.getLogger(__name__)
@@ -160,7 +162,7 @@ class RemoteGeneratorClient:
         self, data: bytes, request: GenerationRequest, attempts: int
     ) -> list[Candidate]:
         try:
-            body = json.loads(data)
+            body = load_json(data)
         except JSON_ERRORS as exc:
             raise ProtocolError(
                 f"generator response is not JSON: {exc}", attempts=attempts

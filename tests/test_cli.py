@@ -1070,6 +1070,91 @@ class TestDeepNesting:
         assert f"{candidates}:2: invalid record" in capsys.readouterr().err
 
 
+class TestLoneSurrogate:
+    """``json.loads`` decodes the escape ``\\ud800`` to a string no UTF-8 file can hold."""
+
+    ESCAPE = "\\ud800"  # as the six characters of the file
+
+    def test_passages_file_skips_the_record(self, workspace, capsys):
+        passages = workspace / "passages.jsonl"
+        with passages.open("a", encoding="utf-8") as handle:
+            handle.write(
+                f'{{"id": "bad", "text": "harbor {self.ESCAPE} stone garden", "language": "en"}}\n'
+            )
+        output = workspace / "kept.jsonl"
+        code = run_cli("ingest", "--input", str(passages), "--min-tokens", "1",
+                       "--output", str(output))
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote 12 passages to {output} (1 records skipped)\n"
+
+    def test_candidates_file_exit_data_naming_line(self, workspace, capsys):
+        candidates = workspace / "scored.jsonl"
+        candidates.write_text(
+            '{"passage_id": "p000", "text": "question q answer a", "lm_score": -1.0}\n'
+            f'{{"passage_id": "p000", "text": "question q{self.ESCAPE} answer stone garden", '
+            '"lm_score": -1.0}\n',
+            encoding="utf-8",
+        )
+        code = run_cli(
+            "filter",
+            "--candidates", str(candidates),
+            "--input", str(workspace / "passages.jsonl"),
+            "--output", str(workspace / "examples.jsonl"),
+        )
+        assert code == 2
+        assert f"{candidates}:2: invalid record: a string holds an unpaired surrogate" in (
+            capsys.readouterr().err
+        )
+
+    def test_eval_with_output_exit_data(self, tmp_path, capsys):
+        qa_id = f"q{self.ESCAPE}"
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(
+            '{"version": "1.1", "data": [{"title": "t", "paragraphs": [{"context": "a b", '
+            f'"qas": [{{"id": "{qa_id}", "question": "q", '
+            '"answers": [{"text": "a", "answer_start": 0}]}]}]}]}',
+            encoding="utf-8",
+        )
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text(f'{{"{qa_id}": "a"}}', encoding="utf-8")
+        output = tmp_path / "report.json"
+        code = run_cli("eval", "--dataset", str(dataset), "--predictions", str(predictions),
+                       "--output", str(output))
+        assert code == 2
+        assert "a string holds an unpaired surrogate" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_run_skips_the_passage(self, workspace):
+        passages = workspace / "passages.jsonl"
+        with passages.open("a", encoding="utf-8") as handle:
+            handle.write(
+                f'{{"id": "bad", "text": "harbor {self.ESCAPE} stone garden", "language": "en"}}\n'
+            )
+        out = workspace / "out"
+        code = run_cli("run", "--input", str(passages), "--output-dir", str(out),
+                       "--train-corpus", str(workspace / "train.jsonl"), "--min-tokens", "1")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        assert (report["record_errors"], report["counts"]["ingested"]) == (1, 12)
+
+    def test_run_names_the_training_corpus_line(self, workspace, capsys):
+        train = workspace / "train.jsonl"
+        lines = train.read_text("utf-8").splitlines()
+        record = json.loads(lines[2])
+        lines[2] = json.dumps({**record, "question": record["question"] + " \ud800"})
+        train.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "out"),
+            "--train-corpus", str(train),
+        )
+        assert code == 2
+        assert f"{train}:3: invalid record: a string holds an unpaired surrogate" in (
+            capsys.readouterr().err
+        )
+
+
 class TestTrainingCorpusRecords:
     @pytest.mark.parametrize(
         "override",

@@ -24,9 +24,10 @@ from qaforge.dataset import (
     build_training_mix,
     candidate_rows,
     dumps_squad,
+    emit_passage,
     emit_squad,
-    example_line,
     qa_content_id,
+    squad_article,
     read_squad,
     write_json,
     write_jsonl,
@@ -431,8 +432,12 @@ class _Offset(int):
 
 
 # Strings with JSON's escapes, control characters, the line separators
-# JavaScript rejects and characters outside the BMP.
-json_texts = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001F600é') | st.characters())
+# JavaScript rejects, characters outside the BMP and a combining mark. No
+# surrogate: ``load_json`` rejects one, so no string read can hold it.
+json_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001F600é\u0301')
+    | st.characters(codec="utf-8")
+)
 # Every kind of number a record may hold, with the values a repr gets wrong.
 json_numbers = (
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, True, False])
@@ -442,6 +447,23 @@ json_numbers = (
     | st.builds(_Score, st.floats())
     | st.builds(_Offset, st.integers())
 )
+
+
+@st.composite
+def emitted(draw) -> tuple[Passage, list[SyntheticExample]]:
+    """A passage and examples of it, each answer at its offset, no two of one pair."""
+    passage_id, language, text = draw(json_texts), draw(json_texts), draw(json_texts)
+    pairs = draw(st.lists(st.tuples(json_texts, json_texts), max_size=4, unique=True))
+    examples = []
+    for question, answer in pairs:
+        start = len(text)
+        if draw(st.booleans()):
+            start = _Offset(start)
+        text += answer + draw(json_texts)
+        examples.append(
+            SyntheticExample(passage_id, question, answer, start, draw(json_numbers), language)
+        )
+    return Passage(passage_id, text, language, 0), examples
 
 
 class TestEncodingsEqualJsonDumps:
@@ -454,11 +476,21 @@ class TestEncodingsEqualJsonDumps:
         )
         assert candidate_rows(passage_id, candidates) == expected
 
-    @given(json_texts, json_texts, json_texts, json_numbers, json_numbers, json_texts)
-    def test_example_line(self, passage_id, question, answer, answer_start, lm_score, language):
-        example = SyntheticExample(passage_id, question, answer, answer_start, lm_score, language)
-        expected = json.dumps(example.to_record(), ensure_ascii=False) + "\n"
-        assert example_line(example) == expected
+    @given(emitted())
+    def test_example_line(self, drawn):
+        passage, examples = drawn
+        expected = "".join(
+            json.dumps(example.to_record(), ensure_ascii=False) + "\n" for example in examples
+        )
+        assert emit_passage(passage, examples)[0] == expected
+
+    @given(emitted())
+    def test_emitted_article_is_the_general_writers(self, drawn):
+        passage, examples = drawn
+        article = emit_passage(passage, examples)[1]
+        dataset = SquadDataset("1.1", [squad_article(passage, examples)])
+        assert f'{{"version":"1.1","data":[{article}]}}' == json_dumps_document(dataset)
+        assert dumps_squad(dataset) == json_dumps_document(dataset)
 
     @given(json_texts, json_texts, json_texts)
     def test_content_id(self, passage_id, question, answer):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 
@@ -121,6 +123,65 @@ class TestParseCandidate:
     )
     def test_round_trips_formatted_targets(self, question, answer):
         assert parse_candidate(format_target(question, answer)) == QAPair(question, answer)
+
+
+# The split as regular expressions, the reference ``_split_candidate`` is
+# checked against: the question marker opens the text, the answer marker is the
+# first standalone "answer" after it.
+_QUESTION_MARKER = re.compile(r"\A\s*question(?:\s+|\Z)")
+_ANSWER_MARKER = re.compile(r"(?:\A|(?<=\s))answer(?:(?=\s)|\Z)")
+
+
+def reference_split(text: str) -> tuple[str, str] | str:
+    head = _QUESTION_MARKER.match(text)
+    if head is None:
+        return "question_marker"
+    rest = text[head.end():]
+    marker = _ANSWER_MARKER.search(rest)
+    if marker is None:
+        return "answer_marker"
+    question = rest[: marker.start()].strip()
+    if not question:
+        return "question"
+    answer = rest[marker.end():].strip()
+    if not answer:
+        return "answer"
+    return question, answer
+
+
+# Every code point that str.isspace or the regular expressions' \s takes for
+# whitespace; the two agree (test_whitespace_is_the_same_set).
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_SPLIT_TOKENS = st.sampled_from(
+    ["question", "answer", "answers", "xanswer", "answer\u200b", "\u200banswer", "Answer",
+     "questions", "question\u200b", "ans", "wer", "q", "a", "harbor", "answeranswer"]
+)
+# Tokens, each followed by a run of whitespace that may be empty.
+_SPLIT_TEXTS = st.lists(
+    st.tuples(_SPLIT_TOKENS, st.text(st.sampled_from(WHITESPACE), max_size=3)), max_size=8
+).map(lambda parts: "".join(token + space for token, space in parts))
+
+
+class TestSplitMatchesReference:
+    def test_whitespace_is_the_same_set(self):
+        pattern = re.compile(r"\s")
+        regex_spaces = [chr(c) for c in range(sys.maxunicode + 1) if pattern.match(chr(c))]
+        assert regex_spaces == WHITESPACE
+        assert len(WHITESPACE) == 29
+
+    @settings(max_examples=500)
+    @example("question\x1cq\x85answer\u3000a\x1f")
+    @example("question answeranswer answer a")
+    @example("question q xanswer answer a")
+    @example("\u2028question\u2029answer")
+    @given(_SPLIT_TEXTS)
+    def test_split_equals_reference(self, text):
+        assert _split_candidate(text) == reference_split(text)
+
+    @settings(max_examples=500)
+    @given(st.sampled_from(["", " ", "question ", "question q "]), _SPLIT_TEXTS)
+    def test_split_equals_reference_after_a_prefix(self, prefix, text):
+        assert _split_candidate(prefix + text) == reference_split(prefix + text)
 
 
 def _candidate(question: str, answer: str, score: float) -> Candidate:
