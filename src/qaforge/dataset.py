@@ -213,13 +213,12 @@ class SquadReadResult:
     violations: list[SquadViolation]
 
 
-def qa_content_id(passage_id: str, question: str, answer: str) -> str:
-    """Deterministic entry id: stable across re-runs and parallel schedules."""
-    return _content_id(json_string(passage_id), json_string(question), json_string(answer))
-
-
 def _content_id(passage_id: str, question: str, answer: str) -> str:
-    """``qa_content_id`` of the three strings, given as ``json_string`` escaped them."""
+    """The entry id of a passage id, question and answer, given as ``json_string`` escaped them.
+
+    It is the sha256 of their JSON array, so it is stable across re-runs and
+    parallel schedules.
+    """
     payload = f"[{passage_id}, {question}, {answer}]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
@@ -264,10 +263,10 @@ def squad_article(passage: Passage, examples: Iterable[SyntheticExample]) -> Squ
 
     The examples are checked as ``_entries`` checks them.
     """
-    qas = {
-        qa_id: SquadQA(qa_id, example.question, [SquadAnswer(example.answer, example.answer_start)])
-        for qa_id, _, _, example in _entries(passage, examples, json_string(passage.id))
-    }
+    qas = {}
+    for qa_id, _, _, example in _entries(passage, examples, json_string(passage.id)):
+        answer = SquadAnswer(example.answer, example.answer_start)
+        qas[qa_id] = SquadQA(qa_id, example.question, [answer])
     paragraph = SquadParagraph(context=passage.text, qas=[qas[i] for i in sorted(qas)])
     return SquadArticle(title=passage.id, paragraphs=[paragraph])
 

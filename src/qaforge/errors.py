@@ -33,7 +33,7 @@ def load_json(document: str | bytes) -> Any:
     only from an escape, so the decoded value is searched only when the text
     holds one.
     """
-    if isinstance(document, (bytes, bytearray)):
+    if isinstance(document, bytes):
         document = document.decode(json.detect_encoding(document))
     value = json.loads(document)
     if _SURROGATE_ESCAPE.search(document) and _holds_surrogate(value):

@@ -21,14 +21,15 @@ from qaforge.dataset import (
     SquadDataset,
     SquadParagraph,
     SquadQA,
+    _content_id,
     build_training_mix,
     candidate_rows,
     dumps_squad,
     emit_passage,
     emit_squad,
-    qa_content_id,
-    squad_article,
+    json_string,
     read_squad,
+    squad_article,
     write_json,
     write_jsonl,
     write_squad,
@@ -124,7 +125,8 @@ class TestEmitSquad:
         example = make_example(passage, "where", "harbor")
         dataset = emit_squad([example], {passage.id: passage})
         qa = dataset.articles[0].paragraphs[0].qas[0]
-        assert qa.id == qa_content_id("p1", "where", "harbor")
+        payload = json.dumps(["p1", "where", "harbor"], ensure_ascii=False)
+        assert qa.id == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
     def test_unknown_passage_rejected(self, passage):
         example = make_example(passage, "where", "harbor")
@@ -496,7 +498,8 @@ class TestEncodingsEqualJsonDumps:
     def test_content_id(self, passage_id, question, answer):
         payload = json.dumps([passage_id, question, answer], ensure_ascii=False)
         expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-        assert qa_content_id(passage_id, question, answer) == expected
+        escaped = (json_string(passage_id), json_string(question), json_string(answer))
+        assert _content_id(*escaped) == expected
 
     @given(datasets)
     def test_document(self, dataset):

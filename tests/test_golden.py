@@ -38,7 +38,8 @@ def golden_inputs(directory: Path) -> tuple[Path, Path]:
     passages = make_passages(count=24)
     for index in range(8):
         language, words = ("es", ES_WORDS) if index % 2 else ("zh", ZH_WORDS)
-        passages.append(Passage.build(f"x{index}", _text(rng, words, rng.randint(30, 40)), language))
+        text = _text(rng, words, rng.randint(30, 40))
+        passages.append(Passage.build(f"x{index}", text, language))
     corpus = make_training_corpus()
     for words in (ES_WORDS, ZH_WORDS) * 4:
         passage = _text(rng, words, 12)
