@@ -132,6 +132,13 @@ class TestRemoteGeneratorClient:
                 client.generate(_request())
         assert len(script.bodies) == 2
 
+    def test_lone_surrogate_is_protocol_violation(self, serve):
+        payload = _ok_payload()
+        payload["candidates"][1]["text"] = "question q\ud800 answer a"  # sent as "\\ud800"
+        client = RemoteGeneratorClient(serve(_Script([(200, payload)])), backoff_base=0.01)
+        with pytest.raises(ProtocolError, match="unpaired surrogate"):
+            client.generate(_request())
+
     def test_endpoint_from_environment(self, serve, monkeypatch):
         script = _Script([(200, _ok_payload())])
         monkeypatch.setenv(GENERATOR_URL_ENV, serve(script))
