@@ -227,7 +227,9 @@ class ReferenceBackend:
         eos = EOS_TOKEN
         shifts = self.order > 1
         steps = range(request.max_output_tokens)
-        base_context = _initial_context(conditioning_text(request).split(), self.order)
+        # Only the last order - 1 tokens condition: split off no more.
+        tail = conditioning_text(request).rsplit(None, self.order - 1)
+        base_context = _initial_context(tail, self.order)
         candidates = []
         for _ in range(request.num_samples):
             context = base_context

@@ -328,6 +328,17 @@ def passage_digest(passage: Passage) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _marker(passage: Passage) -> str:
+    """The journal line completing ``passage``'s block.
+
+    It is ``jsonl_line({"passage_id": passage.id, "passage_sha256": passage_digest(passage)})``.
+    """
+    return (
+        f'{{"passage_id": {json_string(passage.id)}, '
+        f'"passage_sha256": "{passage_digest(passage)}"}}\n'
+    )
+
+
 # Version of the journal layout below; a journal in another layout is
 # refused on resume. Journals without a "format" key are layout 1: one JSON
 # line of candidates per passage, keyed by passage id alone.
@@ -459,17 +470,6 @@ class _CheckpointJournal:
         self._handle.close()
         if discard and self.path.exists():
             self.path.unlink()
-
-
-def _marker(passage: Passage) -> str:
-    """The journal line completing ``passage``'s block.
-
-    It is ``jsonl_line({"passage_id": passage.id, "passage_sha256": passage_digest(passage)})``.
-    """
-    return (
-        f'{{"passage_id": {json_string(passage.id)}, '
-        f'"passage_sha256": "{passage_digest(passage)}"}}\n'
-    )
 
 
 def generate_passage(

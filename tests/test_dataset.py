@@ -37,6 +37,7 @@ from qaforge.dataset import (
 from qaforge.errors import ConfigurationError, DataError, EmissionError, SquadParseError
 from qaforge.generator import Candidate
 from qaforge.parsefilter import SyntheticExample
+from qaforge.pipeline import _marker, passage_digest
 
 
 def make_example(passage: Passage, question: str, answer: str, score: float = -1.0):
@@ -500,6 +501,15 @@ class TestEncodingsEqualJsonDumps:
         expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
         escaped = (json_string(passage_id), json_string(question), json_string(answer))
         assert _content_id(*escaped) == expected
+
+    @given(json_texts, json_texts, json_texts)
+    def test_journal_marker_and_passage_digest(self, passage_id, text, language):
+        passage = Passage(passage_id, text, language, 0)
+        payload = json.dumps([text, language], ensure_ascii=False) + "\n"
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        assert passage_digest(passage) == digest
+        marker = {"passage_id": passage_id, "passage_sha256": digest}
+        assert _marker(passage) == json.dumps(marker, ensure_ascii=False) + "\n"
 
     @given(datasets)
     def test_document(self, dataset):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_training_corpus
 from qaforge.errors import ConfigurationError
 from qaforge.generator import (
     EOS_TOKEN,
@@ -327,6 +328,20 @@ class TestDecoder:
                 max_output_tokens=max_tokens,
             )
             assert backend.generate(req, seed=seed) == oracle_generate(backend, req, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.sampled_from(["stone", "garden", "river", "x"]), min_size=1, max_size=4),
+        st.lists(st.sampled_from([" ", "  ", "\t", "\u3000", "\x1c"]), min_size=4, max_size=4),
+    )
+    def test_short_passages_condition_as_the_reference_decoder(self, order, words, spaces):
+        # Passages with fewer tokens than the context holds, between runs of
+        # whitespace of every kind the tokenizer splits on.
+        backend = train_reference(make_training_corpus(count=8), order=order)
+        passage = "".join(space + word for space, word in zip(spaces, words)) + spaces[-1]
+        req = request(passage, num_samples=3, top_k=3, max_output_tokens=6)
+        assert backend.generate(req, seed=7) == oracle_generate(backend, req, 7)
 
 
 def golden_output() -> list[dict]:
