@@ -138,6 +138,10 @@ class _SamplingTable(NamedTuple):
     # compensates rounding, so it need not equal the last running sum.
     mass: float
     logs: list[float]  # natural log of each probability
+    # The table after each symbol, linked at first use. None on the table
+    # that every untrained context shares: what follows it depends on the
+    # real context.
+    successors: list[_SamplingTable | None] | None
 
 
 class ReferenceBackend:
@@ -155,10 +159,14 @@ class ReferenceBackend:
     The model is fixed at construction. Each decode step reads a sampling
     table built at the first use of its (context, k) and memoized: the cache
     maps k to a dict from trained context to table, in which every untrained
-    context shares the table under None. A request fetches its k's dict
-    once, so a step in a trained context is one dict lookup. Instances are
-    safe to share across threads, since racing threads build and store equal
-    tables. Sampling determinism comes from the caller-provided seed.
+    context shares the table under None. A trained context's table links to
+    the table after each of its symbols, filled at first use, so a step out
+    of a trained context is one list index; a step out of the shared table
+    rebuilds its context and looks it up. Instances are safe to share across
+    threads: racing threads keep the table stored first under each key, and
+    link to that one. Links form reference cycles, so a dropped backend's
+    tables wait for the cyclic garbage collector. Sampling determinism comes
+    from the caller-provided seed.
     A table ranks by count, ties lexicographic, which is the probability
     order: a new context costs a C sort of its counted symbols plus O(k)
     Python work. A counted symbol outside the vocabulary is never emitted.
@@ -217,28 +225,23 @@ class ReferenceBackend:
         reported score is always the full-distribution log-probability of
         the emitted tokens, so it matches ``score_sequence`` exactly.
         """
-        # Bound once per request: a trained context's table is one dict probe;
-        # a miss (a new or an untrained context) falls back to _sampling_table.
         top_k = request.top_k
-        get_table = self._top_k_cache.setdefault(top_k, {}).get
         sampling_table = self._sampling_table
         draw = random.Random(seed).random
         bisect_right = bisect.bisect_right
         eos = EOS_TOKEN
-        shifts = self.order > 1
         steps = range(request.max_output_tokens)
         # Only the last order - 1 tokens condition: split off no more.
         tail = conditioning_text(request).rsplit(None, self.order - 1)
         base_context = _initial_context(tail, self.order)
+        base_table = sampling_table(base_context, top_k)
         candidates = []
         for _ in range(request.num_samples):
-            context = base_context
+            table = base_table
             tokens: list[str] = []
             score = 0.0
             for _ in steps:
-                symbols, bounds, mass, logs = (
-                    get_table(context) or sampling_table(context, top_k)
-                )
+                symbols, bounds, mass, logs, successors = table
                 # The first boundary above the draw; a draw past the last boundary,
                 # even one that rounding puts past the total, takes the last symbol.
                 pick = bisect_right(bounds, draw() * mass)
@@ -247,23 +250,32 @@ class ReferenceBackend:
                     break
                 tokens.append(symbol)
                 score += logs[pick]
-                if shifts:
-                    # Initial contexts hold exactly order - 1 tokens.
-                    context = context[1:] + (symbol,)
+                table = successors[pick] if successors is not None else None
+                if table is None:
+                    # No link yet, or the shared untrained table: the context is
+                    # the last order - 1 of base_context and the tokens.
+                    table = sampling_table((*base_context, *tokens)[len(tokens):], top_k)
+                    if successors is not None:
+                        successors[pick] = table
             candidates.append(Candidate(" ".join(tokens), score))
         return candidates
 
     def _sampling_table(self, context: tuple[str, ...], k: int) -> _SamplingTable:
         """The decode-step table of the top ``k`` symbols after ``context``, built at first use."""
         tables = self._top_k_cache.setdefault(k, {})
-        key = context if context in self.counts else None
+        trained = context in self.counts
+        key = context if trained else None
         table = tables.get(key)
         if table is None:
             symbols, probs = self._top_k(context, k)
-            table = _SamplingTable(
-                symbols, list(accumulate(probs[:-1])), sum(probs), [math.log(p) for p in probs]
-            )
-            tables[key] = table
+            # setdefault: racing threads keep the one table stored first.
+            table = tables.setdefault(key, _SamplingTable(
+                symbols,
+                list(accumulate(probs[:-1])),
+                sum(probs),
+                [math.log(p) for p in probs],
+                [None] * len(symbols) if trained else None,
+            ))
         return table
 
     def _top_k(self, context: tuple[str, ...], k: int) -> tuple[list[str], list[float]]:

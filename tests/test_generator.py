@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -342,6 +344,105 @@ class TestDecoder:
         passage = "".join(space + word for space, word in zip(spaces, words)) + spaces[-1]
         req = request(passage, num_samples=3, top_k=3, max_output_tokens=6)
         assert backend.generate(req, seed=7) == oracle_generate(backend, req, 7)
+
+
+def warm_requests(backend: ReferenceBackend, corpus) -> list[tuple[GenerationRequest, int]]:
+    """Requests at k 1, 3 and len(V) + 5, each with its seed.
+
+    Passages end on trained contexts (two training passages), on untrained
+    ones, and with fewer tokens than the context holds; one carries a
+    ``<lang:xx>`` tag.
+    """
+    passages = [
+        corpus[0][0],
+        corpus[1][0],
+        "north river island",
+        "glacier zzz-unseen",
+        "garden",
+        "",
+    ]
+    requests = []
+    for k in (1, 3, len(backend.vocabulary) + 5):
+        for passage in passages:
+            requests.append(request(f"lead {passage}".strip(), num_samples=3, top_k=k,
+                                    max_output_tokens=10))
+        requests.append(request("river stone garden", num_samples=3, top_k=k,
+                                max_output_tokens=10, target_language="de"))
+    return [(req, derive_seed(1, str(index))) for index, req in enumerate(requests)]
+
+
+def decode_all(backend: ReferenceBackend, requests) -> list[list[Candidate]]:
+    return [backend.generate(req, seed=seed) for req, seed in requests]
+
+
+class TestSuccessorLinks:
+    def test_shared_untrained_table_stores_no_link(self):
+        # (p, b) and (p, d) are untrained and share one table, whose top
+        # symbol is "1"; (b, 1) and (d, 1) are trained and go on differently.
+        counts = {("b", "1"): Counter({"u": 1}), ("d", "1"): Counter({"v": 1})}
+        backend = ReferenceBackend(3, ["1", "b", "d", "p", "u", "v"], counts)
+        after_b = request("p b", top_k=1, max_output_tokens=4)
+        after_d = request("p d", top_k=1, max_output_tokens=4)
+        assert backend.generate(after_b, seed=0) == oracle_generate(backend, after_b, 0)
+        assert backend.generate(after_d, seed=0) == oracle_generate(backend, after_d, 0)
+        assert [c.text for c in backend.generate(after_d, seed=0)] == ["1 v 1 1"]
+        assert backend._top_k_cache[1][None].successors is None
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_warm_backend_decodes_as_the_reference_decoder(self, order):
+        corpus = make_training_corpus(count=12)
+        backend = train_reference(corpus, order=order)
+        requests = warm_requests(backend, corpus)
+        expected = [oracle_generate(backend, req, seed) for req, seed in requests]
+        assert decode_all(backend, requests) == expected
+        assert decode_all(backend, requests[::-1]) == expected[::-1]
+
+    def test_threads_sharing_a_cold_backend_decode_as_one(self, toy_corpus):
+        rng = random.Random(5)
+        passages = [
+            " ".join(rng.choice(["river", "stone", "garden", "storm", "zzz"])
+                     for _ in range(rng.randint(1, 6)))
+            for _ in range(50)
+        ]
+        requests = [
+            (request(passage, num_samples=4, top_k=(1, 3, 10)[index % 3],
+                     max_output_tokens=12), derive_seed(2, str(index)))
+            for index, passage in enumerate(passages)
+        ]
+        serial = decode_all(train_reference(toy_corpus, order=3), requests)
+        backend = train_reference(toy_corpus, order=3)
+        barrier = threading.Barrier(4)
+        outputs: list = [None] * 4
+
+        def decode(slot: int) -> None:
+            barrier.wait(timeout=60)
+            outputs[slot] = decode_all(backend, requests)
+
+        threads = [threading.Thread(target=decode, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside table builds too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outputs == [serial] * 4
+
+    def test_links_add_no_tables(self, toy_corpus):
+        backend = train_reference(toy_corpus, order=3)
+        decode_all(backend, warm_requests(backend, toy_corpus))
+        linked = 0
+        for tables in backend._top_k_cache.values():
+            cached = {id(table) for table in tables.values()}
+            for table in tables.values():
+                for successor in table.successors or ():
+                    if successor is not None:
+                        linked += 1
+                        assert id(successor) in cached
+        assert linked
 
 
 def golden_output() -> list[dict]:
