@@ -211,6 +211,8 @@ def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
 
 
 def cmd_eval(args) -> int:
+    table = load_profile_table(args.profile_config) if args.profile_config else None
+    profile = make_profile(args.mode, args.language, table)
     result = read_squad(_read_text(args.dataset))
     for violation in result.violations:
         logger.warning("dataset violation (%s): %s", violation.qa_id, violation.message)
@@ -219,8 +221,6 @@ def cmd_eval(args) -> int:
         isinstance(answer, str) for answer in predictions.values()
     ):
         raise DataError(f"{args.predictions}: predictions must be an object of id -> answer")
-    table = load_profile_table(args.profile_config) if args.profile_config else None
-    profile = make_profile(args.mode, args.language, table)
     report = evaluate_dataset(
         predictions, result.dataset, profile, missing_as_zero=args.missing_as_zero
     )

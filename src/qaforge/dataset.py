@@ -367,27 +367,42 @@ def write_squad(dataset: SquadDataset, destination: str | Path) -> None:
         _write_document(handle, dataset)
 
 
-def _expect(value: Any, kind: type, path: str) -> Any:
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise SquadParseError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+# The fields each level of a document must carry, in the order they are checked.
+_DOCUMENT_FIELDS = (("version", str), ("data", list))
+_ARTICLE_FIELDS = (("title", str), ("paragraphs", list))
+_PARAGRAPH_FIELDS = (("context", str), ("qas", list))
+_QA_FIELDS = (("id", str), ("question", str), ("answers", list))
+_ANSWER_FIELDS = (("text", str), ("answer_start", int))
 
 
-def _expect_key(mapping: Any, key: str, kind: type, path: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise SquadParseError(f"{path}: expected object, got {type(mapping).__name__}")
-    if key not in mapping:
-        raise SquadParseError(f"{path}: missing field {key!r}")
-    return _expect(mapping[key], kind, f"{path}.{key}")
+def _schema_error(value: Any, fields: tuple[tuple[str, type], ...], path: str) -> SquadParseError:
+    """The error for the first check ``value`` fails: an object holding ``fields``.
+
+    ``read_squad`` checks a value with ``type(...) is`` tests and calls this
+    only when one fails; for the types ``json.loads`` returns, those fail
+    exactly when a check here does. A bool is never an int.
+    """
+    if not isinstance(value, dict):
+        return SquadParseError(f"{path}: expected object, got {type(value).__name__}")
+    for key, kind in fields:
+        if key not in value:
+            return SquadParseError(f"{path}: missing field {key!r}")
+        field = value[key]
+        if not isinstance(field, kind) or isinstance(field, bool):
+            return SquadParseError(
+                f"{path}.{key}: expected {kind.__name__}, got {type(field).__name__}"
+            )
+    raise AssertionError(f"{path} passes every check")
 
 
 def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
     """Parse and validate a document.
 
     Schema problems (missing fields, wrong types, truncated JSON) raise
-    SquadParseError with the offending path. Consistency problems (answer
-    text not matching its offset, duplicate entry ids) are collected as
-    non-fatal violations on the result.
+    SquadParseError with the offending path, such as
+    ``$.data[0].paragraphs[3].qas[7].answers[1]``. Consistency problems
+    (answer text not matching its offset, duplicate entry ids) are collected
+    as non-fatal violations on the result, in document order.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -401,55 +416,70 @@ def read_squad(source: bytes | str | IO[bytes] | IO[str]) -> SquadReadResult:
     except JSON_ERRORS as exc:
         raise SquadParseError(f"document is not valid JSON: {json_error_reason(exc)}") from exc
 
-    version = _expect_key(document, "version", str, "$")
-    data = _expect_key(document, "data", list, "$")
+    if not (
+        type(document) is dict
+        and type(version := document.get("version")) is str
+        and type(data := document.get("data")) is list
+    ):
+        raise _schema_error(document, _DOCUMENT_FIELDS, "$")
 
     articles = []
-    for ai, raw_article in enumerate(data):
-        article_path = f"$.data[{ai}]"
-        title = _expect_key(raw_article, "title", str, article_path)
-        raw_paragraphs = _expect_key(raw_article, "paragraphs", list, article_path)
-        paragraphs = []
-        for pi, raw_paragraph in enumerate(raw_paragraphs):
-            paragraph_path = f"{article_path}.paragraphs[{pi}]"
-            context = _expect_key(raw_paragraph, "context", str, paragraph_path)
-            raw_qas = _expect_key(raw_paragraph, "qas", list, paragraph_path)
-            qas = []
-            for qi, raw_qa in enumerate(raw_qas):
-                qa_path = f"{paragraph_path}.qas[{qi}]"
-                qa_id = _expect_key(raw_qa, "id", str, qa_path)
-                question = _expect_key(raw_qa, "question", str, qa_path)
-                raw_answers = _expect_key(raw_qa, "answers", list, qa_path)
-                answers = []
-                for xi, raw_answer in enumerate(raw_answers):
-                    answer_path = f"{qa_path}.answers[{xi}]"
-                    text = _expect_key(raw_answer, "text", str, answer_path)
-                    start = _expect_key(raw_answer, "answer_start", int, answer_path)
-                    answers.append(SquadAnswer(text=text, answer_start=start))
-                qas.append(SquadQA(id=qa_id, question=question, answers=answers))
-            paragraphs.append(SquadParagraph(context=context, qas=qas))
-        articles.append(SquadArticle(title=title, paragraphs=paragraphs))
-
-    dataset = SquadDataset(version=version, articles=articles)
-
     violations = []
     seen: set[str] = set()
-    for paragraph, qa in dataset.iter_qas():
-        if qa.id in seen:
-            violations.append(SquadViolation(qa_id=qa.id, message="duplicate qa id"))
-        seen.add(qa.id)
-        for answer in qa.answers:
-            if not _span_matches(paragraph.context, answer.text, answer.answer_start):
-                violations.append(
-                    SquadViolation(
-                        qa_id=qa.id,
-                        message=(
-                            f"answer text does not match context at offset "
-                            f"{answer.answer_start}"
-                        ),
-                    )
+    for ai, raw_article in enumerate(data):
+        if not (
+            type(raw_article) is dict
+            and type(title := raw_article.get("title")) is str
+            and type(raw_paragraphs := raw_article.get("paragraphs")) is list
+        ):
+            raise _schema_error(raw_article, _ARTICLE_FIELDS, f"$.data[{ai}]")
+        paragraphs = []
+        for pi, raw_paragraph in enumerate(raw_paragraphs):
+            if not (
+                type(raw_paragraph) is dict
+                and type(context := raw_paragraph.get("context")) is str
+                and type(raw_qas := raw_paragraph.get("qas")) is list
+            ):
+                raise _schema_error(
+                    raw_paragraph, _PARAGRAPH_FIELDS, f"$.data[{ai}].paragraphs[{pi}]"
                 )
-    return SquadReadResult(dataset=dataset, violations=violations)
+            qas = []
+            for qi, raw_qa in enumerate(raw_qas):
+                if not (
+                    type(raw_qa) is dict
+                    and type(qa_id := raw_qa.get("id")) is str
+                    and type(question := raw_qa.get("question")) is str
+                    and type(raw_answers := raw_qa.get("answers")) is list
+                ):
+                    raise _schema_error(
+                        raw_qa, _QA_FIELDS, f"$.data[{ai}].paragraphs[{pi}].qas[{qi}]"
+                    )
+                if qa_id in seen:
+                    violations.append(SquadViolation(qa_id, "duplicate qa id"))
+                seen.add(qa_id)
+                answers = []
+                for xi, raw_answer in enumerate(raw_answers):
+                    if not (
+                        type(raw_answer) is dict
+                        and type(text := raw_answer.get("text")) is str
+                        and type(start := raw_answer.get("answer_start")) is int
+                    ):
+                        raise _schema_error(
+                            raw_answer,
+                            _ANSWER_FIELDS,
+                            f"$.data[{ai}].paragraphs[{pi}].qas[{qi}].answers[{xi}]",
+                        )
+                    if not _span_matches(context, text, start):
+                        violations.append(
+                            SquadViolation(
+                                qa_id, f"answer text does not match context at offset {start}"
+                            )
+                        )
+                    answers.append(SquadAnswer(text, start))
+                qas.append(SquadQA(qa_id, question, answers))
+            paragraphs.append(SquadParagraph(context, qas))
+        articles.append(SquadArticle(title, paragraphs))
+    return SquadReadResult(SquadDataset(version, articles), violations)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -175,42 +175,55 @@ def make_profile(
     )
 
 
-def normalize_answer(text: str, profile: NormalizationProfile) -> str:
-    """Lowercase, strip punctuation, drop standalone articles, collapse whitespace."""
+def _normalized_words(text: str, profile: NormalizationProfile) -> list[str]:
+    """Lowercase, strip punctuation, drop standalone articles, split on whitespace."""
     text = text.lower().translate(_PUNCTUATION_TABLES[profile.punctuation_class])
     if profile._article_pattern is not None:
         text = profile._article_pattern.sub(" ", text)
-    return " ".join(text.split())
+    return text.split()
+
+
+def normalize_answer(text: str, profile: NormalizationProfile) -> str:
+    """Lowercase, strip punctuation, drop standalone articles, collapse whitespace."""
+    return " ".join(_normalized_words(text, profile))
 
 
 def tokenize_for_f1(text: str, profile: NormalizationProfile) -> list[str]:
     """Token sequence of ``text`` under the profile's segmentation.
 
-    The text is segmented as given, without normalization: F1 passes it
-    the output of ``normalize_answer``, ``qaforge bleu`` raw lines.
+    The text is segmented as given, without normalization: ``qaforge bleu``
+    passes it raw lines.
     """
     return _SEGMENTERS[profile.segmentation](text)
 
 
-def _normalized_tokens(text: str, profile: NormalizationProfile) -> tuple[str, list[str]]:
-    normalized = normalize_answer(text, profile)
-    return normalized, tokenize_for_f1(normalized, profile)
+def _normalized_tokens(text: str, profile: NormalizationProfile) -> tuple[list[str], list[str]]:
+    """The answer's normalized words and its F1 tokens.
+
+    Two answers normalize to the same string iff their words are equal.
+    Under whitespace segmentation the words are the tokens, the same list;
+    otherwise the tokens segment the normalized string.
+    """
+    words = _normalized_words(text, profile)
+    if profile.segmentation == SEGMENTATION_WHITESPACE:
+        return words, words
+    return words, mixed_segment(" ".join(words))
 
 
 def _token_f1(
-    prediction_counts: Counter, prediction_length: int, gold_tokens: list[str]
+    prediction_counts: dict[str, int], prediction_length: int, gold_tokens: list[str]
 ) -> float:
     """Multiset token-overlap F1 of a prediction, given as its token counts, with one gold.
 
     The overlap is counted by walking the gold tokens against a copy of the
     prediction's counts, taking one from a token's count at each match: the
-    same integer as ``sum((prediction_counts & Counter(gold_tokens)).values())``.
+    same integer as ``sum((Counter(prediction_tokens) & Counter(gold_tokens)).values())``.
     """
     if not prediction_length and not gold_tokens:
         return 1.0
     if not prediction_length or not gold_tokens:
         return 0.0
-    remaining = dict(prediction_counts)
+    remaining = prediction_counts.copy()
     num_same = 0
     for token in gold_tokens:
         count = remaining.get(token)
@@ -226,11 +239,16 @@ def _token_f1(
 
 def _best_f1(prediction_tokens: list[str], gold_token_lists: Iterable[list[str]]) -> float:
     """Max over the golds' token lists of their F1 with the prediction's tokens."""
-    prediction_counts = Counter(prediction_tokens)
-    return max(
-        _token_f1(prediction_counts, len(prediction_tokens), gold_tokens)
-        for gold_tokens in gold_token_lists
-    )
+    prediction_counts: dict[str, int] = {}
+    for token in prediction_tokens:
+        prediction_counts[token] = prediction_counts.get(token, 0) + 1
+    prediction_length = len(prediction_tokens)
+    best = 0.0
+    for gold_tokens in gold_token_lists:
+        score = _token_f1(prediction_counts, prediction_length, gold_tokens)
+        if score > best:
+            best = score
+    return best
 
 
 def exact_match(
@@ -239,8 +257,8 @@ def exact_match(
     """1 iff the normalized prediction equals any normalized gold answer."""
     if not golds:
         raise DataError("exact_match requires at least one gold answer")
-    normalized = normalize_answer(prediction, profile)
-    return int(any(normalized == normalize_answer(gold, profile) for gold in golds))
+    words = _normalized_words(prediction, profile)
+    return int(any(words == _normalized_words(gold, profile) for gold in golds))
 
 
 def f1(prediction: str, golds: Sequence[str], profile: NormalizationProfile) -> float:
@@ -292,18 +310,18 @@ def evaluate_dataset(
         del paragraph
         if qa.id in per_example:
             raise DataError(f"duplicate qa id in dataset: {qa.id}")
-        golds = [answer.text for answer in qa.answers]
-        if not golds:
+        if not qa.answers:
             raise DataError(f"qa {qa.id} has no gold answers")
         if qa.id not in predictions:
             missing.append(qa.id)
             per_example[qa.id] = ExampleScore(em=0, f1=0.0)
             continue
-        normalized, prediction_tokens = _normalized_tokens(predictions[qa.id], profile)
-        gold_answers = [_normalized_tokens(gold, profile) for gold in golds]
+        prediction = _normalized_tokens(predictions[qa.id], profile)
+        golds = [_normalized_tokens(answer.text, profile) for answer in qa.answers]
+        # The tokens follow from the words, so two (words, tokens) pairs are
+        # equal iff the words are: iff the normalized strings are.
         per_example[qa.id] = ExampleScore(
-            em=int(any(normalized == gold for gold, _ in gold_answers)),
-            f1=_best_f1(prediction_tokens, (tokens for _, tokens in gold_answers)),
+            int(prediction in golds), _best_f1(prediction[1], [tokens for _, tokens in golds])
         )
     if missing and not missing_as_zero:
         raise MissingPredictionsError(missing)
@@ -316,11 +334,6 @@ def evaluate_dataset(
         total=total,
         per_example=per_example,
     )
-
-
-def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    """Every n-gram of ``tokens``, in order, as tuples."""
-    return zip(*[tokens[i:] for i in range(n)])
 
 
 def bleu(
@@ -350,21 +363,38 @@ def bleu(
     # clipped[n] and total[n]: matched and all hypothesis n-grams, corpus-wide.
     clipped = [0] * (max_n + 1)
     total = [0] * (max_n + 1)
-    # When a hypothesis's n-grams are all distinct, each is matched at most
-    # once, so the clipped count is the size of a set intersection. Only a
-    # (pair, n) with a repeated n-gram clips by counts.
+    # A unigram is the token itself; an n-gram is the pair of the (n-1)-gram
+    # at its position and the token that follows it, so each order costs one
+    # new slice per side. When a hypothesis's n-grams are all distinct, each
+    # is matched at most once, so the clipped count is the size of a set
+    # intersection; only a (pair, n) with a repeated n-gram clips by counts.
+    # An n-gram matches only if its (n-1)-gram does, so a pair stops at its
+    # first order without a match and its longer n-grams only add to total.
     for hypothesis, reference in zip(hypotheses, references):
-        for n in range(1, min(len(hypothesis), max_n) + 1):
-            count = len(hypothesis) - n + 1
+        length = len(hypothesis)
+        upper = min(length, max_n)
+        hypothesis_ngrams, reference_ngrams = hypothesis, reference
+        for n in range(1, upper + 1):
+            if n > 1:
+                hypothesis_ngrams = list(zip(hypothesis_ngrams, hypothesis[n - 1:]))
+                reference_ngrams = list(zip(reference_ngrams, reference[n - 1:]))
+            count = length - n + 1
             total[n] += count
-            ngrams = set(_ngrams(hypothesis, n))
-            if len(ngrams) == count:
-                clipped[n] += len(ngrams.intersection(_ngrams(reference, n)))
+            distinct = set(hypothesis_ngrams)
+            if len(distinct) == count:
+                matched = len(distinct.intersection(reference_ngrams))
             else:
-                counts = Counter(_ngrams(hypothesis, n))
-                reference_counts = Counter(_ngrams(reference, n))
-                for ngram in counts.keys() & reference_counts.keys():
-                    clipped[n] += min(counts[ngram], reference_counts[ngram])
+                counts = Counter(hypothesis_ngrams)
+                reference_counts = Counter(reference_ngrams)
+                matched = sum(
+                    min(counts[ngram], reference_counts[ngram])
+                    for ngram in counts.keys() & reference_counts.keys()
+                )
+            if not matched:
+                for longer in range(n + 1, upper + 1):
+                    total[longer] += length - longer + 1
+                break
+            clipped[n] += matched
 
     log_precision_sum = 0.0
     for n in range(1, max_n + 1):

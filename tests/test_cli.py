@@ -358,6 +358,30 @@ class TestEvalCommand:
         assert "language" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--language", " "], "language must not be blank"),
+            (["--profile-config", "absent-profiles.json"], "cannot read profile table"),
+        ],
+        ids=["blank-language", "missing-profile-config"],
+    )
+    def test_bad_flag_exit_usage_before_reading(self, tmp_path, capsys, flags, reason):
+        # Once read first: with a malformed dataset, exit 2 naming the dataset.
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text('{"version": "1.1", "data": [{"title": 1}]}', encoding="utf-8")
+        code = run_cli(
+            "eval",
+            "--dataset", str(dataset),
+            "--predictions", str(tmp_path / "absent-predictions.json"),
+            "--mode", "mlqa",
+            *flags,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert captured.out == ""
+
     def test_mlqa_mode_applies_language_rules(self, fixtures_dir, tmp_path, capsys):
         document = json.loads(
             (fixtures_dir / "metric_oracle_dataset.json").read_text("utf-8")
@@ -512,6 +536,21 @@ class TestGoldenScoringOutput:
         for name, argv in GOLDEN_CASES.items():
             assert run_cli(*(arg.format(**paths) for arg in argv)) == 0, name
             assert capsys.readouterr().out == golden[name], name
+
+    def test_eval_report_is_byte_identical(self, fixtures_dir, tmp_path, capsys):
+        # The `eval --output` report of each eval case, recorded before the
+        # scoring kernels were rewritten: per-entry floats and layout.
+        golden = json.loads(
+            (fixtures_dir / "metric_cli_report_golden.json").read_text(encoding="utf-8")
+        )
+        cases = {name: argv for name, argv in GOLDEN_CASES.items() if name.startswith("eval ")}
+        assert set(golden) == set(cases)
+        paths = golden_inputs(fixtures_dir, tmp_path)
+        report = tmp_path / "report.json"
+        for name, argv in cases.items():
+            assert run_cli(*(arg.format(**paths) for arg in argv), "--output", str(report)) == 0
+            capsys.readouterr()
+            assert report.read_bytes().decode("utf-8") == golden[name], name
 
 
 class TestRunCommand:

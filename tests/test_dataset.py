@@ -152,6 +152,65 @@ class TestEmitSquad:
             emit_squad([example, example], {passage.id: passage})
 
 
+def _nested_document() -> dict:
+    """A valid document: 2 articles of 3 paragraphs of 4 entries of 5 answers,
+    so that an error path tells every index apart."""
+    return {"version": "1.1", "data": [
+        {"title": "t", "paragraphs": [
+            {"context": "c", "qas": [
+                {"id": f"q{a}-{p}-{q}", "question": "q", "answers": [
+                    {"text": "c", "answer_start": 0} for _ in range(5)
+                ]}
+                for q in range(4)
+            ]}
+            for p in range(3)
+        ]}
+        for a in range(2)
+    ]}
+
+
+_DELETE = object()
+_ARTICLE = ("data", 1)
+_PARAGRAPH = (*_ARTICLE, "paragraphs", 2)
+_QA = (*_PARAGRAPH, "qas", 3)
+_ANSWER = (*_QA, "answers", 4)
+_ANSWER_PATH = "$.data[1].paragraphs[2].qas[3].answers[4]"
+
+# (where, new value or _DELETE, the whole message): one case per check of
+# read_squad, at each level of the document.
+SCHEMA_ERRORS = [
+    ((), [], "$: expected object, got list"),
+    (("version",), _DELETE, "$: missing field 'version'"),
+    (("version",), 1.1, "$.version: expected str, got float"),
+    (("data",), _DELETE, "$: missing field 'data'"),
+    (("data",), {}, "$.data: expected list, got dict"),
+    (_ARTICLE, "t", "$.data[1]: expected object, got str"),
+    ((*_ARTICLE, "title"), _DELETE, "$.data[1]: missing field 'title'"),
+    ((*_ARTICLE, "title"), None, "$.data[1].title: expected str, got NoneType"),
+    ((*_ARTICLE, "paragraphs"), _DELETE, "$.data[1]: missing field 'paragraphs'"),
+    ((*_ARTICLE, "paragraphs"), {}, "$.data[1].paragraphs: expected list, got dict"),
+    (_PARAGRAPH, [], "$.data[1].paragraphs[2]: expected object, got list"),
+    ((*_PARAGRAPH, "context"), _DELETE, "$.data[1].paragraphs[2]: missing field 'context'"),
+    ((*_PARAGRAPH, "context"), 3, "$.data[1].paragraphs[2].context: expected str, got int"),
+    ((*_PARAGRAPH, "qas"), _DELETE, "$.data[1].paragraphs[2]: missing field 'qas'"),
+    ((*_PARAGRAPH, "qas"), "q", "$.data[1].paragraphs[2].qas: expected list, got str"),
+    (_QA, None, "$.data[1].paragraphs[2].qas[3]: expected object, got NoneType"),
+    ((*_QA, "id"), _DELETE, "$.data[1].paragraphs[2].qas[3]: missing field 'id'"),
+    ((*_QA, "id"), 7, "$.data[1].paragraphs[2].qas[3].id: expected str, got int"),
+    ((*_QA, "question"), _DELETE, "$.data[1].paragraphs[2].qas[3]: missing field 'question'"),
+    ((*_QA, "question"), [], "$.data[1].paragraphs[2].qas[3].question: expected str, got list"),
+    ((*_QA, "answers"), _DELETE, "$.data[1].paragraphs[2].qas[3]: missing field 'answers'"),
+    ((*_QA, "answers"), {}, "$.data[1].paragraphs[2].qas[3].answers: expected list, got dict"),
+    (_ANSWER, 0, f"{_ANSWER_PATH}: expected object, got int"),
+    ((*_ANSWER, "text"), _DELETE, f"{_ANSWER_PATH}: missing field 'text'"),
+    ((*_ANSWER, "text"), 1, f"{_ANSWER_PATH}.text: expected str, got int"),
+    ((*_ANSWER, "answer_start"), _DELETE, f"{_ANSWER_PATH}: missing field 'answer_start'"),
+    ((*_ANSWER, "answer_start"), "0", f"{_ANSWER_PATH}.answer_start: expected int, got str"),
+    ((*_ANSWER, "answer_start"), 0.0, f"{_ANSWER_PATH}.answer_start: expected int, got float"),
+    ((*_ANSWER, "answer_start"), True, f"{_ANSWER_PATH}.answer_start: expected int, got bool"),
+]
+
+
 class TestReadSquad:
     def test_reads_dev_style_document_with_zero_violations(self, fixtures_dir):
         payload = (fixtures_dir / "squad_dev_style.json").read_bytes()
@@ -183,6 +242,41 @@ class TestReadSquad:
         document = {"version": "1.1", "data": [{"title": "t", "paragraphs": [{"qas": []}]}]}
         with pytest.raises(SquadParseError, match=r"\$\.data\[0\]\.paragraphs\[0\]"):
             read_squad(json.dumps(document))
+
+    @pytest.mark.parametrize(
+        "where, value, message", SCHEMA_ERRORS, ids=[case[2] for case in SCHEMA_ERRORS]
+    )
+    def test_schema_error_message(self, where, value, message):
+        document = _nested_document()
+        assert read_squad(json.dumps(document)).violations == []
+        if not where:
+            document = value
+        else:
+            *parents, key = where
+            container = document
+            for step in parents:
+                container = container[step]
+            if value is _DELETE:
+                del container[key]
+            else:
+                container[key] = value
+        with pytest.raises(SquadParseError) as raised:
+            read_squad(json.dumps(document))
+        assert str(raised.value) == message
+
+    def test_first_failing_check_is_reported(self):
+        # The answer of an earlier entry fails before a later entry's id,
+        # and a field's type is checked before the next field is looked up.
+        document = _nested_document()
+        qa = document["data"][0]["paragraphs"][0]["qas"][0]
+        qa["answers"][1]["text"] = None
+        del qa["answers"][1]["answer_start"]
+        del document["data"][0]["paragraphs"][0]["qas"][1]["id"]
+        with pytest.raises(SquadParseError) as raised:
+            read_squad(json.dumps(document))
+        assert str(raised.value) == (
+            "$.data[0].paragraphs[0].qas[0].answers[1].text: expected str, got NoneType"
+        )
 
     def test_duplicate_ids_flagged(self):
         qa = {"id": "x", "question": "q", "answers": [{"text": "c", "answer_start": 0}]}

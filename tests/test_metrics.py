@@ -529,11 +529,28 @@ def _single_qa_dataset(golds: list[str]) -> SquadDataset:
 
 TWENTY_SYMBOLS = [f"w{i}" for i in range(20)]
 
+# The shipped squad, es and zh profiles, then every combination of
+# punctuation class, segmentation and article removal.
+SCORED_PROFILES = [SQUAD_EN, MLQA_ES, MLQA_ZH] + [
+    NormalizationProfile(
+        mode="mlqa",
+        language="xx",
+        articles=articles,
+        punctuation_class=punctuation_class,
+        segmentation=segmentation,
+    )
+    for punctuation_class in ("ascii", "unicode")
+    for segmentation in ("whitespace", "per-character-mixed")
+    for articles in (frozenset(), frozenset({"the", "a", "an", "el", "la", "del"}))
+]
+SCORED_PROFILE_IDS = ["squad", "mlqa-es", "mlqa-zh"] + [
+    f"{p.punctuation_class}-{p.segmentation}-{'articles' if p.articles else 'no-articles'}"
+    for p in SCORED_PROFILES[3:]
+]
+
 
 class TestScoresEqualReference:
-    @pytest.mark.parametrize(
-        "profile", [SQUAD_EN, MLQA_ES, MLQA_ZH], ids=["squad", "mlqa-es", "mlqa-zh"]
-    )
+    @pytest.mark.parametrize("profile", SCORED_PROFILES, ids=SCORED_PROFILE_IDS)
     @given(prediction=answer_text, golds=st.lists(answer_text, min_size=1, max_size=3))
     @example(prediction="island x", golds=["island island x"])
     def test_per_example_scores_identical(self, profile, prediction, golds):
@@ -568,6 +585,19 @@ class TestScoresEqualReference:
     )
     # A repeated hypothesis bigram, ("a", "b"), clipped to the one in the reference.
     @example(pairs=[(["a", "b", "x", "a", "b"], ["a", "b", "c"])], max_n=2)
+    # Beside a pair matching up to 4-grams, one matching unigrams but no
+    # bigram: it stops at n = 2, and its 3- and 4-grams still count in total.
+    @example(
+        pairs=[
+            (["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "x"]),
+            (["c", "a", "d"], ["a", "c"]),
+        ],
+        max_n=4,
+    )
+    # A hypothesis shorter than max_n, beside one as long.
+    @example(pairs=[(["a", "b"], ["a", "b", "c"]), (["a", "b", "c"], ["a", "b", "c"])], max_n=3)
+    # A repeated unigram ("a", clipped by counts) whose bigrams are all distinct.
+    @example(pairs=[(["a", "b", "a", "c"], ["a", "b", "a", "c", "a"])], max_n=4)
     def test_bleu_identical(self, pairs, max_n):
         hypotheses = [hypothesis for hypothesis, _ in pairs]
         references = [reference for _, reference in pairs]
