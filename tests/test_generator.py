@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -558,3 +559,57 @@ class TestDeriveSeed:
 class TestCandidate:
     def test_value_semantics(self):
         assert Candidate("t", -1.0) == Candidate("t", -1.0)
+
+
+# Han, accented Latin, a word spelled like EOS_TOKEN, and a one-word passage,
+# shorter than the context from order 3.
+MIXED_SCRIPT_CORPUS = [
+    ("河流 岛屿 冰川 港口", "河流 在 哪里", "岛屿"),
+    ("café río año </s> torre", "¿dónde está el café?", "río año"),
+    ("桥", "什么 </s> 桥", "桥"),
+    ("Ångström naïve 博物馆 façade", "qué es naïve", "naïve 博物馆"),
+    ("café río", "dónde está", "café"),
+]
+
+
+def model_digest(backend: ReferenceBackend) -> str:
+    """sha256 of a fitted model: vocabulary, counts, and every trained context's probabilities.
+
+    Contexts are taken in the model's iteration order, successors sorted;
+    each probability is its ``repr`` over the vocabulary plus EOS_TOKEN.
+    """
+    symbols = (*backend.vocabulary, EOS_TOKEN)
+    document = {
+        "vocabulary": list(backend.vocabulary),
+        "counts": [
+            [list(context), sorted(successors.items())]
+            for context, successors in backend.counts.items()
+        ],
+        "probabilities": [
+            [repr(backend.probability(context, symbol)) for symbol in symbols]
+            for context in backend.counts
+        ],
+    }
+    encoded = json.dumps(document, ensure_ascii=False, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+# Recorded from the fit that counted one transition at a time.
+FITTED_MODEL_DIGESTS = {
+    ("toy", 1): "edf4ff0bc3caf9fade680f87169ffd553e5e0d2929ca1c98d7b242e9084b7081",
+    ("toy", 2): "bbec25257682cecf2c629b8da87be489c11b2604bf6aded657a5f2b645e38185",
+    ("toy", 3): "8eadeebd72865ebd121ade3c1af2f48b757571df54134da6b80903402314e10b",
+    ("toy", 4): "b63e37579a4ea8855b64a565e58de93ca9a70ee2cd8a23904a6fde4586b0b5c7",
+    ("mixed", 1): "4518b64b5b22ef0e27d433c10b163d76480301da5d8c507ebfd417a969a9fadd",
+    ("mixed", 2): "fad617acfa2c96367de6c047cd871640f764f6bc1e9eece1bfd4ee8199e34d2d",
+    ("mixed", 3): "7a97722e4e15f2b4d0b1ccdb3778263b6e305592e5249d898c0f4d856896592d",
+    ("mixed", 4): "7d46239563ce84b831f02d203e398c05818852440d59ff3938a13c26e4467a0c",
+}
+
+
+class TestFittedModelPin:
+    @pytest.mark.parametrize("name,order", sorted(FITTED_MODEL_DIGESTS))
+    def test_fitted_model_matches_recorded_digest(self, name, order):
+        corpus = make_training_corpus() if name == "toy" else MIXED_SCRIPT_CORPUS
+        digest = model_digest(train_reference(corpus, order=order))
+        assert digest == FITTED_MODEL_DIGESTS[name, order]
