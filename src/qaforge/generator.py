@@ -12,8 +12,8 @@ import bisect
 import hashlib
 import math
 import random
-from collections import Counter, defaultdict
-from collections.abc import Iterable, Sequence
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from typing import Any, NamedTuple
@@ -113,6 +113,12 @@ def derive_seed(global_seed: int, passage_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_order(order: int) -> None:
+    """The reference backend's one rule on ``order``: at least 1, else a ConfigurationError."""
+    if order < 1:
+        raise ConfigurationError(f"order must be >= 1, got {order}")
+
+
 def _initial_context(tokens: Sequence[str], order: int) -> tuple[str, ...]:
     if order <= 1:
         return ()
@@ -170,23 +176,34 @@ class ReferenceBackend:
     A table ranks by count, ties lexicographic, which is the probability
     order: a new context costs a C sort of its counted symbols plus O(k)
     Python work. A counted symbol outside the vocabulary is never emitted.
+
+    ``counts`` maps each trained context to its successors' counts, plain
+    dicts or Counters. ``totals``, when given, maps each of those contexts to
+    the sum of its counts (``train_reference`` counts them while grouping);
+    otherwise they are summed here. Construction sorts the vocabulary once,
+    without copying a set.
     """
 
     def __init__(
         self,
         order: int,
         vocabulary: Iterable[str],
-        counts: dict[tuple[str, ...], Counter],
+        counts: dict[tuple[str, ...], dict[str, int]],
+        *,
+        totals: dict[tuple[str, ...], int] | None = None,
     ):
-        if order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {order}")
+        check_order(order)
         self.order = order
-        self.vocabulary = tuple(sorted(set(vocabulary)))
+        if not isinstance(vocabulary, (set, frozenset)):
+            vocabulary = set(vocabulary)
+        self.vocabulary = tuple(sorted(vocabulary))
         self.counts = counts
         # Every emittable symbol in lexicographic order: EOS goes where it sorts.
         eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
         self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
-        self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
+        if totals is None:
+            totals = {context: sum(successors.values()) for context, successors in counts.items()}
+        self._context_totals = totals
         # k -> {trained context or None: table}. Every untrained context has
         # total 0 and so the same ranking: it shares the table under None,
         # which bounds the cache by the model.
@@ -194,8 +211,8 @@ class ReferenceBackend:
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Add-one-smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
-        counter = self.counts.get(context)
-        count = counter[token] if counter is not None else 0
+        successors = self.counts.get(context)
+        count = successors.get(token, 0) if successors is not None else 0
         total = self._context_totals.get(context, 0)
         return (count + 1.0) / (total + len(self.vocabulary) + 1)
 
@@ -309,20 +326,46 @@ def train_reference(
     Each example contributes the token transitions of its formatted target
     (plus a final end-of-sequence step), conditioned on the passage window.
     Training is deterministic: two fits on the same corpus score and sample
-    identically.
+    identically. A fit costs one pass over the triples building each one's
+    token sequence (padded passage window, target tokens, end of sequence),
+    one C count of every order-``order`` n-gram of those sequences, one pass
+    over the distinct n-grams grouping them by context (totals included),
+    and one sort of the vocabulary. An order below 1 is a ConfigurationError,
+    raised before the corpus is read.
     """
-    examples = list(corpus)
-    if not examples:
-        raise ConfigurationError("training corpus is empty")
-    counts: dict[tuple[str, ...], Counter] = defaultdict(Counter)
+    check_order(order)
+    width = order - 1
+    padding = [_PAD_TOKEN] * width
+    starts = [slice(start, None) for start in range(order)]
     vocabulary: set[str] = set()
-    for passage, question, answer in examples:
-        target_tokens = format_target(question, answer).split()
-        passage_tokens = passage.split()
-        vocabulary.update(passage_tokens)
-        vocabulary.update(target_tokens)
-        context = _initial_context(passage_tokens, order)
-        for token in [*target_tokens, EOS_TOKEN]:
-            counts[context][token] += 1
-            context = _shift_context(context, token, order)
-    return ReferenceBackend(order, vocabulary, dict(counts))
+
+    def transitions() -> Iterator[Iterator[tuple[str, ...]]]:
+        """Each triple's n-grams: the first ``width`` tokens are the context, the last the token."""
+        for passage, question, answer in corpus:
+            passage_tokens = passage.split()
+            target_tokens = format_target(question, answer).split()
+            vocabulary.update(passage_tokens)
+            vocabulary.update(target_tokens)
+            # The passage window: its last `width` tokens, padded on the left.
+            start = len(passage_tokens) - width
+            sequence = passage_tokens[start:] if start >= 0 else padding[start:] + passage_tokens
+            sequence += target_tokens
+            sequence.append(EOS_TOKEN)
+            yield zip(*map(sequence.__getitem__, starts))
+
+    ngrams = Counter(chain.from_iterable(transitions()))
+    if not vocabulary:
+        raise ConfigurationError("training corpus is empty")
+    # Counter keeps first-seen order, so contexts and successors keep theirs.
+    counts: dict[tuple[str, ...], dict[str, int]] = {}
+    totals: dict[tuple[str, ...], int] = {}
+    for ngram, count in ngrams.items():
+        context = ngram[:-1]
+        successors = counts.get(context)
+        if successors is None:
+            counts[context] = {ngram[-1]: count}
+            totals[context] = count
+        else:
+            successors[ngram[-1]] = count
+            totals[context] += count
+    return ReferenceBackend(order, vocabulary, counts, totals=totals)

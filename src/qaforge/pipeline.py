@@ -59,7 +59,7 @@ from .dataset import (
 from .errors import (
     JSON_ERRORS, ConfigurationError, DataError, PipelineError, json_error_reason, load_json
 )
-from .generator import GenerationRequest, Candidate, derive_seed, train_reference
+from .generator import GenerationRequest, Candidate, check_order, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
 from .remote import RemoteGeneratorClient, resolve_endpoint
 
@@ -139,11 +139,17 @@ class PipelineConfig:
             raise ConfigurationError(str(exc)) from exc
 
     def validate(self) -> None:
-        """Checks no stage makes; stage knobs are checked by the stages themselves."""
+        """Checks made before any read: the backend's settings, and those no stage makes.
+
+        Other stage knobs are checked by the stages themselves. The remote
+        backend ignores ``order``.
+        """
         if self.backend not in ("reference", "remote"):
             raise ConfigurationError(f"unknown backend: {self.backend!r}")
-        if self.backend == "reference" and not self.train_corpus:
-            raise ConfigurationError("reference backend requires train_corpus")
+        if self.backend == "reference":
+            if not self.train_corpus:
+                raise ConfigurationError("reference backend requires train_corpus")
+            check_order(self.order)
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 

@@ -1462,3 +1462,37 @@ class TestResumeRefused:
         assert "journal format 1" in capsys.readouterr().err
         assert journal.read_bytes() == before
         assert os.listdir(out_dir) == ["checkpoint.jsonl"]
+
+
+class TestOrderRejectedBeforeReading:
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_order_below_one_exit_usage_before_reading(
+        self, workspace, capsys, caplog, command, order
+    ):
+        # Once, run logged the skipped record, read and trained the whole
+        # corpus and only then exited 1 (exit 2 with an unreadable corpus);
+        # generate read the passages first.
+        passages = workspace / "passages.jsonl"
+        with open(passages, "a", encoding="utf-8") as handle:
+            handle.write("{not json\n")
+        output = workspace / "out"
+        where = ["--output-dir", str(output)] if command == "run" else ["--output", str(output)]
+        code = run_cli(
+            command,
+            "--input", str(passages),
+            "--train-corpus", str(workspace / "missing-train.jsonl"),
+            "--order", order,
+            *where,
+        )
+        assert code == 1
+        assert f"order must be >= 1, got {order}" in capsys.readouterr().err
+        assert "skipped record" not in caplog.text
+        assert not output.exists()
+
+    def test_remote_backend_ignores_order(self):
+        config = PipelineConfig(
+            input="p.jsonl", output_dir="out", backend="remote",
+            endpoint="http://127.0.0.1:9", order=0,
+        )
+        config.validate()

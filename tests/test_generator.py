@@ -6,7 +6,7 @@ import math
 import random
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -613,3 +613,110 @@ class TestFittedModelPin:
         corpus = make_training_corpus() if name == "toy" else MIXED_SCRIPT_CORPUS
         digest = model_digest(train_reference(corpus, order=order))
         assert digest == FITTED_MODEL_DIGESTS[name, order]
+
+
+def oracle_train(corpus, order: int) -> ReferenceBackend:
+    """Reference fit: one Counter increment per transition, then a sum per context."""
+    examples = list(corpus)
+    if not examples:
+        raise ConfigurationError("training corpus is empty")
+    counts: dict[tuple[str, ...], Counter] = defaultdict(Counter)
+    vocabulary: set[str] = set()
+    for passage, question, answer in examples:
+        target_tokens = format_target(question, answer).split()
+        passage_tokens = passage.split()
+        vocabulary.update(passage_tokens)
+        vocabulary.update(target_tokens)
+        context = _initial_context(passage_tokens, order)
+        for token in [*target_tokens, EOS_TOKEN]:
+            counts[context][token] += 1
+            context = _shift_context(context, token, order)
+    return ReferenceBackend(order, vocabulary, dict(counts))
+
+
+# Few words, so n-grams repeat; EOS_TOKEN and the padding token spelled as
+# words; Han and accented Latin; "answer" and "question" as question words.
+_CORPUS_WORDS = st.sampled_from(
+    ["river", "stone", "garden", "x", "</s>", "<pad>", "answer", "question", "河流", "café"]
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x1c", " \t "])
+
+
+@st.composite
+def _spaced_text(draw, min_words: int, max_words: int) -> str:
+    """Words between runs of whitespace of several kinds, leading and trailing included."""
+    words = draw(st.lists(_CORPUS_WORDS, min_size=min_words, max_size=max_words))
+    spaces = draw(st.lists(_SPACES, min_size=len(words) + 1, max_size=len(words) + 1))
+    return "".join(space + word for space, word in zip(spaces, words)) + spaces[-1]
+
+
+@st.composite
+def training_corpora(draw):
+    # Passages from no word up to more than the widest context.
+    triples = st.tuples(_spaced_text(0, 6), _spaced_text(1, 4), _spaced_text(1, 2))
+    corpus = draw(st.lists(triples, min_size=1, max_size=6))
+    # Whole triples repeated, besides the n-grams the small pool repeats.
+    return corpus + corpus[: draw(st.integers(0, len(corpus)))]
+
+
+class TestTrainOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(training_corpora(), st.integers(1, 4))
+    def test_fit_equals_the_reference_fit(self, corpus, order):
+        fitted = train_reference(corpus, order=order)
+        oracle = oracle_train(corpus, order)
+        assert fitted.vocabulary == oracle.vocabulary
+        assert [(context, list(successors.items())) for context, successors in fitted.counts.items()] == [
+            (context, list(successors.items())) for context, successors in oracle.counts.items()
+        ]
+        symbols = (*oracle.vocabulary, EOS_TOKEN)
+        untrained = ("never-seen",) * (order - 1)
+        for context in (*oracle.counts, untrained):
+            assert [fitted.probability(context, s) for s in symbols] == [
+                oracle.probability(context, s) for s in symbols
+            ]
+        passages = [corpus[0][0], corpus[-1][0], "lead never-seen", ""]
+        for k in (1, 3, len(oracle.vocabulary) + 5):
+            for index, passage in enumerate(passages):
+                req = request(f"lead {passage}", num_samples=3, top_k=k, max_output_tokens=8)
+                seed = derive_seed(k, str(index))
+                assert fitted.generate(req, seed=seed) == oracle.generate(req, seed=seed)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected_before_reading(self, order):
+        def corpus():
+            raise AssertionError("the corpus was read")
+            yield
+
+        with pytest.raises(ConfigurationError, match=f"order must be >= 1, got {order}"):
+            train_reference(corpus(), order=order)
+
+
+class TestPlainDictCounts:
+    def test_backend_from_dict_counts_decodes(self):
+        # Once a KeyError on EOS_TOKEN: probability read counts as a Counter.
+        plain = ReferenceBackend(2, ["a", "b"], {("a",): {"b": 1}})
+        counter = ReferenceBackend(2, ["a", "b"], {("a",): Counter({"b": 1})})
+        req = request("a", num_samples=4, top_k=3, max_output_tokens=5)
+        assert plain.generate(req, seed=3) == counter.generate(req, seed=3)
+        assert plain.score_sequence("a", "b a </s>") == counter.score_sequence("a", "b a </s>")
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_models(), st.integers(0, 2**32))
+    def test_dict_counts_decode_and_score_as_counters(self, model, seed):
+        counter, queries, k = model
+        plain = ReferenceBackend(
+            counter.order,
+            counter.vocabulary,
+            {context: dict(successors) for context, successors in counter.counts.items()},
+        )
+        symbols = (*counter.vocabulary, EOS_TOKEN, "zz-unseen")
+        for context in queries:
+            assert [plain.probability(context, s) for s in symbols] == [
+                counter.probability(context, s) for s in symbols
+            ]
+            passage = " ".join(("lead", *context))
+            req = request(passage, num_samples=3, top_k=k, max_output_tokens=6)
+            assert plain.generate(req, seed=seed) == counter.generate(req, seed=seed)
+            target = " ".join(symbols)
+            assert plain.score_sequence(passage, target) == counter.score_sequence(passage, target)
