@@ -368,4 +368,5 @@ def train_reference(
         else:
             successors[ngram[-1]] = count
             totals[context] += count
+    del ngrams  # freed before the vocabulary sort allocates
     return ReferenceBackend(order, vocabulary, counts, totals=totals)
