@@ -334,23 +334,17 @@ def train_reference(
     raised before the corpus is read.
     """
     check_order(order)
-    width = order - 1
-    padding = [_PAD_TOKEN] * width
     starts = [slice(start, None) for start in range(order)]
     vocabulary: set[str] = set()
 
     def transitions() -> Iterator[Iterator[tuple[str, ...]]]:
-        """Each triple's n-grams: the first ``width`` tokens are the context, the last the token."""
+        """Each triple's n-grams: all but the last token are the context, the last the token."""
         for passage, question, answer in corpus:
             passage_tokens = passage.split()
             target_tokens = format_target(question, answer).split()
             vocabulary.update(passage_tokens)
             vocabulary.update(target_tokens)
-            # The passage window: its last `width` tokens, padded on the left.
-            start = len(passage_tokens) - width
-            sequence = passage_tokens[start:] if start >= 0 else padding[start:] + passage_tokens
-            sequence += target_tokens
-            sequence.append(EOS_TOKEN)
+            sequence = [*_initial_context(passage_tokens, order), *target_tokens, EOS_TOKEN]
             yield zip(*map(sequence.__getitem__, starts))
 
     ngrams = Counter(chain.from_iterable(transitions()))

@@ -616,10 +616,15 @@ class TestFittedModelPin:
 
 
 def oracle_train(corpus, order: int) -> ReferenceBackend:
-    """Reference fit: one Counter increment per transition, then a sum per context."""
+    """Reference fit: one Counter increment per transition, then a sum per context.
+
+    The passage window and the context shift are spelled out here rather
+    than taken from the generator, so a fault in either shows.
+    """
     examples = list(corpus)
     if not examples:
         raise ConfigurationError("training corpus is empty")
+    width = order - 1
     counts: dict[tuple[str, ...], Counter] = defaultdict(Counter)
     vocabulary: set[str] = set()
     for passage, question, answer in examples:
@@ -627,10 +632,10 @@ def oracle_train(corpus, order: int) -> ReferenceBackend:
         passage_tokens = passage.split()
         vocabulary.update(passage_tokens)
         vocabulary.update(target_tokens)
-        context = _initial_context(passage_tokens, order)
+        context = tuple((["<pad>"] * width + passage_tokens)[len(passage_tokens):])
         for token in [*target_tokens, EOS_TOKEN]:
             counts[context][token] += 1
-            context = _shift_context(context, token, order)
+            context = (*context, token)[1:] if width else ()
     return ReferenceBackend(order, vocabulary, dict(counts))
 
 
