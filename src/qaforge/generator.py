@@ -178,10 +178,8 @@ class ReferenceBackend:
     Python work. A counted symbol outside the vocabulary is never emitted.
 
     ``counts`` maps each trained context to its successors' counts, plain
-    dicts or Counters. ``totals``, when given, maps each of those contexts to
-    the sum of its counts (``train_reference`` counts them while grouping);
-    otherwise they are summed here. Construction sorts the vocabulary once,
-    without copying a set.
+    dicts or Counters. Construction sums each context's counts once and
+    sorts the vocabulary once.
     """
 
     def __init__(
@@ -189,21 +187,15 @@ class ReferenceBackend:
         order: int,
         vocabulary: Iterable[str],
         counts: dict[tuple[str, ...], dict[str, int]],
-        *,
-        totals: dict[tuple[str, ...], int] | None = None,
     ):
         check_order(order)
         self.order = order
-        if not isinstance(vocabulary, (set, frozenset)):
-            vocabulary = set(vocabulary)
-        self.vocabulary = tuple(sorted(vocabulary))
+        self.vocabulary = tuple(sorted(set(vocabulary)))
         self.counts = counts
         # Every emittable symbol in lexicographic order: EOS goes where it sorts.
         eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
         self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
-        if totals is None:
-            totals = {context: sum(successors.values()) for context, successors in counts.items()}
-        self._context_totals = totals
+        self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         # k -> {trained context or None: table}. Every untrained context has
         # total 0 and so the same ranking: it shares the table under None,
         # which bounds the cache by the model.
@@ -329,7 +321,7 @@ def train_reference(
     identically. A fit costs one pass over the triples building each one's
     token sequence (padded passage window, target tokens, end of sequence),
     one C count of every order-``order`` n-gram of those sequences, one pass
-    over the distinct n-grams grouping them by context (totals included),
+    over the distinct n-grams grouping them by context, one sum per context,
     and one sort of the vocabulary. An order below 1 is a ConfigurationError,
     raised before the corpus is read.
     """
@@ -352,15 +344,12 @@ def train_reference(
         raise ConfigurationError("training corpus is empty")
     # Counter keeps first-seen order, so contexts and successors keep theirs.
     counts: dict[tuple[str, ...], dict[str, int]] = {}
-    totals: dict[tuple[str, ...], int] = {}
     for ngram, count in ngrams.items():
         context = ngram[:-1]
         successors = counts.get(context)
         if successors is None:
             counts[context] = {ngram[-1]: count}
-            totals[context] = count
         else:
             successors[ngram[-1]] = count
-            totals[context] += count
     del ngrams  # freed before the vocabulary sort allocates
-    return ReferenceBackend(order, vocabulary, counts, totals=totals)
+    return ReferenceBackend(order, vocabulary, counts)
