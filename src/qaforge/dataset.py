@@ -48,17 +48,18 @@ from .parsefilter import SyntheticExample
 
 SQUAD_VERSION = "1.1"
 
-# Encodes as json.dumps(value, ensure_ascii=False) does, without building a
-# new encoder per call. The per-record strings (``candidate_rows``, and
+# Encodes as json.dumps(value, ensure_ascii=False, allow_nan=False) does,
+# without building a new encoder per call. Every artifact is strict JSON: a
+# NaN or an infinity is a ValueError, not the NaN or Infinity that no strict
+# reader accepts. The per-record strings (``candidate_rows``, and
 # ``emit_passage``'s lines, entry-id payloads and articles) are filled into
 # templates instead, from ``json_string`` (the escaper this encoder uses) and
 # ``_json_number``; tests/test_dataset.py::TestEncodingsEqualJsonDumps checks
 # that they equal json.dumps.
-_ENCODER = json.JSONEncoder(ensure_ascii=False)
-# Encodes as json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-# does: the compact layout of a document, used for the articles of a
-# SquadDataset.
-_SQUAD_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# The same, in the compact layout of a document (``separators=(",", ":")``),
+# used for the articles of a SquadDataset.
+_SQUAD_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
 def jsonl_line(record: Any) -> str:
@@ -73,7 +74,7 @@ def _json_number(value: Any) -> str:
         return float.__repr__(value)
     if kind is int:
         return int.__repr__(value)
-    return _ENCODER.encode(value)  # NaN, infinities, bools, subclasses
+    return _ENCODER.encode(value)  # bools, subclasses; NaN and infinities raise
 
 
 def candidate_rows(passage_id: str, candidates: Iterable[Candidate]) -> str:
@@ -128,8 +129,11 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
 
 
 def write_json(path: str | Path, value: Any, *, indent: int | None = None) -> None:
-    """``value`` as one JSON document and a newline, replacing ``path`` atomically."""
-    text = json.dumps(value, ensure_ascii=False, indent=indent) + "\n"
+    """``value`` as one JSON document and a newline, replacing ``path`` atomically.
+
+    A NaN or an infinity in ``value`` is a ValueError.
+    """
+    text = json.dumps(value, ensure_ascii=False, allow_nan=False, indent=indent) + "\n"
     with atomic_write(path) as handle:
         handle.write(text)
 
@@ -513,7 +517,9 @@ def build_training_mix(
 
     ``overrides`` maps a stage name to replacement hyperparameters, e.g.
     ``{"gold": {"epochs": 3}}``; anything not overridden keeps the defaults
-    (2 epochs, batch size 64, learning rate 3e-5).
+    (2 epochs, batch size 64, learning rate 3e-5). Epochs and batch size
+    below 1, or a learning rate that is not finite and positive, are a
+    ConfigurationError.
     """
     if not synthetic and not gold:
         raise ConfigurationError("at least one dataset path is required")
@@ -535,7 +541,7 @@ def build_training_mix(
             )
         for key, value in stage_overrides.items():
             setattr(stage, key, value)
-        if stage.epochs < 1 or stage.batch_size < 1 or stage.learning_rate <= 0:
+        if stage.epochs < 1 or stage.batch_size < 1 or not 0 < stage.learning_rate < math.inf:
             raise ConfigurationError(f"invalid hyperparameters for stage {name!r}")
         manifest.stages.append(stage)
     return manifest

@@ -74,14 +74,7 @@ class DataError(QAForgeError):
 
 
 class TransportError(QAForgeError):
-    """Remote generation service unreachable or misbehaving.
-
-    ``attempts`` is how many requests were made before giving up.
-    """
-
-    def __init__(self, message: str, *, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
+    """Remote generation service unreachable or misbehaving."""
 
 
 class ProtocolError(TransportError):

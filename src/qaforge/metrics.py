@@ -269,7 +269,7 @@ def f1(prediction: str, golds: Sequence[str], profile: NormalizationProfile) -> 
     return _best_f1(prediction_tokens, (_normalized_tokens(gold, profile)[1] for gold in golds))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ExampleScore:
     em: int
     f1: float

@@ -512,10 +512,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 # How many items each worker may compute ahead of the one consumed. One slow
-# item (a remote call sleeping 0.5 s or more before a retry) holds up the
-# consumer, but not a connection; meanwhile the other threads keep every
-# connection busy, until this many items per worker are done or running. It
-# bounds what is held ahead to that many passages' candidates.
+# item (a remote call sleeping ``remote.BACKOFF_BASE_S`` or more before a
+# retry) holds up the consumer, but not a connection; meanwhile the other
+# threads keep every connection busy, until this many items per worker are
+# done or running. It bounds what is held ahead to that many passages'
+# candidates.
 _AHEAD_PER_WORKER = 64
 
 

@@ -56,6 +56,12 @@ def resolve_endpoint(endpoint: str | None) -> str:
 
 _HEADERS = {"Content-Type": "application/json"}
 
+# The retry policy: attempts per call, the wait before the first retry
+# (doubled before each later one), and the bound on each socket operation.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+TIMEOUT_S = 30.0
+
 
 def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
     """True if an idle connection's socket is readable: the server closed it (or misbehaved)."""
@@ -70,27 +76,17 @@ class RemoteGeneratorClient:
     """Client with bounded retries for transient service faults.
 
     Connection failures, timeouts, responses cut short of their declared
-    length, and 5xx responses are retried up to ``max_attempts`` times with
-    exponential backoff; malformed responses and any other status are not
-    retried. Safe to share across threads: an attempt borrows one of
-    ``connections`` keep-alive connections and returns it once the response
-    is read, so at most ``connections`` requests are in flight, and a call
-    waiting out its backoff holds none. ``timeout`` bounds each socket
-    operation.
+    length, and 5xx responses are retried, for ``MAX_ATTEMPTS`` attempts in
+    all, after waits of ``BACKOFF_BASE_S`` that double each time; malformed
+    responses and any other status are not retried. Safe to share across
+    threads: an attempt borrows one of ``connections`` keep-alive
+    connections and returns it once the response is read, so at most
+    ``connections`` requests are in flight, and a call waiting out its
+    backoff holds none. ``TIMEOUT_S`` bounds each socket operation.
     """
 
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        *,
-        connections: int = 1,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        timeout: float = 30.0,
-    ):
+    def __init__(self, endpoint: str | None = None, *, connections: int = 1):
         self.endpoint = resolve_endpoint(endpoint)
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         parts = urlsplit(self.endpoint)
         self._path = parts.path + "/generate"
         https = parts.scheme == "https"
@@ -100,7 +96,7 @@ class RemoteGeneratorClient:
         port = parts.port or kind.default_port
         self._pool: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
         for _ in range(connections):
-            self._pool.put(kind(parts.hostname, port, timeout=timeout))
+            self._pool.put(kind(parts.hostname, port, timeout=TIMEOUT_S))
 
     def close(self) -> None:
         """Close every connection, for use when no call is in flight; a later call reconnects."""
@@ -131,7 +127,7 @@ class RemoteGeneratorClient:
         body = json.dumps(payload).encode("utf-8")
 
         last_fault = "no attempt made"
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 status, data = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
@@ -140,44 +136,34 @@ class RemoteGeneratorClient:
                 if status >= 500:
                     last_fault = f"server error {status}"
                 elif status != 200:
-                    raise TransportError(f"generator returned status {status}", attempts=attempt)
+                    raise TransportError(f"generator returned status {status}")
                 else:
-                    return self._parse_response(data, request, attempt)
-            if attempt < self.max_attempts:
-                delay = self.backoff_base * (2 ** (attempt - 1))
+                    return self._parse_response(data, request)
+            if attempt < MAX_ATTEMPTS:
+                delay = BACKOFF_BASE_S * (2 ** (attempt - 1))
                 logger.warning(
                     "generator attempt %d/%d failed (%s); retrying in %.2fs",
                     attempt,
-                    self.max_attempts,
+                    MAX_ATTEMPTS,
                     last_fault,
                     delay,
                 )
                 time.sleep(delay)
-        raise TransportError(
-            f"generator unreachable after {self.max_attempts} attempts: {last_fault}",
-            attempts=self.max_attempts,
-        )
+        raise TransportError(f"generator unreachable after {MAX_ATTEMPTS} attempts: {last_fault}")
 
-    def _parse_response(
-        self, data: bytes, request: GenerationRequest, attempts: int
-    ) -> list[Candidate]:
+    def _parse_response(self, data: bytes, request: GenerationRequest) -> list[Candidate]:
         try:
             body = load_json(data)
         except JSON_ERRORS as exc:
-            raise ProtocolError(
-                f"generator response is not JSON: {exc}", attempts=attempts
-            ) from exc
+            raise ProtocolError(f"generator response is not JSON: {exc}") from exc
         if not isinstance(body, dict) or not isinstance(body.get("candidates"), list):
-            raise ProtocolError("generator response missing 'candidates' array", attempts=attempts)
+            raise ProtocolError("generator response missing 'candidates' array")
         candidates = []
         for position, item in enumerate(body["candidates"]):
             try:
                 candidates.append(Candidate.from_record(item))
             except DataError as exc:
-                raise ProtocolError(f"candidate {position}: {exc}", attempts=attempts) from exc
+                raise ProtocolError(f"candidate {position}: {exc}") from exc
         if len(candidates) != request.num_samples:
-            raise ProtocolError(
-                f"expected {request.num_samples} candidates, got {len(candidates)}",
-                attempts=attempts,
-            )
+            raise ProtocolError(f"expected {request.num_samples} candidates, got {len(candidates)}")
         return candidates

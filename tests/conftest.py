@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from qaforge import remote
 from qaforge.corpus import Passage
 from qaforge.generator import train_reference
 
@@ -175,7 +176,10 @@ def serve():
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll, so that shutdown() below returns within 10 ms, not 0.5 s.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         servers.append(server)
         return f"http://127.0.0.1:{server.server_address[1]}"
@@ -184,6 +188,16 @@ def serve():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture()
+def fast_retries(monkeypatch):
+    """The remote client's retry policy with a 10 ms backoff and a 0.5 s socket timeout.
+
+    The attempt count stays ``remote.MAX_ATTEMPTS``.
+    """
+    monkeypatch.setattr(remote, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(remote, "TIMEOUT_S", 0.5)
 
 
 # Hypothesis reports a failing example through libcst, whose import warns

@@ -303,6 +303,18 @@ class TestMixCommand:
         payload = json.loads(output.read_text("utf-8"))
         assert payload["stages"][0]["epochs"] == 4
 
+    @pytest.mark.parametrize("learning_rate", ["nan", "inf", "1e400"])
+    def test_non_finite_learning_rate_exit_usage(self, tmp_path, capsys, learning_rate):
+        # Once exit 0, with "learning_rate": NaN or Infinity in the manifest.
+        output = tmp_path / "manifest.json"
+        code = run_cli(
+            "mix", "--synthetic", "a.json", "--learning-rate", learning_rate,
+            "--output", str(output),
+        )
+        assert code == 1
+        assert "invalid hyperparameters for stage 'synthetic'" in capsys.readouterr().err
+        assert not output.exists()
+
 
 class TestEvalCommand:
     def test_scores_fixture_dataset(self, fixtures_dir, tmp_path, capsys):
@@ -579,7 +591,8 @@ class TestRunCommand:
         report = json.loads((workspace / "run_out" / "report.json").read_text("utf-8"))
         assert report["counts"]["sampled"] == 6
 
-    def test_remote_backend_down_exit_transport(self, workspace, monkeypatch):
+    @pytest.mark.usefixtures("fast_retries")
+    def test_remote_backend_down_exit_transport(self, workspace, monkeypatch, capsys):
         monkeypatch.setenv("QAFORGE_GENERATOR_URL", "http://127.0.0.1:9")
         code = run_cli(
             "run",
@@ -590,6 +603,7 @@ class TestRunCommand:
             "--seed", "1",
         )
         assert code == 3
+        assert "generator unreachable after 3 attempts" in capsys.readouterr().err
         checkpoint = workspace / "remote_out" / "checkpoint.json"
         assert checkpoint.exists()
 

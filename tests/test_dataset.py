@@ -8,6 +8,7 @@ import random
 import stat
 import tempfile
 import threading
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,12 @@ class TestBuildTrainingMix:
         with pytest.raises(ConfigurationError):
             build_training_mix(["s.json"], [], overrides={"warmup": {}})
 
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, learning_rate):
+        overrides = {"gold": {"learning_rate": learning_rate}}
+        with pytest.raises(ConfigurationError, match="invalid hyperparameters for stage 'gold'"):
+            build_training_mix(["s.json"], ["g.json"], overrides=overrides)
+
     def test_manifest_json_shape(self, tmp_path):
         manifest = build_training_mix(["s.json"], ["g.json"])
         path = tmp_path / "manifest.json"
@@ -410,13 +417,23 @@ def _rows_failing_after_one():
     raise DataError("record source failed")
 
 
-# Each writer, given something that fails partway through.
+# Each writer, given something that fails partway through. A NaN or an
+# infinity was once written as NaN or Infinity, which no strict JSON reader accepts.
 FAILING_WRITES = {
     "write_jsonl": (lambda path: write_jsonl(path, _rows_failing_after_one()), DataError),
+    "write_jsonl-inf": (lambda path: write_jsonl(path, [{"n": 1}, {"x": math.inf}]), ValueError),
     "write_json": (lambda path: write_json(path, {"counts": {"kept": 1}, "x": object()}), TypeError),
+    "write_json-nan": (lambda path: write_json(path, {"kept": 1, "x": math.nan}), ValueError),
+    "write_json--inf": (lambda path: write_json(path, [-math.inf], indent=2), ValueError),
     "write_squad": (
         lambda path: write_squad(SquadDataset("1.1", [SquadArticle(object(), [])]), path),
         TypeError,
+    ),
+    "write_squad-nan": (
+        lambda path: write_squad(SquadDataset("1.1", [SquadArticle("t", [SquadParagraph(
+            "c", [SquadQA("q1", "q", [SquadAnswer("c", math.nan)])]
+        )])]), path),
+        ValueError,
     ),
 }
 
@@ -510,7 +527,7 @@ def json_dumps_document(dataset: SquadDataset) -> str:
             for article in dataset.articles
         ],
     }
-    return json.dumps(document, ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(document, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
 
 
 answers = st.builds(SquadAnswer, st.text(), st.integers())
@@ -563,27 +580,48 @@ def emitted(draw) -> tuple[Passage, list[SyntheticExample]]:
     return Passage(passage_id, text, language, 0), examples
 
 
+def _strict(encode: Callable[[], str]) -> str | type[ValueError]:
+    """``encode()``, or ValueError if it raises one: strict JSON refuses NaN and infinities."""
+    try:
+        return encode()
+    except ValueError:
+        return ValueError
+
+
+def _example_lines(examples: list[SyntheticExample]) -> str | type[ValueError]:
+    return _strict(lambda: "".join(
+        json.dumps(example.to_record(), ensure_ascii=False, allow_nan=False) + "\n"
+        for example in examples
+    ))
+
+
 class TestEncodingsEqualJsonDumps:
+    """Each template writer gives json.dumps(..., allow_nan=False), or refuses where it does."""
+
     @given(json_texts, st.lists(st.tuples(json_texts, json_numbers), max_size=4))
     def test_candidate_rows(self, passage_id, drawn):
         candidates = [Candidate(text, lm_score) for text, lm_score in drawn]
-        expected = "".join(
-            json.dumps({"passage_id": passage_id, **c.to_record()}, ensure_ascii=False) + "\n"
+        expected = _strict(lambda: "".join(
+            json.dumps(
+                {"passage_id": passage_id, **c.to_record()}, ensure_ascii=False, allow_nan=False
+            ) + "\n"
             for c in candidates
-        )
-        assert candidate_rows(passage_id, candidates) == expected
+        ))
+        assert _strict(lambda: candidate_rows(passage_id, candidates)) == expected
 
     @given(emitted())
     def test_example_line(self, drawn):
         passage, examples = drawn
-        expected = "".join(
-            json.dumps(example.to_record(), ensure_ascii=False) + "\n" for example in examples
-        )
-        assert emit_passage(passage, examples)[0] == expected
+        lines = _strict(lambda: emit_passage(passage, examples)[0])
+        assert lines == _example_lines(examples)
 
     @given(emitted())
     def test_emitted_article_is_the_general_writers(self, drawn):
         passage, examples = drawn
+        if _example_lines(examples) is ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                emit_passage(passage, examples)
+            return
         article = emit_passage(passage, examples)[1]
         dataset = SquadDataset("1.1", [squad_article(passage, examples)])
         assert f'{{"version":"1.1","data":[{article}]}}' == json_dumps_document(dataset)

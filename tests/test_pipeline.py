@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -36,6 +37,7 @@ from qaforge.pipeline import (
     run_pipeline,
     stats_summary,
 )
+from qaforge.remote import MAX_ATTEMPTS
 
 
 def make_config(tmp_path: Path, out_name: str = "out", **overrides) -> PipelineConfig:
@@ -68,8 +70,23 @@ class _FlakyBackend:
 
     def generate(self, request, seed=0):
         if request.passage == self.poison_text:
-            raise TransportError("injected outage", attempts=3)
+            raise TransportError("injected outage")
         return self.inner.generate(request, seed=seed)
+
+
+class _NonFiniteBackend:
+    """Delegates to a real backend but gives one passage text's first candidate ``lm_score``."""
+
+    def __init__(self, inner, poison_text: str, lm_score: float):
+        self.inner = inner
+        self.poison_text = poison_text
+        self.lm_score = lm_score
+
+    def generate(self, request, seed=0):
+        candidates = list(self.inner.generate(request, seed=seed))
+        if request.passage == self.poison_text:
+            candidates[0] = Candidate(candidates[0].text, self.lm_score)
+        return candidates
 
 
 class _NoBackend:
@@ -153,6 +170,35 @@ class TestRunPipeline:
         )
         assert not (out_dir / "checkpoint.jsonl").exists()
         assert not (out_dir / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("lm_score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_fails_the_passage_and_resume_completes(self, tmp_path, lm_score):
+        # Once written as NaN or Infinity into candidates.jsonl and
+        # examples.jsonl, which no strict JSON reader (``filter`` included) accepts.
+        baseline = run_pipeline(make_config(tmp_path, "baseline"))
+        config = make_config(tmp_path, "nonfinite")
+        inner = build_backend(config)
+        poisoned = json.loads(Path(baseline.outputs["passages"]).read_text("utf-8").splitlines()[4])
+        backend = _NonFiniteBackend(inner, poisoned["text"], lm_score)
+
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(config, backend=backend)
+        assert exc.value.stage == "generate"
+        assert isinstance(exc.value.cause, ValueError)
+        out_dir = Path(config.output_dir)
+        checkpoint = json.loads((out_dir / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["failed_passage_id"] == poisoned["id"]
+        assert poisoned["id"] not in checkpoint["completed_passage_ids"]
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "checkpoint.json", "checkpoint.jsonl"
+        ]
+
+        resumed = run_pipeline(make_config(tmp_path, "nonfinite", resume=True), backend=inner)
+        for artifact in ("candidates", "examples", "dataset"):
+            assert (
+                Path(resumed.outputs[artifact]).read_bytes()
+                == Path(baseline.outputs[artifact]).read_bytes()
+            )
 
     def test_examples_written_in_ascending_passage_order(self, tmp_path):
         report = run_pipeline(make_config(tmp_path))
@@ -499,7 +545,7 @@ class _FailAfter:
             self.calls += 1
             calls = self.calls
         if calls > self.limit:
-            raise TransportError("injected outage", attempts=3)
+            raise TransportError("injected outage")
         return self.inner.generate(request, seed=seed)
 
 
@@ -936,23 +982,23 @@ class TestRemoteWorkers:
         sequential = replace(config, output_dir=str(tmp_path / "one"), workers=1)
         assert same_artifacts(report, run_pipeline(sequential))
 
+    @pytest.mark.usefixtures("fast_retries")
     def test_service_that_always_fails_is_a_transport_error(self, tmp_path, serve):
         service = _PassageService(delay=0.005, always_fail=True)
         config = remote_config(tmp_path, serve(service, keep_alive=True), "out", workers=2)
         with closing(build_backend(config)) as backend:
-            backend.backoff_base = 0.02
             with pytest.raises(PipelineError) as exc:
                 run_pipeline(config, backend=backend)
         assert isinstance(exc.value.cause, TransportError)
         assert max(entry["in_flight"] for entry in service.requests) <= 2
 
+    @pytest.mark.usefixtures("fast_retries")
     def test_dead_service_costs_one_retry_budget_per_thread(self, tmp_path, serve):
         # Once, passages queued behind the first failure still started, and
         # a run against a dead service spent two retry budgets (24 requests).
         service = _PassageService(delay=0.005, always_fail=True)
         config = remote_config(tmp_path, serve(service, keep_alive=True), "out", workers=2)
         with closing(build_backend(config)) as backend:
-            backend.backoff_base = 0.02
             with pytest.raises(PipelineError):
                 run_pipeline(config, backend=backend)
-        assert len(service.requests) <= 2 * config.workers * backend.max_attempts
+        assert len(service.requests) <= 2 * config.workers * MAX_ATTEMPTS

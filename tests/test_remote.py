@@ -11,10 +11,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import STALLED, TRUNCATED, _Script
+from qaforge import remote
 from qaforge.errors import ConfigurationError, ProtocolError, TransportError
 from qaforge.generator import GenerationRequest, conditioning_text
 from qaforge.pipeline import PipelineConfig, resume_fingerprint
-from qaforge.remote import GENERATOR_URL_ENV, RemoteGeneratorClient
+from qaforge.remote import GENERATOR_URL_ENV, MAX_ATTEMPTS, RemoteGeneratorClient
 
 
 def _request(num_samples=2) -> GenerationRequest:
@@ -36,10 +37,11 @@ def _ok_payload(n=2):
     }
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestRemoteGeneratorClient:
     def test_round_trip_and_request_body(self, serve):
         script = _Script([(200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         candidates = client.generate(_request())
         assert [c.text for c in candidates] == ["question q0 answer a0", "question q1 answer a1"]
         assert candidates[0].lm_score == -1.5
@@ -55,7 +57,7 @@ class TestRemoteGeneratorClient:
 
     def test_target_language_omitted_when_absent(self, serve):
         script = _Script([(200, _ok_payload(1))])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         request = GenerationRequest(
             passage="p", language="en", num_samples=1, top_k=1, max_output_tokens=4
         )
@@ -68,7 +70,7 @@ class TestRemoteGeneratorClient:
         # wire as " DE" and gave another resume fingerprint than "de".
         script = _Script([(200, _ok_payload())])
         endpoint = serve(script)
-        client = RemoteGeneratorClient(endpoint, backoff_base=0.01)
+        client = RemoteGeneratorClient(endpoint)
         seen = []
         for spelling in ("de", " DE", "De\t"):
             config = PipelineConfig(
@@ -89,60 +91,65 @@ class TestRemoteGeneratorClient:
 
     def test_retries_through_server_errors(self, serve):
         script = _Script([(500, {}), (503, {}), (200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         assert len(client.generate(_request())) == 2
         assert len(script.bodies) == 3
 
-    def test_gives_up_with_retry_metadata(self, serve):
-        script = _Script([(500, {})])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        with pytest.raises(TransportError) as exc:
+    def test_gives_up_after_three_server_errors(self, serve):
+        script = _Script([(503, {})])
+        client = RemoteGeneratorClient(serve(script))
+        with pytest.raises(
+            TransportError, match="^generator unreachable after 3 attempts: server error 503$"
+        ) as exc:
             client.generate(_request())
-        assert exc.value.attempts == 3
         assert not isinstance(exc.value, ProtocolError)
+        assert len(script.bodies) == MAX_ATTEMPTS == 3
 
-    def test_unreachable_endpoint(self):
-        client = RemoteGeneratorClient(
-            "http://127.0.0.1:9", max_attempts=2, backoff_base=0.01, timeout=0.5
-        )
-        with pytest.raises(TransportError) as exc:
-            client.generate(_request())
-        assert exc.value.attempts == 2
+    def test_unreachable_endpoint(self, caplog):
+        client = RemoteGeneratorClient("http://127.0.0.1:9")
+        with caplog.at_level(logging.WARNING, logger="qaforge.remote"):
+            with pytest.raises(TransportError, match="after 3 attempts: ConnectionRefusedError"):
+                client.generate(_request())
+        retries = [record.getMessage() for record in caplog.records]
+        assert len(retries) == 2
+        for attempt, message in enumerate(retries, start=1):
+            assert message.startswith(f"generator attempt {attempt}/3 failed (ConnectionRefused")
 
     def test_missing_lm_score_is_protocol_violation(self, serve):
         payload = {"candidates": [{"text": "question q answer a"}, {"text": "x", "lm_score": -1}]}
         script = _Script([(200, payload)])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         with pytest.raises(ProtocolError, match="lm_score"):
             client.generate(_request())
         assert len(script.bodies) == 1
 
     def test_wrong_candidate_count_is_protocol_violation(self, serve):
         script = _Script([(200, _ok_payload(1))])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         with pytest.raises(ProtocolError, match="expected 2"):
             client.generate(_request(num_samples=2))
+        assert len(script.bodies) == 1
 
     def test_non_json_body_is_protocol_violation(self, serve):
         # The second body nests past the recursion limit.
         script = _Script([(200, b"<html>oops</html>"), (200, b"[" * 200_000)])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        for _ in range(2):
+        client = RemoteGeneratorClient(serve(script))
+        for calls in (1, 2):
             with pytest.raises(ProtocolError, match="not JSON"):
                 client.generate(_request())
-        assert len(script.bodies) == 2
+            assert len(script.bodies) == calls
 
     def test_lone_surrogate_is_protocol_violation(self, serve):
         payload = _ok_payload()
         payload["candidates"][1]["text"] = "question q\ud800 answer a"  # sent as "\\ud800"
-        client = RemoteGeneratorClient(serve(_Script([(200, payload)])), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(_Script([(200, payload)])))
         with pytest.raises(ProtocolError, match="unpaired surrogate"):
             client.generate(_request())
 
     def test_endpoint_from_environment(self, serve, monkeypatch):
         script = _Script([(200, _ok_payload())])
         monkeypatch.setenv(GENERATOR_URL_ENV, serve(script))
-        client = RemoteGeneratorClient(backoff_base=0.01)
+        client = RemoteGeneratorClient()
         assert len(client.generate(_request())) == 2
 
     def test_no_endpoint_anywhere_is_configuration_error(self, monkeypatch):
@@ -160,13 +167,30 @@ class TestRemoteGeneratorClient:
             RemoteGeneratorClient()
 
 
+class TestRetryPolicy:
+    def test_waits_half_a_second_then_one_and_gives_up_after_three_attempts(
+        self, serve, monkeypatch
+    ):
+        sleeps = []
+        monkeypatch.setattr(remote.time, "sleep", sleeps.append)
+        script = _Script([(503, {})])
+        with closing(RemoteGeneratorClient(serve(script))) as client:
+            connection = client._pool.get()
+            client._pool.put(connection)
+            with pytest.raises(TransportError, match="after 3 attempts"):
+                client.generate(_request())
+        assert connection.timeout == 30.0
+        assert sleeps == [0.5, 1.0]
+        assert len(script.bodies) == 3
+
+
+@pytest.mark.usefixtures("fast_retries")
 class TestFailurePaths:
     def test_client_error_is_not_retried(self, serve):
         script = _Script([(404, {}), (200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         with pytest.raises(TransportError, match="status 404") as exc:
             client.generate(_request())
-        assert exc.value.attempts == 1
         assert not isinstance(exc.value, ProtocolError)
         assert len(script.bodies) == 1
 
@@ -179,14 +203,14 @@ class TestFailurePaths:
         payload = {"candidates": [{"text": "question q answer a", "lm_score": -1.0},
                                   {"text": "question r answer b", "lm_score": lm_score}]}
         script = _Script([(200, payload), (200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         with pytest.raises(ProtocolError, match="candidate 1: .*finite"):
             client.generate(_request())
         assert len(script.bodies) == 1
 
     def test_request_body_keys_in_field_order(self, serve):
         script = _Script([(200, _ok_payload(1))])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         client.generate(_request(num_samples=1))
         assert list(script.bodies[0]) == [
             "passage", "language", "num_samples", "top_k", "max_output_tokens",
@@ -194,33 +218,33 @@ class TestFailurePaths:
         ]
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestTruncatedResponse:
     def test_truncated_then_ok_succeeds_on_attempt_two(self, serve):
         script = _Script([(200, TRUNCATED), (200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
+        client = RemoteGeneratorClient(serve(script))
         assert len(client.generate(_request())) == 2
         assert len(script.bodies) == 2
 
     def test_always_truncated_is_transport_error(self, serve):
         script = _Script([(200, TRUNCATED)])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        with pytest.raises(TransportError) as exc:
+        client = RemoteGeneratorClient(serve(script))
+        with pytest.raises(TransportError, match="after 3 attempts: IncompleteRead") as exc:
             client.generate(_request())
-        assert exc.value.attempts == 3
         assert not isinstance(exc.value, ProtocolError)
         assert len(script.bodies) == 3
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestRedirect:
     @pytest.mark.parametrize("status", [302, 307])
     def test_redirect_is_a_transport_error_after_one_request(self, serve, status):
         # Once followed: a 302 came back as a GET, a 307 loop sent 31 requests
         # and raised an error outside the documented exit codes.
         script = _Script([(status, {}, {"Location": "/generate"}), (200, _ok_payload())])
-        client = RemoteGeneratorClient(serve(script), backoff_base=0.01)
-        with pytest.raises(TransportError, match=f"status {status}") as exc:
+        client = RemoteGeneratorClient(serve(script))
+        with pytest.raises(TransportError, match=f"status {status}"):
             client.generate(_request())
-        assert exc.value.attempts == 1
         assert len(script.bodies) == 1
 
 
@@ -244,14 +268,12 @@ class TestKeepAlive:
         assert len(script.bodies) == 2
         assert len(set(script.clients)) == 2
 
+    @pytest.mark.usefixtures("fast_retries")
     def test_connection_of_a_failed_attempt_is_not_reused(self, serve):
-        # The first response stalls mid-body on an open connection; the
-        # retry must not be sent on it.
+        # The first response stalls mid-body on an open connection until
+        # the socket times out; the retry must not be sent on it.
         script = _Script([(200, STALLED), (200, _ok_payload())])
-        client = RemoteGeneratorClient(
-            serve(script, keep_alive=True), backoff_base=0.01, timeout=0.2
-        )
-        with closing(client):
+        with closing(RemoteGeneratorClient(serve(script, keep_alive=True))) as client:
             assert len(client.generate(_request())) == 2
         assert len(script.bodies) == 2
         assert len(set(script.clients)) == 2
@@ -283,6 +305,7 @@ class TestKeepAlive:
         assert peak == 2
 
 
+@pytest.mark.usefixtures("fast_retries")
 class TestEndpointAddress:
     @pytest.mark.parametrize(
         "endpoint, address",
@@ -298,7 +321,7 @@ class TestEndpointAddress:
             raise ConnectionRefusedError("refused")
 
         monkeypatch.setattr(socket, "create_connection", refuse)
-        client = RemoteGeneratorClient(endpoint, max_attempts=1)
+        client = RemoteGeneratorClient(endpoint)
         with pytest.raises(TransportError, match="ConnectionRefusedError"):
             client.generate(_request())
-        assert dialled == [address]
+        assert dialled == [address] * MAX_ATTEMPTS
