@@ -38,6 +38,7 @@ from .errors import (
 )
 from .metrics import (
     bleu,
+    check_max_n,
     evaluate_dataset,
     load_profile_table,
     make_profile,
@@ -170,13 +171,9 @@ def cmd_emit(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    stage_overrides = {
-        key: getattr(args, key)
-        for key in ("epochs", "batch_size", "learning_rate")
-        if getattr(args, key) is not None
-    }
-    overrides = {stage: stage_overrides for stage in ("synthetic", "gold") if stage_overrides}
-    manifest = build_training_mix(args.synthetic, args.gold, overrides or None)
+    keys = ("epochs", "batch_size", "learning_rate")
+    hyperparameters = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    manifest = build_training_mix(args.synthetic, args.gold, **hyperparameters)
     manifest.write(args.output)
     print(f"wrote manifest with {len(manifest.stages)} stage(s) to {args.output}")
     return EXIT_OK
@@ -232,6 +229,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bleu(args) -> int:
     profile = make_profile("mlqa", args.language)
+    check_max_n(args.max_n)
     hypotheses = [tokenize_for_f1(line, profile) for line in _read_lines(args.hyp)]
     references = [tokenize_for_f1(line, profile) for line in _read_lines(args.ref)]
     score = bleu(hypotheses, references, max_n=args.max_n)

@@ -64,20 +64,30 @@ class RecordError:
     message: str
 
 
-def filter_by_length(
-    passages: Iterable[Passage], min_tokens: int, max_tokens: int
-) -> Iterator[Passage]:
-    """Keep passages with min_tokens <= token_count <= max_tokens, preserving order.
-
-    Bounds are inclusive. Raises ConfigurationError for non-positive or
-    inverted bounds.
-    """
+def check_length_bounds(min_tokens: int, max_tokens: int) -> None:
+    """The length filter's rules: 0 < min_tokens <= max_tokens, else a ConfigurationError."""
     if min_tokens <= 0:
         raise ConfigurationError(f"min_tokens must be positive, got {min_tokens}")
     if min_tokens > max_tokens:
         raise ConfigurationError(
             f"min_tokens ({min_tokens}) exceeds max_tokens ({max_tokens})"
         )
+
+
+def check_sample_size(n: int) -> None:
+    """The sampler's one rule on ``n``: at least 0, else a ConfigurationError."""
+    if n < 0:
+        raise ConfigurationError(f"sample size must be >= 0, got {n}")
+
+
+def filter_by_length(
+    passages: Iterable[Passage], min_tokens: int, max_tokens: int
+) -> Iterator[Passage]:
+    """Keep passages with min_tokens <= token_count <= max_tokens, preserving order.
+
+    Bounds are inclusive and checked at the call (``check_length_bounds``).
+    """
+    check_length_bounds(min_tokens, max_tokens)
 
     def _generate() -> Iterator[Passage]:
         for passage in passages:
@@ -91,10 +101,9 @@ def sample_passages(passages: Sequence[Passage], n: int, seed: int) -> list[Pass
     """Draw min(n, len) distinct passages uniformly without replacement.
 
     Pure function of (passages, n, seed): the same inputs always produce
-    the same sequence.
+    the same sequence. ``n`` is checked by ``check_sample_size``.
     """
-    if n < 0:
-        raise ConfigurationError(f"sample size must be >= 0, got {n}")
+    check_sample_size(n)
     population = list(passages)
     return random.Random(seed).sample(population, min(n, len(population)))
 

@@ -8,9 +8,9 @@ so identical inputs yield byte-identical documents.
 A document is written by ``SquadWriter``, one encoded article at a time.
 ``run_pipeline`` and ``qaforge emit`` give it the articles of
 ``emit_passage``, filled into templates one passage at a time;
-``write_squad`` and ``dumps_squad`` give it the articles of a
-``SquadDataset`` (``emit_squad``'s, say), each encoded whole. For the same
-examples the two routes write the same bytes.
+``write_squad`` gives it the articles of a ``SquadDataset``
+(``emit_squad``'s, say), each one's ``asdict`` encoded whole by the one
+general encoder. For the same examples the two routes write the same bytes.
 
 Every artifact (run outputs, stage-subcommand outputs, reports, manifests,
 ``checkpoint.json``) is written through ``atomic_write``: into a temporary
@@ -23,7 +23,6 @@ streams its per-passage artifacts into it.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -177,30 +176,7 @@ class SquadDataset:
     def iter_qas(self):
         for article in self.articles:
             for paragraph in article.paragraphs:
-                for qa in paragraph.qas:
-                    yield paragraph, qa
-
-
-def _article_record(article: SquadArticle) -> dict:
-    return {
-        "title": article.title,
-        "paragraphs": [
-            {
-                "context": paragraph.context,
-                "qas": [
-                    {
-                        "id": qa.id,
-                        "question": qa.question,
-                        "answers": [
-                            {"text": a.text, "answer_start": a.answer_start} for a in qa.answers
-                        ],
-                    }
-                    for qa in paragraph.qas
-                ],
-            }
-            for paragraph in article.paragraphs
-        ],
-    }
+                yield from paragraph.qas
 
 
 @dataclass(frozen=True)
@@ -332,9 +308,9 @@ class SquadWriter:
     """Writes a compact document into an open text file, one encoded article at a time.
 
     ``run_pipeline`` and ``qaforge emit`` add ``emit_passage``'s articles;
-    ``dumps_squad`` and ``write_squad`` add each article of a SquadDataset as
-    ``_SQUAD_ENCODER`` encodes it. For the same examples both give the same
-    bytes, so a document has the same bytes however it was built.
+    ``write_squad`` adds each article of a SquadDataset as ``_SQUAD_ENCODER``
+    encodes its ``asdict``. For the same examples both give the same bytes,
+    so a document has the same bytes however it was built.
     """
 
     def __init__(self, handle: IO[str], version: str = SQUAD_VERSION):
@@ -351,24 +327,13 @@ class SquadWriter:
         self._handle.write("]}\n")
 
 
-def _write_document(handle: IO[str], dataset: SquadDataset) -> None:
-    writer = SquadWriter(handle, dataset.version)
-    for article in dataset.articles:
-        writer.add(_SQUAD_ENCODER.encode(_article_record(article)))
-    writer.finish()
-
-
-def dumps_squad(dataset: SquadDataset) -> str:
-    """The document as ``write_squad`` writes it, without the final newline."""
-    buffer = io.StringIO()
-    _write_document(buffer, dataset)
-    return buffer.getvalue()[:-1]
-
-
 def write_squad(dataset: SquadDataset, destination: str | Path) -> None:
     """The compact document and a newline, replacing ``destination`` atomically."""
     with atomic_write(destination) as handle:
-        _write_document(handle, dataset)
+        writer = SquadWriter(handle, dataset.version)
+        for article in dataset.articles:
+            writer.add(_SQUAD_ENCODER.encode(asdict(article)))
+        writer.finish()
 
 
 # The fields each level of a document must carry, in the order they are checked.
@@ -505,42 +470,24 @@ class TrainingManifest:
         write_json(destination, asdict(self), indent=2)
 
 
-_STAGE_OVERRIDE_KEYS = {"epochs", "batch_size", "learning_rate"}
-
-
 def build_training_mix(
-    synthetic: Sequence[str],
-    gold: Sequence[str],
-    overrides: Mapping[str, Mapping[str, Any]] | None = None,
+    synthetic: Sequence[str], gold: Sequence[str], **hyperparameters: Any
 ) -> TrainingManifest:
     """Build the two-stage manifest; stages without dataset paths are omitted.
 
-    ``overrides`` maps a stage name to replacement hyperparameters, e.g.
-    ``{"gold": {"epochs": 3}}``; anything not overridden keeps the defaults
+    ``hyperparameters`` (``epochs``, ``batch_size``, ``learning_rate``) apply
+    to every stage, e.g. ``epochs=3``; anything not given keeps the defaults
     (2 epochs, batch size 64, learning rate 3e-5). Epochs and batch size
     below 1, or a learning rate that is not finite and positive, are a
-    ConfigurationError.
+    ConfigurationError naming the stage.
     """
     if not synthetic and not gold:
         raise ConfigurationError("at least one dataset path is required")
-    overrides = overrides or {}
-    unknown_stages = set(overrides) - {"synthetic", "gold"}
-    if unknown_stages:
-        raise ConfigurationError(f"unknown override stage(s): {sorted(unknown_stages)}")
-
     manifest = TrainingManifest()
     for name, paths in (("synthetic", synthetic), ("gold", gold)):
         if not paths:
             continue
-        stage = TrainingStage(name=name, dataset_paths=[str(p) for p in paths])
-        stage_overrides = overrides.get(name, {})
-        unknown_keys = set(stage_overrides) - _STAGE_OVERRIDE_KEYS
-        if unknown_keys:
-            raise ConfigurationError(
-                f"unknown override key(s) for stage {name!r}: {sorted(unknown_keys)}"
-            )
-        for key, value in stage_overrides.items():
-            setattr(stage, key, value)
+        stage = TrainingStage(name, [str(p) for p in paths], **hyperparameters)
         if stage.epochs < 1 or stage.batch_size < 1 or not 0 < stage.learning_rate < math.inf:
             raise ConfigurationError(f"invalid hyperparameters for stage {name!r}")
         manifest.stages.append(stage)

@@ -183,11 +183,6 @@ def _normalized_words(text: str, profile: NormalizationProfile) -> list[str]:
     return text.split()
 
 
-def normalize_answer(text: str, profile: NormalizationProfile) -> str:
-    """Lowercase, strip punctuation, drop standalone articles, collapse whitespace."""
-    return " ".join(_normalized_words(text, profile))
-
-
 def tokenize_for_f1(text: str, profile: NormalizationProfile) -> list[str]:
     """Token sequence of ``text`` under the profile's segmentation.
 
@@ -251,24 +246,6 @@ def _best_f1(prediction_tokens: list[str], gold_token_lists: Iterable[list[str]]
     return best
 
 
-def exact_match(
-    prediction: str, golds: Sequence[str], profile: NormalizationProfile
-) -> int:
-    """1 iff the normalized prediction equals any normalized gold answer."""
-    if not golds:
-        raise DataError("exact_match requires at least one gold answer")
-    words = _normalized_words(prediction, profile)
-    return int(any(words == _normalized_words(gold, profile) for gold in golds))
-
-
-def f1(prediction: str, golds: Sequence[str], profile: NormalizationProfile) -> float:
-    """Best multiset token-overlap F1 of the prediction against any gold."""
-    if not golds:
-        raise DataError("f1 requires at least one gold answer")
-    _, prediction_tokens = _normalized_tokens(prediction, profile)
-    return _best_f1(prediction_tokens, (_normalized_tokens(gold, profile)[1] for gold in golds))
-
-
 @dataclass
 class ExampleScore:
     em: int
@@ -306,8 +283,7 @@ def evaluate_dataset(
     """
     per_example: dict[str, ExampleScore] = {}
     missing: list[str] = []
-    for paragraph, qa in dataset.iter_qas():
-        del paragraph
+    for qa in dataset.iter_qas():
         if qa.id in per_example:
             raise DataError(f"duplicate qa id in dataset: {qa.id}")
         if not qa.answers:
@@ -336,6 +312,12 @@ def evaluate_dataset(
     )
 
 
+def check_max_n(max_n: int) -> None:
+    """BLEU's one rule on ``max_n``: at least 1, else a ConfigurationError."""
+    if max_n < 1:
+        raise ConfigurationError(f"max_n must be >= 1, got {max_n}")
+
+
 def bleu(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],
@@ -354,8 +336,7 @@ def bleu(
         )
     if not hypotheses:
         raise DataError("bleu requires a non-empty corpus")
-    if max_n < 1:
-        raise ConfigurationError(f"max_n must be >= 1, got {max_n}")
+    check_max_n(max_n)
 
     hypothesis_length = sum(len(h) for h in hypotheses)
     reference_length = sum(len(r) for r in references)

@@ -44,7 +44,8 @@ from pathlib import Path
 from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
 
 from .corpus import (
-    Passage, RecordError, filter_by_length, language_code, parse_passage_stream, sample_passages
+    Passage, RecordError, check_length_bounds, check_sample_size, filter_by_length,
+    language_code, parse_passage_stream, sample_passages,
 )
 from .dataset import (
     SquadWriter,
@@ -89,8 +90,8 @@ class PipelineConfig:
     num_samples: int = 20
     top_k: int = 10
     max_output_tokens: int = 64
-    keep_per_passage: int = 10
-    length_normalize: bool = False
+    keep_per_passage: int = FilterConfig.keep_per_passage
+    length_normalize: bool = FilterConfig.length_normalize
     target_language: str | None = None
     workers: int = 1
     resume: bool = False
@@ -270,13 +271,17 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
 
     Malformed records are logged and skipped. Returns the sampled passages,
     the passage-stage funnel counts, and the number of skipped records. A
-    blank ``config.language`` is a ConfigurationError, raised before any read.
+    blank ``config.language``, and length bounds or a sample size that the
+    stages refuse, are a ConfigurationError, raised before any read.
     """
     language = config.language
     if language is not None:
         language = language_code(language)
         if not language:
             raise ConfigurationError(f"language must not be blank, got {config.language!r}")
+    check_length_bounds(config.min_tokens, config.max_tokens)
+    if config.sample_n is not None:
+        check_sample_size(config.sample_n)
     record_errors: list[RecordError] = []
     ingested = read_passages(config.input, on_error=record_errors.append)
     for record_error in record_errors:

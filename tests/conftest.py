@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 from qaforge import remote
 from qaforge.corpus import Passage
+from qaforge.dataset import SquadDataset, write_squad
 from qaforge.generator import train_reference
 
 WORD_POOL = [
@@ -78,6 +80,14 @@ def write_training_file(path: Path, corpus: list[tuple[str, str, str]]) -> Path:
                 + "\n"
             )
     return path
+
+
+def dumps_squad(dataset: SquadDataset) -> str:
+    """The document ``write_squad`` writes for ``dataset``, without its final newline."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "dataset.json"
+        write_squad(dataset, path)
+        return path.read_bytes().decode("utf-8")[:-1]
 
 
 @pytest.fixture(scope="session")

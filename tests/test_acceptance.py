@@ -19,13 +19,14 @@ import pytest
 
 from conftest import (
     WORD_POOL,
+    dumps_squad,
     make_passages,
     make_training_corpus,
     write_passage_file,
     write_training_file,
 )
 from qaforge.corpus import Passage
-from qaforge.dataset import SquadDataset, dumps_squad, emit_squad, read_squad
+from qaforge.dataset import SquadDataset, emit_squad, read_squad
 from qaforge.generator import Candidate, GenerationRequest, derive_seed, format_target
 from qaforge.metrics import bleu, evaluate_dataset, make_profile
 from qaforge.parsefilter import FilterConfig, SyntheticExample, run_filter_pipeline

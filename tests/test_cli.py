@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import logging
 import os
 import re
 import tracemalloc
@@ -1510,3 +1511,75 @@ class TestOrderRejectedBeforeReading:
             endpoint="http://127.0.0.1:9", order=0,
         )
         config.validate()
+
+
+# Each subcommand that has an out-of-range flag, with one such flag and the
+# part of its error that names the flag. Its inputs are "{bad}": a file that
+# does not exist, or one with a malformed record line; bleu's other file,
+# "{good}", has one line fewer than the malformed one.
+USAGE_ERRORS = {
+    "ingest-min-tokens": (
+        ["ingest", "--input", "{bad}", "--output", "{out}", "--min-tokens", "0"],
+        "min_tokens must be positive, got 0",
+    ),
+    "ingest-max-tokens": (
+        ["ingest", "--input", "{bad}", "--output", "{out}", "--max-tokens", "0"],
+        "exceeds max_tokens (0)",
+    ),
+    "ingest-sample-n": (
+        ["ingest", "--input", "{bad}", "--output", "{out}", "--sample-n", "-1"],
+        "sample size must be >= 0, got -1",
+    ),
+    "generate-top-k": (
+        ["generate", "--input", "{bad}", "--train-corpus", "{bad}", "--output", "{out}",
+         "--top-k", "0"],
+        "top_k must be >= 1, got 0",
+    ),
+    "filter-keep-per-passage": (
+        ["filter", "--candidates", "{bad}", "--input", "{bad}", "--output", "{out}",
+         "--keep-per-passage", "0"],
+        "keep_per_passage must be >= 1, got 0",
+    ),
+    "bleu-max-n": (
+        ["bleu", "--hyp", "{bad}", "--ref", "{good}", "--max-n", "0"],
+        "max_n must be >= 1, got 0",
+    ),
+    "run-min-tokens": (
+        ["run", "--input", "{bad}", "--train-corpus", "{bad}", "--output-dir", "{out}",
+         "--min-tokens", "0"],
+        "min_tokens must be positive, got 0",
+    ),
+    "run-max-tokens": (
+        ["run", "--input", "{bad}", "--train-corpus", "{bad}", "--output-dir", "{out}",
+         "--max-tokens", "0"],
+        "exceeds max_tokens (0)",
+    ),
+    "run-sample-n": (
+        ["run", "--input", "{bad}", "--train-corpus", "{bad}", "--output-dir", "{out}",
+         "--sample-n", "-1"],
+        "sample size must be >= 0, got -1",
+    ),
+}
+
+
+class TestUsageErrorsBeforeReading:
+    @pytest.mark.parametrize("bad_input", ["missing", "malformed"])
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_exit_usage_naming_the_flag(self, workspace, capsys, caplog, case, bad_input):
+        # Once, ingest, run and bleu read their inputs first: a missing file
+        # exited 2, a malformed record was logged as skipped before exit 1,
+        # and bleu's line-count mismatch exited 2.
+        good = workspace / "passages.jsonl"
+        bad = workspace / f"{bad_input}.jsonl"
+        if bad_input == "malformed":
+            bad.write_text(good.read_text("utf-8") + "{not json\n", encoding="utf-8")
+        output = workspace / "out"
+        argv, message = USAGE_ERRORS[case]
+        values = {"bad": bad, "good": good, "out": output}
+        assert run_cli(*(arg.format(**values) for arg in argv)) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "WARNING" not in captured.err
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert captured.out == ""
+        assert not output.exists()

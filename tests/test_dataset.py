@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import dumps_squad
 from qaforge.corpus import Passage
 from qaforge.dataset import (
     SquadAnswer,
@@ -25,7 +26,6 @@ from qaforge.dataset import (
     _content_id,
     build_training_mix,
     candidate_rows,
-    dumps_squad,
     emit_passage,
     emit_squad,
     json_string,
@@ -218,7 +218,7 @@ class TestReadSquad:
         result = read_squad(payload)
         assert result.violations == []
         assert result.dataset.version == "1.1"
-        qas = [qa for _, qa in result.dataset.iter_qas()]
+        qas = list(result.dataset.iter_qas())
         assert len(qas) == 4
         assert all(len(qa.answers) == 3 for qa in qas)
 
@@ -349,27 +349,17 @@ class TestBuildTrainingMix:
         with pytest.raises(ConfigurationError):
             build_training_mix([], [])
 
-    def test_per_stage_overrides(self):
-        manifest = build_training_mix(
-            ["s.json"], ["g.json"], overrides={"gold": {"epochs": 3, "batch_size": 32}}
-        )
-        synthetic, gold = manifest.stages
-        assert synthetic.epochs == 2
-        assert gold.epochs == 3
-        assert gold.batch_size == 32
-        assert gold.learning_rate == 3e-5
-
-    def test_unknown_override_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_training_mix(["s.json"], [], overrides={"synthetic": {"optimizer": "x"}})
-        with pytest.raises(ConfigurationError):
-            build_training_mix(["s.json"], [], overrides={"warmup": {}})
+    def test_hyperparameters_apply_to_every_stage(self):
+        manifest = build_training_mix(["s.json"], ["g.json"], epochs=3, batch_size=32)
+        for stage in manifest.stages:
+            assert stage.epochs == 3
+            assert stage.batch_size == 32
+            assert stage.learning_rate == 3e-5
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_learning_rate_rejected(self, learning_rate):
-        overrides = {"gold": {"learning_rate": learning_rate}}
         with pytest.raises(ConfigurationError, match="invalid hyperparameters for stage 'gold'"):
-            build_training_mix(["s.json"], ["g.json"], overrides=overrides)
+            build_training_mix([], ["g.json"], learning_rate=learning_rate)
 
     def test_manifest_json_shape(self, tmp_path):
         manifest = build_training_mix(["s.json"], ["g.json"])
@@ -399,7 +389,7 @@ class TestBuildTrainingMix:
 class TestDatasetModel:
     def test_iter_qas_walks_everything(self, fixtures_dir):
         result = read_squad((fixtures_dir / "metric_oracle_dataset.json").read_bytes())
-        ids = [qa.id for _, qa in result.dataset.iter_qas()]
+        ids = [qa.id for qa in result.dataset.iter_qas()]
         assert ids == ["en-1", "en-2", "es-1", "es-2", "zh-1", "zh-2"]
 
     def test_to_json_dict_round_trips(self, fixtures_dir):

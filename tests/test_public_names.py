@@ -4,6 +4,10 @@ The package declares one list of public names. It is the names the README's
 "Library use" example imports, plus the names ``perfbench/child.py`` imports
 from ``qaforge``; both are read as source, so neither list can grow without
 the other.
+
+Every function and class that ``src/qaforge`` defines is used by the code of
+``src/qaforge`` or of ``perfbench/child.py``, so a path that only tests take
+is found here.
 """
 
 from __future__ import annotations
@@ -64,3 +68,36 @@ def test_readme_names_every_public_name():
     section = readme_library_use()
     unnamed = [name for name in qaforge.__all__ if name != "__version__" and name not in section]
     assert unnamed == []
+
+
+# Defined for readers of the README, which documents it, and checked by the
+# chain-rule identity test; the pipeline itself never scores a sequence.
+UNCALLED_ALLOWED = {"score_sequence"}
+
+
+def defined_names(tree: ast.AST) -> set[str]:
+    """The functions and classes ``tree`` defines at any depth, special methods left out."""
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Every name and attribute ``tree``'s code reads; docstrings and comments are not code."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_definition_has_a_caller():
+    sources = sorted((ROOT / "src" / "qaforge").glob("*.py"))
+    package = [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    benchmark = ast.parse((ROOT / "perfbench" / "child.py").read_text(encoding="utf-8"))
+    defined = set().union(*map(defined_names, package))
+    used = set().union(*map(used_names, [*package, benchmark]))
+    assert sorted(defined - used - UNCALLED_ALLOWED) == []
