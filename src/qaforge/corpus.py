@@ -1,4 +1,4 @@
-"""Passage ingestion: record parsing, token counting, length filtering, seeded sampling."""
+"""Passage ingestion: JSONL lines, record parsing, token counting, length filter, sampling."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 import unicodedata
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from .errors import JSON_ERRORS, ConfigurationError, json_error_reason, load_json
 from .segmentation import mixed_segment
@@ -77,7 +78,7 @@ def check_length_bounds(min_tokens: int, max_tokens: int) -> None:
 def check_sample_size(n: int) -> None:
     """The sampler's one rule on ``n``: at least 0, else a ConfigurationError."""
     if n < 0:
-        raise ConfigurationError(f"sample size must be >= 0, got {n}")
+        raise ConfigurationError(f"sample_n must be >= 0, got {n}")
 
 
 def filter_by_length(
@@ -108,62 +109,66 @@ def sample_passages(passages: Sequence[Passage], n: int, seed: int) -> list[Pass
     return random.Random(seed).sample(population, min(n, len(population)))
 
 
+def jsonl_records(
+    lines: Iterable[bytes | str], on_error: Callable[[RecordError], None]
+) -> Iterator[tuple[int, Any]]:
+    """The line number and JSON value of each non-blank line of a JSON Lines file, in order.
+
+    ``lines`` are a binary file's lines, each ended by ``\n`` only, or strings.
+    Bytes are decoded as strict UTF-8. A line that does not decode, or is not
+    JSON, is reported to ``on_error``.
+    """
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        except UnicodeDecodeError as exc:
+            on_error(RecordError(line_number, f"invalid utf-8: {exc}"))
+            continue
+        if not line.strip():
+            continue
+        try:
+            record = load_json(line)
+        except JSON_ERRORS as exc:
+            on_error(RecordError(line_number, f"invalid record: {json_error_reason(exc)}"))
+            continue
+        yield line_number, record
+
+
+def _passage(record: Any) -> Passage:
+    """The Passage a passage record holds; ValueError says why it holds none."""
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    missing = [key for key in ("id", "text", "language") if key not in record]
+    if missing:
+        raise ValueError(f"missing field(s): {', '.join(missing)}")
+    bad_types = [key for key in ("id", "text", "language") if not isinstance(record[key], str)]
+    if bad_types:
+        raise ValueError(f"non-string field(s): {', '.join(bad_types)}")
+    if not record["id"]:
+        raise ValueError("empty id")
+    return Passage.build(record["id"], record["text"], record["language"])
+
+
 def parse_passage_stream(
     stream: Iterable[bytes | str],
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[Passage]:
-    """Yield one Passage per valid record line, in input order.
+    """Yield one Passage per valid record line (see ``jsonl_records``), in input order.
 
     Each non-blank line must be a JSON object with string fields ``id``,
     ``text``, and ``language``; unknown fields are ignored. Malformed lines
     and duplicate ids are skipped and reported to ``on_error`` with their
     line number instead of aborting the stream.
     """
+    report = on_error or (lambda error: None)
     seen_ids: set[str] = set()
-
-    def report(line_number: int, message: str) -> None:
-        if on_error is not None:
-            on_error(RecordError(line_number=line_number, message=message))
-
-    for line_number, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                report(line_number, f"invalid utf-8: {exc}")
-                continue
-        else:
-            line = raw
-        if not line.strip():
-            continue
+    for line_number, record in jsonl_records(stream, report):
         try:
-            record = load_json(line)
-        except JSON_ERRORS as exc:
-            report(line_number, f"invalid record: {json_error_reason(exc)}")
-            continue
-        if not isinstance(record, dict):
-            report(line_number, "record is not an object")
-            continue
-        missing = [key for key in ("id", "text", "language") if key not in record]
-        if missing:
-            report(line_number, f"missing field(s): {', '.join(missing)}")
-            continue
-        bad_types = [
-            key for key in ("id", "text", "language") if not isinstance(record[key], str)
-        ]
-        if bad_types:
-            report(line_number, f"non-string field(s): {', '.join(bad_types)}")
-            continue
-        if not record["id"]:
-            report(line_number, "empty id")
-            continue
-        try:
-            passage = Passage.build(record["id"], record["text"], record["language"])
+            passage = _passage(record)
+            if passage.id in seen_ids:
+                raise ValueError(f"duplicate id: {passage.id}")
         except ValueError as exc:
-            report(line_number, str(exc))
-            continue
-        if passage.id in seen_ids:
-            report(line_number, f"duplicate id: {passage.id}")
+            report(RecordError(line_number, str(exc)))
             continue
         seen_ids.add(passage.id)
         yield passage

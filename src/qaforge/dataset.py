@@ -488,7 +488,15 @@ def build_training_mix(
         if not paths:
             continue
         stage = TrainingStage(name, [str(p) for p in paths], **hyperparameters)
-        if stage.epochs < 1 or stage.batch_size < 1 or not 0 < stage.learning_rate < math.inf:
-            raise ConfigurationError(f"invalid hyperparameters for stage {name!r}")
+        for key, rule, holds in (
+            ("epochs", ">= 1", stage.epochs >= 1),
+            ("batch_size", ">= 1", stage.batch_size >= 1),
+            ("learning_rate", "finite and positive", 0 < stage.learning_rate < math.inf),
+        ):
+            if not holds:
+                raise ConfigurationError(
+                    f"invalid hyperparameters for stage {name!r}: "
+                    f"{key} must be {rule}, got {getattr(stage, key)}"
+                )
         manifest.stages.append(stage)
     return manifest

@@ -102,20 +102,17 @@ class NormalizationProfile:
 
 def load_profile_table(path: str | Path | None = None) -> dict:
     """Load the per-language normalization table (shipped default when path is None)."""
-    if path is None:
-        raw = resources.files("qaforge.data").joinpath("normalization_profiles.json").read_text(
-            encoding="utf-8"
-        )
-    else:
-        try:
-            raw = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"cannot read profile table {path}: {exc}") from exc
+    shipped = resources.files("qaforge.data") / "normalization_profiles.json"
+    source = shipped if path is None else Path(path)
+    try:
+        raw = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read profile table {source}: {exc}") from exc
     try:
         table = load_json(raw)
     except JSON_ERRORS as exc:
         raise ConfigurationError(
-            f"profile table is not valid JSON: {json_error_reason(exc)}"
+            f"{source}: profile table is not valid JSON: {json_error_reason(exc)}"
         ) from exc
     if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
         raise ConfigurationError("profile table must carry an 'entries' array")

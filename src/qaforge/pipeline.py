@@ -39,13 +39,14 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Any, NamedTuple, TypeVar, get_args, get_type_hints
+from typing import Any, NamedTuple, NoReturn, TypeVar, get_args, get_type_hints
 
 from .corpus import (
     Passage, RecordError, check_length_bounds, check_sample_size, filter_by_length,
-    language_code, parse_passage_stream, sample_passages,
+    jsonl_records, language_code, parse_passage_stream, sample_passages,
 )
 from .dataset import (
     SquadWriter,
@@ -58,7 +59,7 @@ from .dataset import (
     write_jsonl,
 )
 from .errors import (
-    JSON_ERRORS, ConfigurationError, DataError, PipelineError, json_error_reason, load_json
+    JSON_ERRORS, ConfigurationError, DataError, PipelineError, load_json
 )
 from .generator import GenerationRequest, Candidate, check_order, derive_seed, train_reference
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
@@ -166,27 +167,27 @@ class PipelineReport:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
+def _reject(path: str | Path, error: RecordError) -> NoReturn:
+    """The strict readers' ``on_error``: raise DataError ``PATH:LINE: message``."""
+    raise DataError(f"{path}:{error.line_number}: {error.message}")
+
+
 def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
     """The line number and ``parse(record)`` of each non-blank line of a JSONL file, in order.
 
-    An unreadable file, a line that is not JSON, or a record that ``parse``
-    rejects with DataError raises DataError naming the path and line.
+    Lines are read by ``jsonl_records``. An unreadable file, a line it reports,
+    or a record that ``parse`` rejects with DataError raises DataError naming
+    the path and line.
     """
+    reject = partial(_reject, path)
     try:
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = load_json(line)
-                except JSON_ERRORS as exc:
-                    reason = json_error_reason(exc)
-                    raise DataError(f"{path}:{line_number}: invalid record: {reason}") from exc
+        with open(path, "rb") as handle:
+            for line_number, record in jsonl_records(handle, reject):
                 try:
                     yield line_number, parse(record)
                 except DataError as exc:
-                    raise DataError(f"{path}:{line_number}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+                    reject(RecordError(line_number, str(exc)))
+    except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -198,13 +199,9 @@ def read_passages(
     Malformed records and duplicate ids are reported to ``on_error`` and
     skipped; without ``on_error`` the first one raises DataError.
     """
-
-    def reject(error: RecordError) -> None:
-        raise DataError(f"{path}:{error.line_number}: {error.message}")
-
     try:
         with open(path, "rb") as handle:
-            return list(parse_passage_stream(handle, on_error=on_error or reject))
+            return list(parse_passage_stream(handle, on_error or partial(_reject, path)))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 

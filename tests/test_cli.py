@@ -334,6 +334,19 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "report.json").read_text("utf-8"))
         assert len(report["per_example"]) == 6
 
+    def test_invalid_profile_table_names_its_file(self, tmp_path, capsys):
+        # Once "profile table is not valid JSON: Expecting value", naming no file.
+        table = tmp_path / "profiles.json"
+        table.write_text("{", encoding="utf-8")
+        code = run_cli(
+            "eval", "--dataset", str(tmp_path / "d.json"), "--predictions",
+            str(tmp_path / "p.json"), "--profile-config", str(table),
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {table}: profile table is not valid JSON: "
+        )
+
     def test_missing_predictions_exit_data(self, fixtures_dir, tmp_path):
         empty = tmp_path / "empty.json"
         empty.write_text("{}", encoding="utf-8")
@@ -1528,7 +1541,7 @@ USAGE_ERRORS = {
     ),
     "ingest-sample-n": (
         ["ingest", "--input", "{bad}", "--output", "{out}", "--sample-n", "-1"],
-        "sample size must be >= 0, got -1",
+        "sample_n must be >= 0, got -1",
     ),
     "generate-top-k": (
         ["generate", "--input", "{bad}", "--train-corpus", "{bad}", "--output", "{out}",
@@ -1557,7 +1570,7 @@ USAGE_ERRORS = {
     "run-sample-n": (
         ["run", "--input", "{bad}", "--train-corpus", "{bad}", "--output-dir", "{out}",
          "--sample-n", "-1"],
-        "sample size must be >= 0, got -1",
+        "sample_n must be >= 0, got -1",
     ),
 }
 
@@ -1583,3 +1596,61 @@ class TestUsageErrorsBeforeReading:
         assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
         assert captured.out == ""
         assert not output.exists()
+
+
+# Every JSONL input the CLI reads: the command that reads it, and the rest of
+# its argv, where "{file}" is the input under test. ingest and generate read
+# the passages, ingest leniently and generate strictly.
+JSONL_READERS = {
+    "ingest": ["ingest", "--input", "{file}", "--output", "{out}"],
+    "generate": ["generate", "--input", "{file}", "--train-corpus", "{train}",
+                 "--num-samples", "2", "--output", "{out}"],
+    "run": ["run", "--input", "{passages}", "--train-corpus", "{file}", "--sample-n", "2",
+            "--num-samples", "2", "--keep-per-passage", "2", "--output-dir", "{out}"],
+    "filter": ["filter", "--candidates", "{file}", "--input", "{passages}",
+               "--output", "{out}"],
+    "emit": ["emit", "--examples", "{file}", "--input", "{passages}", "--output", "{out}"],
+}
+
+
+def jsonl_case(lines: list[str], case: str) -> bytes:
+    """The JSONL file of ``lines``, one record each, with the fault or variant ``case``."""
+    encoded = [line.encode("utf-8") for line in lines]
+    if case == "lone-cr":
+        encoded[0] = encoded[0].replace(b', "', b',\r "', 1)
+    elif case == "bad-byte":
+        encoded[1] = encoded[1].replace(b'": "', b'": "\xff', 1)
+    elif case == "blank-line":
+        encoded.insert(1, b" \t ")
+    ending = b"\r\n" if case == "crlf" else b"\n"
+    return b"".join(line + ending for line in encoded)
+
+
+class TestJsonLinesInputs:
+    @pytest.mark.parametrize("case", ["lone-cr", "bad-byte", "blank-line", "crlf"])
+    @pytest.mark.parametrize("reader", sorted(JSONL_READERS))
+    def test_every_jsonl_input_reads_lines_alike(self, workspace, capsys, caplog, reader, case):
+        # Once, the training corpus, candidates and examples were read in text
+        # mode: a lone "\r" ended a line, splitting its record in two, and a
+        # bad byte was "cannot read PATH: ... position N", a file offset.
+        passages = workspace / "passages.jsonl"
+        if reader in ("filter", "emit"):
+            source = write_stage_rows(workspace, reader, ["p000", "p001", "p002"])
+        else:
+            source = workspace / ("train.jsonl" if reader == "run" else "passages.jsonl")
+        path = workspace / "input.jsonl"
+        path.write_bytes(jsonl_case(source.read_text("utf-8").splitlines(), case))
+        values = {"file": path, "passages": passages, "train": workspace / "train.jsonl",
+                  "out": workspace / "out"}
+        code = run_cli(*(arg.format(**values) for arg in JSONL_READERS[reader]))
+        captured = capsys.readouterr()
+        if case != "bad-byte":
+            assert (code, captured.err) == (0, "")
+            assert "skipped record" not in caplog.text
+        elif reader == "ingest":
+            # ingest skips a malformed passage record and goes on.
+            assert code == 0
+            assert "skipped record at line 2: invalid utf-8:" in caplog.text
+        else:
+            assert code == 2
+            assert f"error: {path}:2: invalid utf-8:" in captured.err

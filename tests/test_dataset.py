@@ -361,6 +361,20 @@ class TestBuildTrainingMix:
         with pytest.raises(ConfigurationError, match="invalid hyperparameters for stage 'gold'"):
             build_training_mix([], ["g.json"], learning_rate=learning_rate)
 
+    @pytest.mark.parametrize(
+        "hyperparameters, fault",
+        [
+            ({"epochs": 0}, "epochs must be >= 1, got 0"),
+            ({"batch_size": -2}, "batch_size must be >= 1, got -2"),
+            ({"learning_rate": -1.0}, "learning_rate must be finite and positive, got -1.0"),
+        ],
+    )
+    def test_error_names_the_hyperparameter_and_its_value(self, hyperparameters, fault):
+        # Once "invalid hyperparameters for stage 'synthetic'", naming no key.
+        with pytest.raises(ConfigurationError) as raised:
+            build_training_mix(["s.json"], ["g.json"], **hyperparameters)
+        assert str(raised.value) == f"invalid hyperparameters for stage 'synthetic': {fault}"
+
     def test_manifest_json_shape(self, tmp_path):
         manifest = build_training_mix(["s.json"], ["g.json"])
         path = tmp_path / "manifest.json"
