@@ -32,6 +32,7 @@ from .errors import (
     EmissionError,
     PipelineError,
     QAForgeError,
+    SquadParseError,
     TransportError,
     json_error_reason,
     load_json,
@@ -210,7 +211,10 @@ def _read_json(path: str, invalid: type[QAForgeError] = DataError) -> Any:
 def cmd_eval(args) -> int:
     table = load_profile_table(args.profile_config) if args.profile_config else None
     profile = make_profile(args.mode, args.language, table)
-    result = read_squad(_read_text(args.dataset))
+    try:
+        result = read_squad(_read_text(args.dataset))
+    except SquadParseError as exc:
+        raise SquadParseError(f"{args.dataset}: {exc}") from exc
     for violation in result.violations:
         logger.warning("dataset violation (%s): %s", violation.qa_id, violation.message)
     predictions = _read_json(args.predictions)
@@ -253,7 +257,7 @@ def cmd_run(args) -> int:
 
 def cmd_stats(args) -> int:
     payload = _read_json(args.report)
-    counts = payload.get("counts", {}) if isinstance(payload, dict) else None
+    counts = payload.get("counts") if isinstance(payload, dict) else None
     if not isinstance(counts, dict) or any(type(count) is not int for count in counts.values()):
         raise DataError(f"{args.report}: 'counts' must be an object of integer counts")
     report = PipelineReport(counts=counts, record_errors=payload.get("record_errors", 0))

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from typing import Any, NamedTuple
 
 from .corpus import language_code
@@ -174,8 +174,10 @@ class ReferenceBackend:
     tables wait for the cyclic garbage collector. Sampling determinism comes
     from the caller-provided seed.
     A table ranks by count, ties lexicographic, which is the probability
-    order: a new context costs a C sort of its counted symbols plus O(k)
-    Python work. A counted symbol outside the vocabulary is never emitted.
+    order: a new context costs one C sort of its counted symbols by count, a
+    sort of each tie group the first k reach, one lookup in the vocabulary
+    set the backend keeps per counted symbol reached, and one denominator. A
+    counted symbol outside the vocabulary is never emitted.
 
     ``counts`` maps each trained context to its successors' counts, plain
     dicts or Counters. Construction sums each context's counts once and
@@ -190,7 +192,9 @@ class ReferenceBackend:
     ):
         check_order(order)
         self.order = order
-        self.vocabulary = tuple(sorted(set(vocabulary)))
+        # The set answers whether a counted symbol is emittable in one lookup.
+        self._vocabulary_set = set(vocabulary)
+        self.vocabulary = tuple(sorted(self._vocabulary_set))
         self.counts = counts
         # Every emittable symbol in lexicographic order: EOS goes where it sorts.
         eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
@@ -292,21 +296,25 @@ class ReferenceBackend:
 
         Within a context the probability rises strictly with the count (for
         counts below 2**52), and every uncounted symbol shares the lowest. So
-        the counted symbols come first, by count with ties lexicographic (two
-        C sorts), each once per place it holds among the emittable symbols:
-        none outside the vocabulary, two for a word spelled like EOS_TOKEN.
-        The uncounted ones follow in lexicographic order. Python work and
-        probabilities are spent only on the ``k`` kept.
+        the counted symbols come first: one C sort by count, then a
+        lexicographic sort of each tie group the first ``k`` reach. Each is
+        emitted once per place it holds among the emittable symbols, found by
+        one vocabulary set lookup: none outside the vocabulary, two for a word
+        spelled like EOS_TOKEN. The uncounted ones follow in lexicographic
+        order. The ``k`` kept share one denominator.
         """
-        lexicographic = self._lexicographic
         counter = self.counts.get(context, {})
+        count_of = counter.__getitem__
+        vocabulary = self._vocabulary_set
+        ties = groupby(sorted(counter, key=count_of, reverse=True), count_of)
         counted = chain.from_iterable(
-            repeat(s, bisect.bisect_right(lexicographic, s) - bisect.bisect_left(lexicographic, s))
-            for s in sorted(sorted(counter), key=counter.__getitem__, reverse=True)
+            repeat(s, (s in vocabulary) + (s == EOS_TOKEN))
+            for s in chain.from_iterable(sorted(group) for _, group in ties)
         )
-        uncounted = (symbol for symbol in lexicographic if symbol not in counter)
+        uncounted = (symbol for symbol in self._lexicographic if symbol not in counter)
         symbols = list(islice(chain(counted, uncounted), k))
-        return symbols, [self.probability(context, symbol) for symbol in symbols]
+        denominator = self._context_totals.get(context, 0) + len(self.vocabulary) + 1
+        return symbols, [(counter.get(s, 0) + 1.0) / denominator for s in symbols]
 
 
 def train_reference(

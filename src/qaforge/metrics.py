@@ -115,7 +115,7 @@ def load_profile_table(path: str | Path | None = None) -> dict:
             f"{source}: profile table is not valid JSON: {json_error_reason(exc)}"
         ) from exc
     if not isinstance(table, dict) or not isinstance(table.get("entries"), list):
-        raise ConfigurationError("profile table must carry an 'entries' array")
+        raise ConfigurationError(f"{source}: profile table must carry an 'entries' array")
     for position, entry in enumerate(table["entries"]):
         if type(entry) is dict:
             articles = entry.get("articles", [])
@@ -128,7 +128,7 @@ def load_profile_table(path: str | Path | None = None) -> dict:
             ):
                 continue
         raise ConfigurationError(
-            f"profile table entry {position} needs string language/punctuation_class/"
+            f"{source}: profile table entry {position} needs string language/punctuation_class/"
             "segmentation and a list of string articles"
         )
     return table

@@ -334,18 +334,43 @@ class TestEvalCommand:
         report = json.loads((tmp_path / "report.json").read_text("utf-8"))
         assert len(report["per_example"]) == 6
 
-    def test_invalid_profile_table_names_its_file(self, tmp_path, capsys):
-        # Once "profile table is not valid JSON: Expecting value", naming no file.
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{", "profile table is not valid JSON: "),
+            ('{"entries": 3}', "profile table must carry an 'entries' array"),
+            ('{"entries": [{"language": 3}]}', "profile table entry 0 needs string language"),
+        ],
+        ids=["invalid-json", "entries-not-array", "entry-wrong-typed"],
+    )
+    def test_invalid_profile_table_names_its_file(self, tmp_path, capsys, content, reason):
+        # Each once named no file, as "profile table is not valid JSON: Expecting value".
         table = tmp_path / "profiles.json"
-        table.write_text("{", encoding="utf-8")
+        table.write_text(content, encoding="utf-8")
         code = run_cli(
             "eval", "--dataset", str(tmp_path / "d.json"), "--predictions",
             str(tmp_path / "p.json"), "--profile-config", str(table),
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: {table}: profile table is not valid JSON: "
+        assert capsys.readouterr().err.startswith(f"error: {table}: {reason}")
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("{", "document is not valid JSON: "),
+            ('{"version": "1.1", "data": 3}', "$.data: expected list, got int"),
+        ],
+        ids=["invalid-json", "schema-fault"],
+    )
+    def test_invalid_dataset_names_its_file(self, tmp_path, capsys, content, reason):
+        # Once "error: document is not valid JSON: ...", naming no file.
+        dataset = tmp_path / "d.json"
+        dataset.write_text(content, encoding="utf-8")
+        code = run_cli(
+            "eval", "--dataset", str(dataset), "--predictions", str(tmp_path / "p.json"),
         )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {dataset}: {reason}")
 
     def test_missing_predictions_exit_data(self, fixtures_dir, tmp_path):
         empty = tmp_path / "empty.json"
@@ -700,6 +725,17 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[0].split() == ["stage", "count", "drop"]
         assert "generated" in out
+
+    def test_stats_report_without_counts_exit_data(self, tmp_path, capsys):
+        # Once printed an empty funnel and exited 0.
+        report = tmp_path / "report.json"
+        report.write_text("{}", encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {report}: 'counts' must be an object of integer counts"
+        )
+        assert captured.out == ""
 
 
 # One wrong-typed field per record format; each must exit 2, not raise.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -231,6 +232,42 @@ def small_models(draw):
     return backend, queries, k
 
 
+class _CountingSet(set):
+    """A set that counts the membership tests made of it, per symbol."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.calls = Counter()
+
+    def __contains__(self, item):
+        self.calls[item] += 1
+        return super().__contains__(item)
+
+
+def _big_model(extra_counts=(), extra_word=None, all_count_one=False):
+    """A 5,000-word vocabulary and 3,000 counted successors, counts 1-9 or all 1."""
+    rng = random.Random(7)
+    vocabulary = [f"w{i:04d}" for i in range(5000)]
+    words = rng.sample(vocabulary, 3000)
+    counts = [1] * len(words) if all_count_one else [rng.randint(1, 9) for _ in words]
+    successors = Counter(dict(zip(words, counts)))
+    successors.update(extra_counts)
+    if extra_word is not None:
+        vocabulary.append(extra_word)
+    return vocabulary, successors
+
+
+# Cases of the 5,000-word model; each extra count, 10, ranks first at every k.
+_BIG_MODEL_CASES = {
+    "counts-1-to-9": {},
+    "counted-outside-vocabulary": {"extra_counts": {"zz-unseen": 10}},
+    "counted-eos": {"extra_counts": {EOS_TOKEN: 10}},
+    "vocabulary-word-spelled-eos": {"extra_counts": {EOS_TOKEN: 10}, "extra_word": EOS_TOKEN},
+    # Every counted symbol ties at count 1, so the group straddles each k.
+    "count-1-ties-straddle-k": {"all_count_one": True},
+}
+
+
 class TestTopK:
     @settings(max_examples=300, deadline=None)
     @given(small_models())
@@ -253,22 +290,32 @@ class TestTopK:
         assert big_vocabulary_output() == golden["runs"]
 
     @pytest.mark.parametrize("k", [1, 10, 40])
-    def test_new_context_computes_only_k_probabilities(self, k):
-        rng = random.Random(7)
-        vocabulary = [f"w{i:04d}" for i in range(5000)]
+    @pytest.mark.parametrize("case", sorted(_BIG_MODEL_CASES))
+    def test_new_context_computes_only_k_probabilities(self, monkeypatch, case, k):
+        vocabulary, successors = _big_model(**_BIG_MODEL_CASES[case])
         context = ("w0000", "w0001")
-        successors = Counter({word: rng.randint(1, 9) for word in rng.sample(vocabulary, 3000)})
         backend = ReferenceBackend(3, vocabulary, {context: successors})
-        calls = []
+        lookups = _CountingSet(backend._vocabulary_set)
+        backend._vocabulary_set = lookups
 
-        def counting(ctx, token):
-            calls.append(token)
-            return ReferenceBackend.probability(backend, ctx, token)
+        def no_bisect(*args, **kwargs):
+            raise AssertionError("a table build bisected the vocabulary")
 
-        backend.probability = counting
+        monkeypatch.setattr(bisect, "bisect_left", no_bisect)
+        monkeypatch.setattr(bisect, "bisect_right", no_bisect)
         symbols, probs = backend._top_k(context, k)
-        assert len(calls) <= k
-        del backend.probability
+        monkeypatch.undo()
+        assert len(probs) == k
+        # The counted symbols in ranking order, up to the one that fills k.
+        emitted = 0
+        consumed = []
+        for symbol in sorted(successors, key=lambda s: (-successors[s], s)):
+            if emitted >= k:
+                break
+            consumed.append(symbol)
+            emitted += (symbol in vocabulary) + (symbol == EOS_TOKEN)
+        assert max(lookups.calls.values(), default=0) <= 1
+        assert set(lookups.calls) <= set(consumed)
         assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
 
     def test_cache_is_bounded_by_the_trained_model(self, toy_corpus):
