@@ -260,8 +260,12 @@ def cmd_stats(args) -> int:
     counts = payload.get("counts") if isinstance(payload, dict) else None
     if not isinstance(counts, dict) or any(type(count) is not int for count in counts.values()):
         raise DataError(f"{args.report}: 'counts' must be an object of integer counts")
-    report = PipelineReport(counts=counts, record_errors=payload.get("record_errors", 0))
-    print(stats_summary(report))
+    has_record_errors = "record_errors" in payload
+    if has_record_errors and type(payload["record_errors"]) is not int:
+        raise DataError(f"{args.report}: 'record_errors' must be an integer")
+    print(stats_summary(PipelineReport(counts=counts)))
+    if has_record_errors:
+        print(f"record errors: {payload['record_errors']}")
     return EXIT_OK
 
 

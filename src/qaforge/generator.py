@@ -133,23 +133,6 @@ def _shift_context(context: tuple[str, ...], token: str, order: int) -> tuple[st
     return (context + (token,))[-(order - 1):]
 
 
-class _SamplingTable(NamedTuple):
-    """What a decode step needs of the top-k symbols after one context."""
-
-    symbols: list[str]
-    # Running sums of the probabilities, left to right, but the last: the
-    # boundaries between the symbols' intervals.
-    bounds: list[float]
-    # sum() of the probabilities, the draw's scale; from Python 3.12 sum()
-    # compensates rounding, so it need not equal the last running sum.
-    mass: float
-    logs: list[float]  # natural log of each probability
-    # The table after each symbol, linked at first use. None on the table
-    # that every untrained context shares: what follows it depends on the
-    # real context.
-    successors: list[_SamplingTable | None] | None
-
-
 class ReferenceBackend:
     """Add-one-smoothed word n-gram generator conditioned on a passage window.
 
@@ -171,8 +154,10 @@ class ReferenceBackend:
     rebuilds its context and looks it up. Instances are safe to share across
     threads: racing threads keep the table stored first under each key, and
     link to that one. Links form reference cycles, so a dropped backend's
-    tables wait for the cyclic garbage collector. Sampling determinism comes
-    from the caller-provided seed.
+    tables wait for the cyclic garbage collector. A table is a plain tuple,
+    not a NamedTuple: CPython specializes a decode step's five-way unpack
+    only for an exact tuple. Sampling determinism comes from the
+    caller-provided seed.
     A table ranks by count, ties lexicographic, which is the probability
     order: a new context costs one C sort of its counted symbols by count, a
     sort of each tie group the first k reach, one lookup in the vocabulary
@@ -203,7 +188,7 @@ class ReferenceBackend:
         # k -> {trained context or None: table}. Every untrained context has
         # total 0 and so the same ranking: it shares the table under None,
         # which bounds the cache by the model.
-        self._top_k_cache: dict[int, dict[tuple[str, ...] | None, _SamplingTable]] = {}
+        self._top_k_cache: dict[int, dict[tuple[str, ...] | None, tuple]] = {}
 
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Add-one-smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
@@ -270,11 +255,17 @@ class ReferenceBackend:
                     table = sampling_table((*base_context, *tokens)[len(tokens):], top_k)
                     if successors is not None:
                         successors[pick] = table
-            candidates.append(Candidate(" ".join(tokens), score))
+            # tuple.__new__ skips NamedTuple.__new__, a Python-level frame per candidate.
+            candidates.append(tuple.__new__(Candidate, (" ".join(tokens), score)))
         return candidates
 
-    def _sampling_table(self, context: tuple[str, ...], k: int) -> _SamplingTable:
-        """The decode-step table of the top ``k`` symbols after ``context``, built at first use."""
+    def _sampling_table(self, context: tuple[str, ...], k: int) -> tuple:
+        """The decode-step table of the top ``k`` symbols after ``context``, built at first use.
+
+        The table is the exact 5-tuple ``(symbols, bounds, mass, logs,
+        successors)`` that a decode step unpacks; a tuple subclass would
+        take the interpreter's unspecialized unpack.
+        """
         tables = self._top_k_cache.setdefault(k, {})
         trained = context in self.counts
         key = context if trained else None
@@ -282,11 +273,19 @@ class ReferenceBackend:
         if table is None:
             symbols, probs = self._top_k(context, k)
             # setdefault: racing threads keep the one table stored first.
-            table = tables.setdefault(key, _SamplingTable(
+            table = tables.setdefault(key, (
                 symbols,
+                # Running sums of the probabilities, left to right, but the
+                # last: the boundaries between the symbols' intervals.
                 list(accumulate(probs[:-1])),
+                # sum() of the probabilities, the draw's scale; from Python
+                # 3.12 sum() compensates rounding, so it need not equal the
+                # last running sum.
                 sum(probs),
                 [math.log(p) for p in probs],
+                # The table after each symbol, linked at first use. None on
+                # the table that every untrained context shares: what
+                # follows it depends on the real context.
                 [None] * len(symbols) if trained else None,
             ))
         return table

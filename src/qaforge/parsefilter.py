@@ -121,20 +121,13 @@ class FilterStats:
         return {**asdict(self), "parse_failures": dict(sorted(self.parse_failures.items()))}
 
 
-class _Draft(NamedTuple):
-    question: str
-    answer: str
-    lm_score: float
-    answer_start: int
-
-
-def _dedup_keep_best(drafts: list[_Draft]) -> list[_Draft]:
+def _dedup_keep_best(drafts: list[tuple]) -> list[tuple]:
     # Strict > keeps the earliest instance among equal scores.
     best: dict[tuple[str, str], int] = {}
-    for index, draft in enumerate(drafts):
-        key = (draft.question, draft.answer)
+    for index, (question, answer, lm_score, _) in enumerate(drafts):
+        key = (question, answer)
         current = best.get(key)
-        if current is None or draft.lm_score > drafts[current].lm_score:
+        if current is None or lm_score > drafts[current][2]:
             best[key] = index
     return [drafts[index] for index in sorted(best.values())]
 
@@ -158,7 +151,9 @@ def run_filter_pipeline(
     context = passage.text
     length_normalize = config.length_normalize
     normalize = unicodedata.normalize
-    drafts: list[_Draft] = []
+    # Each draft is a plain (question, answer, lm_score, answer_start) tuple:
+    # the interpreter specializes its unpacks only for an exact tuple.
+    drafts: list[tuple[str, str, float, int]] = []
     for text, score in candidates:
         split = _split_candidate(text)
         if isinstance(split, str):
@@ -171,7 +166,7 @@ def run_filter_pipeline(
             continue
         if length_normalize:
             score /= len(text.split())
-        drafts.append(_Draft(normalize("NFC", question), answer, score, answer_start))
+        drafts.append((normalize("NFC", question), answer, score, answer_start))
     stats = FilterStats(
         candidates=len(candidates),
         parsed=len(candidates) - sum(failures.values()),
@@ -184,9 +179,13 @@ def run_filter_pipeline(
 
     # A stable sort: of equal scores, the earlier draft ranks first, so the
     # result for k is a prefix of the result for k + 1.
-    ranked = sorted(drafts, key=lambda draft: -draft.lm_score)[: config.keep_per_passage]
+    ranked = sorted(drafts, key=lambda draft: -draft[2])[: config.keep_per_passage]
+    # tuple.__new__ skips NamedTuple.__new__, a Python-level frame per example.
     examples = [
-        SyntheticExample(passage.id, question, answer, answer_start, score, passage.language)
+        tuple.__new__(
+            SyntheticExample,
+            (passage.id, question, answer, answer_start, score, passage.language),
+        )
         for question, answer, score, answer_start in ranked
     ]
     stats.kept = len(examples)

@@ -16,7 +16,9 @@ passages and the counts, never every candidate, example or the whole
 document. With ``workers > 1``, ``2 * workers`` threads generate up to 64
 passages per worker ahead of the one being written, and results are consumed
 in order; the remote backend then has ``workers`` connections, so a passage
-waiting out a retry's backoff leaves its connection to another thread.
+waiting out a retry's backoff leaves its connection to another thread. The
+reference backend ignores ``workers`` and always decodes in the calling
+thread.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
 functions, in the same passage order: ``generate_passage`` (the backend's
@@ -61,7 +63,14 @@ from .dataset import (
 from .errors import (
     JSON_ERRORS, ConfigurationError, DataError, PipelineError, load_json
 )
-from .generator import GenerationRequest, Candidate, check_order, derive_seed, train_reference
+from .generator import (
+    Candidate,
+    GenerationRequest,
+    ReferenceBackend,
+    check_order,
+    derive_seed,
+    train_reference,
+)
 from .parsefilter import FilterConfig, FilterStats, run_filter_pipeline
 from .remote import RemoteGeneratorClient, resolve_endpoint
 
@@ -616,10 +625,13 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                 document = SquadWriter(stack.enter_context(atomic_write(outputs["dataset"])))
                 examples_out = stack.enter_context(atomic_write(outputs["examples"]))
                 candidates_out = stack.enter_context(atomic_write(outputs["candidates"]))
+                # The reference backend decodes in this thread: threads only
+                # contend for the interpreter lock on its CPU-bound decoding.
+                workers = 1 if isinstance(backend, ReferenceBackend) else config.workers
                 results = stack.enter_context(closing(_in_order(
                     lambda passage: generate_passage(passage, backend, request, seed, journal),
                     ordered,
-                    config.workers,
+                    workers,
                 )))
                 for passage, (candidates, rows) in zip(ordered, results):
                     candidates_out.write(rows)

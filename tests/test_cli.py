@@ -20,7 +20,13 @@ from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError
 from qaforge.metrics import bleu, load_profile_table
 from qaforge.parsefilter import FilterConfig
-from qaforge.pipeline import _FINGERPRINT_KEYS, PipelineConfig, resume_fingerprint
+from qaforge.pipeline import (
+    _FINGERPRINT_KEYS,
+    PipelineConfig,
+    PipelineReport,
+    resume_fingerprint,
+    stats_summary,
+)
 
 
 @pytest.fixture()
@@ -736,6 +742,28 @@ class TestRunCommand:
             f"error: {report}: 'counts' must be an object of integer counts"
         )
         assert captured.out == ""
+
+    def test_stats_report_with_non_integer_record_errors_exit_data(self, tmp_path, capsys):
+        # Once printed the funnel and exited 0.
+        report = tmp_path / "report.json"
+        report.write_text(
+            json.dumps({"counts": {"ingested": 3}, "record_errors": "x"}), encoding="utf-8"
+        )
+        assert run_cli("stats", "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {report}: 'record_errors' must be an integer")
+        assert captured.out == ""
+
+    def test_stats_prints_record_errors_after_the_funnel(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        counts = {"ingested": 3}
+        report.write_text(json.dumps({"counts": counts, "record_errors": 5}), encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 0
+        funnel = stats_summary(PipelineReport(counts=counts))
+        assert capsys.readouterr().out == f"{funnel}\nrecord errors: 5\n"
+        report.write_text(json.dumps({"counts": counts}), encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 0
+        assert capsys.readouterr().out == f"{funnel}\n"
 
 
 # One wrong-typed field per record format; each must exit 2, not raise.

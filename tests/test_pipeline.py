@@ -122,6 +122,16 @@ class TestRunPipeline:
         )
         assert serial.counts == threaded.counts
 
+    def test_reference_backend_never_starts_a_thread_pool(self, tmp_path, monkeypatch):
+        serial = run_pipeline(make_config(tmp_path, "serial", workers=1))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the reference backend started a thread pool")
+
+        monkeypatch.setattr("qaforge.pipeline.ThreadPoolExecutor", no_pool)
+        unthreaded = run_pipeline(make_config(tmp_path, "unthreaded", workers=2))
+        assert same_artifacts(unthreaded, serial)
+
     def test_funnel_counts_are_section_monotone(self, tmp_path):
         report = run_pipeline(make_config(tmp_path))
         counts = report.counts
