@@ -7,26 +7,29 @@ the sample order; candidates, examples and the dataset are written in
 ascending passage-id order. Reruns are byte-identical.
 
 ``run_pipeline`` walks the sampled passages in that ascending passage-id
-order, one at a time. For each passage it generates the candidates, or
-reads them from the journal; encodes their ``candidates.jsonl`` rows once
-and appends them to the journal and to the candidates artifact; filters
-them; and appends the kept examples and the passage's article to the
-examples and dataset artifacts. Then it lets them go, so a run holds the
-passages and the counts, never every candidate, example or the whole
-document. With ``workers > 1``, ``2 * workers`` threads generate up to 64
-passages per worker ahead of the one being written, and results are consumed
-in order; the remote backend then has ``workers`` connections, so a passage
-waiting out a retry's backoff leaves its connection to another thread. The
-reference backend ignores ``workers`` and always decodes in the calling
-thread.
+order. ``process_passage`` takes one passage, with its journaled candidates
+or None, to all of its outputs: its ``candidates.jsonl`` rows, its
+``examples.jsonl`` lines, its article, and its ``FilterStats``. The calling
+thread makes the journal lookups and every write: for each passage, in
+passage order, it appends the journal block of a newly generated passage,
+then the rows, lines and article to the artifacts, and merges the counts.
+Then it lets them go, so a run holds the passages and the counts, never
+every candidate, example or the whole document. With ``workers > 1``,
+``2 * workers`` threads run ``process_passage`` up to 64 passages per worker
+ahead of the one being written; the remote backend then has ``workers``
+connections, so a passage waiting out a retry's backoff leaves its
+connection to another thread. A failure loses what was computed ahead but
+not written, journal blocks included; a resume generates those passages
+again. The reference backend ignores ``workers`` and always runs in the
+calling thread.
 
 ``run_pipeline`` and the per-stage CLI subcommands call the same per-passage
 functions, in the same passage order: ``generate_passage`` (the backend's
 ``generate`` and ``dataset.candidate_rows``), ``run_filter_pipeline``, and
 ``dataset.emit_passage``, which gives a passage's ``examples.jsonl`` lines and
-its article. ``filter`` and ``emit`` read one passage's rows at a time
-(``read_passage_groups``). Every artifact is written through
-``dataset.atomic_write``.
+its article; ``process_passage`` chains them for ``run_pipeline``. ``filter``
+and ``emit`` read one passage's rows at a time (``read_passage_groups``).
+Every artifact is written through ``dataset.atomic_write``.
 """
 
 from __future__ import annotations
@@ -172,6 +175,8 @@ class PipelineReport:
     counts: dict[str, int] = field(default_factory=dict)
     record_errors: int = 0
     parse_failures: dict[str, int] = field(default_factory=dict)
+    # Passages whose candidates were read from the journal, not generated.
+    journal_hits: int = 0
     elapsed_seconds: float = 0.0
     outputs: dict[str, str] = field(default_factory=dict)
 
@@ -383,13 +388,13 @@ class _CheckpointJournal:
 
     ``blocks`` indexes the blocks found complete when the journal was
     opened; the blocks this run appends are remembered by passage id alone.
+    It has no lock: only ``run_pipeline``'s calling thread uses it.
     """
 
     def __init__(self, path: Path, fingerprint: dict[str, Any], resume: bool):
         self.path = path
         self.blocks: dict[str, _Block] = {}
         self._recorded: set[str] = set()
-        self._lock = threading.Lock()
         header = {"format": JOURNAL_FORMAT, "fingerprint": fingerprint}
         resuming = resume and path.exists()
         if resuming:
@@ -474,10 +479,8 @@ class _CheckpointJournal:
 
     def record(self, passage: Passage, rows: str) -> None:
         """Append ``rows`` (``candidate_rows`` of ``passage``) and the marker completing them."""
-        marker = _marker(passage).encode("utf-8")
-        with self._lock:
-            self._write(rows.encode("utf-8"), marker)
-            self._recorded.add(passage.id)
+        self._write(rows.encode("utf-8"), _marker(passage).encode("utf-8"))
+        self._recorded.add(passage.id)
 
     def journaled_ids(self) -> list[str]:
         """Every passage id with a complete block, loaded or appended, in ascending order."""
@@ -490,31 +493,45 @@ class _CheckpointJournal:
 
 
 def generate_passage(
-    passage: Passage,
-    backend,
-    request: GenerationRequest,
-    seed: int,
-    journal: _CheckpointJournal | None = None,
+    passage: Passage, backend, request: GenerationRequest, seed: int
 ) -> tuple[list[Candidate], str]:
     """One passage's candidates and their ``candidate_rows``.
 
     The passage fills in ``request`` and samples with the seed derived from
-    (``seed``, passage id). With a ``journal``, a block for the same passage
-    id and text is reused instead, and a new result is recorded there. A
-    failure raises PipelineError naming the passage.
+    (``seed``, passage id). A failure raises PipelineError naming the passage.
     """
     try:
-        candidates = journal.lookup(passage) if journal else None
-        if candidates is not None:
-            return candidates, candidate_rows(passage.id, candidates)
         candidates = backend.generate(
             replace(request, passage=passage.text, language=passage.language),
             seed=derive_seed(seed, passage.id),
         )
-        rows = candidate_rows(passage.id, candidates)
-        if journal:
-            journal.record(passage, rows)
-        return candidates, rows
+        return candidates, candidate_rows(passage.id, candidates)
+    except Exception as exc:
+        raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
+
+
+def process_passage(
+    passage: Passage, journaled: list[Candidate] | None, backend, request: GenerationRequest,
+    seed: int, filter_config: FilterConfig,
+) -> tuple[str, str, str | None, FilterStats]:
+    """A passage's rows, example lines, article (None if it keeps none) and FilterStats.
+
+    The candidates are ``journaled``, or ``generate_passage``'s if that is
+    None. Every argument but ``backend`` pickles; forked workers inherit it.
+    """
+    if journaled is None:
+        candidates, rows = generate_passage(passage, backend, request, seed)
+    else:
+        candidates, rows = journaled, candidate_rows(passage.id, journaled)
+    kept, stats = run_filter_pipeline(passage, candidates, filter_config)
+    lines, article = emit_passage(passage, kept) if kept else ("", None)
+    return rows, lines, article, stats
+
+
+def _lookup(journal: _CheckpointJournal, passage: Passage) -> list[Candidate] | None:
+    """``journal.lookup(passage)``; a failure raises PipelineError naming the passage."""
+    try:
+        return journal.lookup(passage)
     except Exception as exc:
         raise PipelineError("generate", exc, failed_passage_id=passage.id) from exc
 
@@ -527,21 +544,22 @@ R = TypeVar("R")
 # retry) holds up the consumer, but not a connection; meanwhile the other
 # threads keep every connection busy, until this many items per worker are
 # done or running. It bounds what is held ahead to that many passages'
-# candidates.
+# outputs.
 _AHEAD_PER_WORKER = 64
 
 
 def _in_order(function: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[R]:
     """``function(item)`` for each item, in order.
 
-    With ``workers > 1``, ``2 * workers`` threads compute up to
-    ``_AHEAD_PER_WORKER * workers`` items ahead of the one consumed: one
-    thread per connection of the remote backend to use it, and one that may
-    be waiting out a retry's backoff, which holds no connection. The first
-    failure, in item order, is raised. Once any item has failed, an item not
-    yet started raises without running; items start in order, so the failure
-    raised is a real one. When the iterator is closed early, items not yet
-    started are cancelled.
+    ``items`` is drawn, and the results are consumed, in the calling thread;
+    only ``function`` runs in the threads. With ``workers > 1``,
+    ``2 * workers`` threads compute up to ``_AHEAD_PER_WORKER * workers``
+    items ahead of the one consumed: one thread per connection of the remote
+    backend to use it, and one that may be waiting out a retry's backoff,
+    which holds no connection. The first failure, in item order, is raised.
+    Once any item has failed, an item not yet started raises without
+    running; items start in order, so the failure raised is a real one. When
+    the iterator is closed early, items not yet started are cancelled.
     """
     if workers == 1:
         yield from map(function, items)
@@ -615,6 +633,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     }
     ordered = sorted(sampled, key=lambda passage: passage.id)
     totals = FilterStats()
+    journal_hits = 0
     try:
         try:
             with ExitStack() as stack:
@@ -629,18 +648,22 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
                 # contend for the interpreter lock on its CPU-bound decoding.
                 workers = 1 if isinstance(backend, ReferenceBackend) else config.workers
                 results = stack.enter_context(closing(_in_order(
-                    lambda passage: generate_passage(passage, backend, request, seed, journal),
-                    ordered,
+                    lambda item: (
+                        item, process_passage(*item, backend, request, seed, filter_config)
+                    ),
+                    ((passage, _lookup(journal, passage)) for passage in ordered),
                     workers,
                 )))
-                for passage, (candidates, rows) in zip(ordered, results):
+                for (passage, journaled), (rows, lines, article, stats) in results:
+                    if journaled is None:
+                        journal.record(passage, rows)
+                    else:
+                        journal_hits += 1
                     candidates_out.write(rows)
-                    kept, stats = run_filter_pipeline(passage, candidates, filter_config)
-                    totals.merge(stats)
-                    if kept:
-                        lines, article = emit_passage(passage, kept)
+                    if article is not None:
                         examples_out.write(lines)
                         document.add(article)
+                    totals.merge(stats)
                 document.finish()
                 write_jsonl(outputs["passages"], (p.to_record() for p in sampled))
         except PipelineError:
@@ -671,6 +694,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         counts=counts,
         record_errors=record_errors,
         parse_failures=dict(sorted(totals.parse_failures.items())),
+        journal_hits=journal_hits,
         elapsed_seconds=time.monotonic() - started,
         outputs=outputs,
     )

@@ -18,6 +18,7 @@ import logging
 import os
 import queue
 import selectors
+import threading
 import time
 from dataclasses import asdict
 from urllib.parse import urlsplit
@@ -80,9 +81,10 @@ class RemoteGeneratorClient:
     all, after waits of ``BACKOFF_BASE_S`` that double each time; malformed
     responses and any other status are not retried. Safe to share across
     threads: an attempt borrows one of ``connections`` keep-alive
-    connections and returns it once the response is read, so at most
-    ``connections`` requests are in flight, and a call waiting out its
-    backoff holds none. ``TIMEOUT_S`` bounds each socket operation.
+    connections, in the order the threads asked, and returns it once the
+    response is read, so at most ``connections`` requests are in flight, and
+    a call waiting out its backoff holds none. ``TIMEOUT_S`` bounds each
+    socket operation.
     """
 
     def __init__(self, endpoint: str | None = None, *, connections: int = 1):
@@ -97,6 +99,10 @@ class RemoteGeneratorClient:
         self._pool: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
         for _ in range(connections):
             self._pool.put(kind(parts.hostname, port, timeout=TIMEOUT_S))
+        # A queue for each thread waiting for a connection, longest-waiting first: a
+        # connection given back goes to the first, not to the thread that gave it back.
+        self._waiting: list[queue.SimpleQueue[http.client.HTTPConnection]] = []
+        self._lock = threading.Lock()
 
     def close(self) -> None:
         """Close every connection, for use when no call is in flight; a later call reconnects."""
@@ -105,9 +111,18 @@ class RemoteGeneratorClient:
             connection.close()
             self._pool.put(connection)
 
+    def _borrow(self) -> http.client.HTTPConnection:
+        """An idle connection, or else the one given back to this thread when its turn comes."""
+        with self._lock:
+            if not self._pool.empty():
+                return self._pool.get()
+            handoff: queue.SimpleQueue[http.client.HTTPConnection] = queue.SimpleQueue()
+            self._waiting.append(handoff)
+        return handoff.get()
+
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One attempt on a pooled connection: the response status and body."""
-        connection = self._pool.get()
+        connection = self._borrow()
         try:
             if _closed_by_peer(connection):
                 connection.close()
@@ -118,7 +133,13 @@ class RemoteGeneratorClient:
             connection.close()
             raise
         finally:
-            self._pool.put(connection)
+            with self._lock:
+                taker = self._waiting.pop(0) if self._waiting else self._pool
+                taker.put(connection)
+            if taker is not self._pool:
+                # Let the waiting thread send at once: this one goes on to
+                # parse its response holding the interpreter lock.
+                time.sleep(0)
 
     def generate(self, request: GenerationRequest, seed: int = 0) -> list[Candidate]:
         """Request ``num_samples`` candidates; the service owns its own randomness."""

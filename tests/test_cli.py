@@ -765,6 +765,61 @@ class TestRunCommand:
         assert run_cli("stats", "--report", str(report)) == 0
         assert capsys.readouterr().out == f"{funnel}\n"
 
+    def test_stats_prints_parse_failures_sorted_then_journal_hits(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        counts = {"generated": 9, "parsed": 6}
+        payload = {
+            "counts": counts,
+            "record_errors": 1,
+            "parse_failures": {"question_marker": 2, "answer": 1},
+            "journal_hits": 4,
+        }
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 0
+        funnel = stats_summary(PipelineReport(counts=counts))
+        assert capsys.readouterr().out == (
+            f"{funnel}\nrecord errors: 1\nparse failure answer: 1\n"
+            "parse failure question_marker: 2\njournal hits: 4\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field,value,expected",
+        [
+            ("parse_failures", {"answer": "1"}, "an object of integer counts"),
+            ("parse_failures", {"answer": True}, "an object of integer counts"),
+            ("parse_failures", [1], "an object of integer counts"),
+            ("journal_hits", 2.0, "an integer"),
+            ("journal_hits", True, "an integer"),
+            ("journal_hits", None, "an integer"),
+        ],
+    )
+    def test_stats_report_with_a_wrong_typed_field_exits_data(
+        self, tmp_path, capsys, field, value, expected
+    ):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"counts": {"ingested": 3}, field: value}), encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {report}: '{field}' must be {expected}")
+        assert captured.out == ""
+
+    def test_stats_of_a_run_prints_its_parse_failures_and_journal_hits(self, workspace, capsys):
+        out_dir = workspace / "stats_out"
+        assert run_cli(
+            "run", "--input", str(workspace / "passages.jsonl"), "--output-dir", str(out_dir),
+            "--train-corpus", str(workspace / "train.jsonl"), "--seed", "5",
+            "--max-output-tokens", "24", "--target-language", "de",
+        ) == 0
+        capsys.readouterr()
+        report = json.loads((out_dir / "report.json").read_text("utf-8"))
+        assert report["parse_failures"] and report["journal_hits"] == 0
+        assert run_cli("stats", "--report", str(out_dir / "report.json")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-len(report["parse_failures"]) - 1:] == [
+            *(f"parse failure {part}: {count}" for part, count in report["parse_failures"].items()),
+            "journal hits: 0",
+        ]
+
 
 # One wrong-typed field per record format; each must exit 2, not raise.
 WRONG_TYPED_RECORDS = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -31,8 +32,10 @@ from qaforge.pipeline import (
     _in_order,
     build_backend,
     candidate_rows,
+    generate_passage,
     ingest,
     passage_digest,
+    process_passage,
     resume_fingerprint,
     run_pipeline,
     stats_summary,
@@ -793,6 +796,65 @@ class TestJournalBlocks:
         assert same_artifacts(resumed, once)
 
 
+class TestProcessPassage:
+    def test_arguments_but_the_backend_pickle_and_both_sources_give_the_same_outputs(
+        self, tmp_path
+    ):
+        config = make_config(tmp_path)
+        backend = build_backend(config)
+        passage = min(ingest(config)[0], key=lambda passage: passage.id)
+        request, filter_config = config.request_template(), config.filter_config()
+        generated = process_passage(passage, None, backend, request, 99, filter_config)
+        assert generated[2] is not None
+        journaled = generate_passage(passage, backend, request, 99)[0]
+        for candidates in (None, journaled):
+            arguments = (passage, candidates, request, 99, filter_config)
+            function, (passage_, candidates_, *rest) = pickle.loads(
+                pickle.dumps((process_passage, arguments))
+            )
+            assert function(passage_, candidates_, backend, *rest) == generated
+
+
+class TestJournalHits:
+    def test_a_resume_reports_the_passages_read_from_the_journal(self, tmp_path):
+        config = interrupted_run(tmp_path)
+        resumed = run_pipeline(replace(config, resume=True))
+        fresh = run_pipeline(replace(config, output_dir=str(tmp_path / "fresh")))
+        assert (resumed.journal_hits, fresh.journal_hits) == (20, 0)
+        for report in (resumed, fresh):
+            recorded = json.loads(Path(report.outputs["report"]).read_text("utf-8"))
+            assert recorded["journal_hits"] == report.journal_hits
+
+
+class TestJournalLookupFailure:
+    def test_a_lookup_that_raises_fails_as_generate_naming_the_passage(
+        self, tmp_path, monkeypatch
+    ):
+        config = interrupted_run(tmp_path)
+        checkpoint_path = Path(config.output_dir) / "checkpoint.json"
+        failing = json.loads(checkpoint_path.read_text("utf-8"))["completed_passage_ids"][5]
+        lookup = _CheckpointJournal.lookup
+
+        def lookup_failing_once(journal, passage):
+            if passage.id == failing:
+                raise OSError("injected read failure")
+            return lookup(journal, passage)
+
+        monkeypatch.setattr(_CheckpointJournal, "lookup", lookup_failing_once)
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(replace(config, resume=True))
+        assert exc.value.stage == "generate"
+        assert isinstance(exc.value.cause, OSError)
+        checkpoint = json.loads(checkpoint_path.read_text("utf-8"))
+        assert (checkpoint["stage"], checkpoint["failed_passage_id"]) == ("generate", failing)
+        assert failing in checkpoint["completed_passage_ids"]
+
+        monkeypatch.undo()
+        resumed = run_pipeline(replace(config, resume=True))
+        once = run_pipeline(replace(config, output_dir=str(tmp_path / "once")))
+        assert same_artifacts(resumed, once)
+
+
 class _QuotingBackend:
     """A backend without a model: one extractive question per leading passage word."""
 
@@ -967,6 +1029,51 @@ def remote_config(tmp_path: Path, endpoint: str, out_name: str, **overrides) -> 
         tmp_path, out_name, backend="remote", endpoint=endpoint, train_corpus=None,
         sample_n=None, **overrides,
     )
+
+
+class _SlowFirstService:
+    """A service for the ``serve`` fixture: one passage slow, one always failing.
+
+    The request for passage text ``slow`` takes 0.2 s, any other 5 ms. Every
+    request for ``failing`` is answered 503; the others get
+    ``_QuotingBackend``'s candidates. Both texts are set after the service starts.
+    """
+
+    def __init__(self):
+        self.slow = self.failing = None
+        self.lock = threading.Lock()
+        self.clients: list = []
+
+    def next_response(self, body):
+        time.sleep(0.2 if body["passage"] == self.slow else 0.005)
+        if body["passage"] == self.failing:
+            return 503, {}
+        candidates = _QuotingBackend().generate(GenerationRequest(**body))
+        return 200, {"candidates": [candidate.to_record() for candidate in candidates]}
+
+
+class TestJournalOrder:
+    @pytest.mark.usefixtures("fast_retries")
+    def test_journal_at_two_workers_equals_the_journal_at_one(self, tmp_path, serve):
+        # The first passage finishes after the ones behind it, and the last
+        # one fails. Blocks were once appended in the order the threads
+        # finished, so the first passage's block came after the others'.
+        service = _SlowFirstService()
+        endpoint = serve(service, keep_alive=True)
+        journals = {}
+        for workers in (1, 2):
+            config = remote_config(tmp_path, endpoint, f"w{workers}", workers=workers)
+            ordered = sorted(ingest(config)[0], key=lambda passage: passage.id)
+            service.slow, service.failing = ordered[0].text, ordered[-1].text
+            with closing(build_backend(config)) as backend:
+                with pytest.raises(PipelineError) as exc:
+                    run_pipeline(config, backend=backend)
+            assert exc.value.failed_passage_id == ordered[-1].id
+            journals[workers] = (Path(config.output_dir) / "checkpoint.jsonl").read_bytes()
+        markers = [json.loads(line)["passage_id"] for line in journals[1].splitlines()
+                   if b'"passage_sha256"' in line]
+        assert markers == [passage.id for passage in ordered[:-1]]
+        assert journals[2] == journals[1]
 
 
 class TestRemoteWorkers:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import logging
 import math
 import socket
+import sys
 import threading
 import time
 from contextlib import closing
@@ -303,6 +304,57 @@ class TestKeepAlive:
             assert not thread.is_alive()
         assert len(script.bodies) == 6
         assert peak == 2
+
+
+class TestConnectionHandOff:
+    def test_a_connection_given_back_goes_to_the_thread_waiting_for_it(self, serve):
+        # Once, a thread that gave the one connection back took it again ahead
+        # of the thread waiting for it, which then waited for all of its calls.
+        script = _Script([(200, _ok_payload())])
+        inner = script.next_response
+        first_in = threading.Event()
+
+        def slow_first(body):
+            if not first_in.is_set():
+                first_in.set()
+                time.sleep(0.2)
+            return inner(body)
+
+        script.next_response = slow_first
+        with closing(RemoteGeneratorClient(serve(script, keep_alive=True))) as client:
+            looping = threading.Thread(
+                target=lambda: [client.generate(_request()) for _ in range(5)]
+            )
+            looping.start()
+            assert first_in.wait(5)
+            client.generate(replace(_request(), passage="otra isla"))
+            looping.join(10)
+            assert not looping.is_alive()
+        passages = [body["passage"] for body in script.bodies]
+        assert passages.index("otra isla") == 1
+
+    def test_threads_outnumbering_the_connections_lose_none(self, serve):
+        script = _Script([(200, _ok_payload())])
+        results: list[int] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with closing(RemoteGeneratorClient(serve(script), connections=2)) as client:
+
+                def calls():
+                    for _ in range(10):
+                        results.append(len(client.generate(_request())))
+
+                threads = [threading.Thread(target=calls) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                    assert not thread.is_alive()
+                assert (client._pool.qsize(), client._waiting) == (2, [])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [2] * 80
 
 
 @pytest.mark.usefixtures("fast_retries")
