@@ -22,6 +22,11 @@ JSON_ERRORS = (ValueError, RecursionError)
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
+# ``json.loads``'s scanner, and the whitespace ``JSONDecoder.decode`` allows
+# around the value. The scanner is shared as ``json``'s own default decoder is.
+_scan_once = json.JSONDecoder().scan_once
+_WHITESPACE = " \t\n\r"
+
 
 def load_json(document: str | bytes) -> Any:
     """``json.loads(document)``, where a string holding an unpaired surrogate is invalid JSON.
@@ -29,13 +34,24 @@ def load_json(document: str | bytes) -> Any:
     ``json.loads`` accepts ``"\\ud800"`` and returns a string that no UTF-8
     file can hold, so every reader decodes through here instead. Bytes are
     decoded as ``json.loads`` decodes them, but strictly: an encoded
-    surrogate is a UnicodeDecodeError. In text, a surrogate can then come
-    only from an escape, so the decoded value is searched only when the text
-    holds one.
+    surrogate is a UnicodeDecodeError. One leading byte-order mark is ignored
+    in text as it is in bytes. In text, a surrogate can then come only from
+    an escape, so the decoded value is searched only when the text holds one.
+
+    A text is scanned by the C scanner that ``json.loads`` ends in, with the
+    whitespace rule of ``JSONDecoder.decode``; one it rejects goes to
+    ``json.loads``, which raises its own error.
     """
     if isinstance(document, bytes):
         document = document.decode(json.detect_encoding(document))
-    value = json.loads(document)
+    elif document.startswith("\ufeff"):
+        document = document[1:]
+    try:
+        value, end = _scan_once(document, len(document) - len(document.lstrip(_WHITESPACE)))
+    except (StopIteration, *JSON_ERRORS):
+        end = -1
+    if end < 0 or document[end:].strip(_WHITESPACE):
+        value = json.loads(document)
     if _SURROGATE_ESCAPE.search(document) and _holds_surrogate(value):
         raise ValueError("a string holds an unpaired surrogate")
     return value

@@ -42,12 +42,12 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Any, NamedTuple, NoReturn, TypeVar, get_args, get_type_hints
+from typing import Any, BinaryIO, NamedTuple, NoReturn, TypeVar, get_args, get_type_hints
 
 from .corpus import (
     Passage, RecordError, check_length_bounds, check_sample_size, filter_by_length,
@@ -395,15 +395,19 @@ class _CheckpointJournal:
         self.path = path
         self.blocks: dict[str, _Block] = {}
         self._recorded: set[str] = set()
+        self._reader: BinaryIO | None = None
         header = {"format": JOURNAL_FORMAT, "fingerprint": fingerprint}
         resuming = resume and path.exists()
-        if resuming:
-            self._load(header)
-        else:
-            path.unlink(missing_ok=True)
-        self._handle = open(path, "ab")
-        if not resuming:
-            self._write(jsonl_line(header).encode("utf-8"))
+        with ExitStack() as stack:
+            if resuming:
+                self._reader = stack.enter_context(open(path, "rb"))
+                self._load(header)
+            else:
+                path.unlink(missing_ok=True)
+            self._handle = stack.enter_context(open(path, "ab"))
+            if not resuming:
+                self._write(jsonl_line(header).encode("utf-8"))
+            stack.pop_all()
 
     def _load(self, header: dict[str, Any]) -> None:
         """Check the header, index each complete marker's block, then cut off what follows the last.
@@ -412,25 +416,26 @@ class _CheckpointJournal:
         interrupted run did not finish (the last line may even lack its
         newline); new blocks must not be appended after them. Only markers
         naming a string passage id are indexed; ``lookup`` checks the rows.
+        The journal is read through ``_reader``, which ``lookup`` reads again.
         """
-        with open(self.path, "rb") as handle:
-            first = handle.readline()
-            self._check_header(first, header)
-            kept = offset = len(first)
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break
-                offset += len(line)
-                try:
-                    record = load_json(line)
-                except JSON_ERRORS:
-                    continue
-                if isinstance(record, dict) and "passage_sha256" in record:
-                    if isinstance(record.get("passage_id"), str):
-                        rows_end = offset - len(line)
-                        block = _Block(record["passage_sha256"], kept, rows_end - kept)
-                        self.blocks[record["passage_id"]] = block
-                    kept = offset
+        handle = self._reader
+        first = handle.readline()
+        self._check_header(first, header)
+        kept = offset = len(first)
+        for line in handle:
+            if not line.endswith(b"\n"):
+                break
+            offset += len(line)
+            try:
+                record = load_json(line)
+            except JSON_ERRORS:
+                continue
+            if isinstance(record, dict) and "passage_sha256" in record:
+                if isinstance(record.get("passage_id"), str):
+                    rows_end = offset - len(line)
+                    block = _Block(record["passage_sha256"], kept, rows_end - kept)
+                    self.blocks[record["passage_id"]] = block
+                kept = offset
         os.truncate(self.path, kept)
 
     def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
@@ -465,7 +470,9 @@ class _CheckpointJournal:
         block = self.blocks.get(passage.id)
         if block is None or block.digest != passage_digest(passage):
             return None
-        with open(self.path, "rb") as handle:
+        # Until close, lookups share the handle ``_load`` read; after it, each opens its own.
+        reader = self._reader
+        with open(self.path, "rb") if reader.closed else nullcontext(reader) as handle:
             handle.seek(block.offset)
             data = handle.read(block.length)
         try:
@@ -488,6 +495,8 @@ class _CheckpointJournal:
 
     def close(self, *, discard: bool) -> None:
         self._handle.close()
+        if self._reader is not None:
+            self._reader.close()
         if discard and self.path.exists():
             self.path.unlink()
 

@@ -1732,6 +1732,9 @@ JSONL_READERS = {
 }
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
 def jsonl_case(lines: list[str], case: str) -> bytes:
     """The JSONL file of ``lines``, one record each, with the fault or variant ``case``."""
     encoded = [line.encode("utf-8") for line in lines]
@@ -1741,12 +1744,14 @@ def jsonl_case(lines: list[str], case: str) -> bytes:
         encoded[1] = encoded[1].replace(b'": "', b'": "\xff', 1)
     elif case == "blank-line":
         encoded.insert(1, b" \t ")
+    elif case == "bom":
+        encoded[0] = BOM + encoded[0]
     ending = b"\r\n" if case == "crlf" else b"\n"
     return b"".join(line + ending for line in encoded)
 
 
 class TestJsonLinesInputs:
-    @pytest.mark.parametrize("case", ["lone-cr", "bad-byte", "blank-line", "crlf"])
+    @pytest.mark.parametrize("case", ["lone-cr", "bad-byte", "blank-line", "crlf", "bom"])
     @pytest.mark.parametrize("reader", sorted(JSONL_READERS))
     def test_every_jsonl_input_reads_lines_alike(self, workspace, capsys, caplog, reader, case):
         # Once, the training corpus, candidates and examples were read in text
@@ -1773,3 +1778,27 @@ class TestJsonLinesInputs:
         else:
             assert code == 2
             assert f"error: {path}:2: invalid utf-8:" in captured.err
+
+
+class TestByteOrderMark:
+    # A leading UTF-8 byte-order mark once made the first line invalid JSON:
+    # ingest skipped the first passage, and the training corpus and a config
+    # file were refused. ``TestJsonLinesInputs`` covers every JSONL reader.
+    def test_a_bom_passages_file_keeps_every_passage(self, workspace, capsys):
+        path = workspace / "bom.jsonl"
+        path.write_bytes(BOM + (workspace / "passages.jsonl").read_bytes())
+        output = workspace / "kept.jsonl"
+        assert run_cli("ingest", "--input", str(path), "--output", str(output)) == 0
+        ids = [json.loads(line)["id"] for line in output.read_text("utf-8").splitlines()]
+        assert sorted(ids) == [f"p{index:03d}" for index in range(12)]
+        assert "(0 records skipped)" in capsys.readouterr().out
+
+    def test_a_bom_config_loads(self, workspace, capsys):
+        config = {"input": str(workspace / "passages.jsonl"), "output_dir": str(workspace / "out"),
+                  "train_corpus": str(workspace / "train.jsonl"), "sample_n": 3,
+                  "max_output_tokens": 24}
+        config_path = workspace / "config.json"
+        config_path.write_bytes(BOM + json.dumps(config).encode("utf-8"))
+        assert run_cli("run", "--config", str(config_path)) == 0
+        report = json.loads((workspace / "out" / "report.json").read_text("utf-8"))
+        assert report["counts"]["sampled"] == 3

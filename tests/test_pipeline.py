@@ -23,6 +23,7 @@ from conftest import make_passages, make_training_corpus, write_passage_file, wr
 from qaforge.corpus import Passage
 from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError, PipelineError, TransportError
+from qaforge import pipeline
 from qaforge.generator import Candidate, GenerationRequest
 from qaforge.pipeline import (
     PipelineConfig,
@@ -517,6 +518,49 @@ class TestResumeJournal:
         texts = {passage.id: passage.text for passage in passages}
         assert backend.passages == [texts[corrupt]]
         assert same_artifacts(resumed, baseline)
+
+
+class TestJournalReadHandle:
+    @pytest.fixture()
+    def opened(self, monkeypatch):
+        """Every file the pipeline module opens, as ``(path, mode, file)``."""
+        handles = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            handles.append((Path(path), mode, handle))
+            return handle
+
+        monkeypatch.setattr(pipeline, "open", recording_open, raising=False)
+        return handles
+
+    def test_a_resume_opens_the_journal_once_to_read(self, tmp_path, opened):
+        path = tmp_path / "checkpoint.jsonl"
+        passages = [Passage.build(f"p{index:02d}", f"passage {index}", "en") for index in range(30)]
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=False)
+        for index, passage in enumerate(passages):
+            rows = [Candidate(f"question q{index} answer {index}", -1.0 - index)] * 2
+            journal.record(passage, candidate_rows(passage.id, rows))
+        journal.close(discard=False)
+        opened.clear()
+
+        resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
+        found = [resumed.lookup(passage) for passage in passages]
+        resumed.close(discard=False)
+        assert found == [
+            [Candidate(f"question q{index} answer {index}", -1.0 - index)] * 2
+            for index in range(30)
+        ]
+        assert [(name, mode) for name, mode, _ in opened] == [(path, "rb"), (path, "ab")]
+        assert all(handle.closed for _, _, handle in opened)
+
+    def test_a_refused_header_leaves_no_handle_open(self, tmp_path, opened):
+        path = tmp_path / "checkpoint.jsonl"
+        path.write_text(HEADER, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="seed differ"):
+            _CheckpointJournal(path, {**FINGERPRINT, "seed": 2}, resume=True)
+        assert [(name, mode) for name, mode, _ in opened] == [(path, "rb")]
+        assert all(handle.closed for _, _, handle in opened)
 
 
 class TestEmitFailure:
