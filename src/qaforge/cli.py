@@ -1,7 +1,7 @@
 """Command-line entry points for every pipeline stage.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error or an
-output that cannot be written, 3 transport error.
+output that cannot be written, 3 transport error, 130 SIGINT, 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import signal
 import sys
+import threading
 from collections.abc import Collection, Iterable
 from contextlib import ExitStack
 from dataclasses import fields
@@ -30,6 +32,7 @@ from .errors import (
     ConfigurationError,
     DataError,
     EmissionError,
+    Interrupted,
     PipelineError,
     QAForgeError,
     SquadParseError,
@@ -67,6 +70,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRANSPORT = 3
+# A signal that ends the process exits 128 + its number, as a shell reports
+# a process the signal killed: 130 for SIGINT, 143 for SIGTERM.
+_INTERRUPTS = (signal.SIGINT, signal.SIGTERM)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -352,7 +358,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum: int, frame) -> None:
+    raise Interrupted(signum)
+
+
 def main(argv=None) -> int:
+    """Run one command; SIGINT and SIGTERM end it as a failure while it runs.
+
+    Each of the two signals raises Interrupted until ``main`` returns and
+    puts back the handler it found, so a command unwinds: ``run`` writes its
+    checkpoint, and no temporary is left. Only the main thread can set a
+    signal handler; called from another thread, ``main`` leaves the
+    handlers as they are.
+    """
+    previous = {}
+    if threading.current_thread() is threading.main_thread():
+        previous = {signum: signal.signal(signum, _interrupt) for signum in _INTERRUPTS}
     try:
         args = build_parser().parse_args(argv)
         logging.basicConfig(
@@ -371,6 +392,12 @@ def main(argv=None) -> int:
         # cannot be written; its message names the path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Interrupted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 128 + exc.signum
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -22,10 +22,12 @@ streams its per-passage artifacts into it.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
 import os
+import stat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -46,6 +48,9 @@ from .generator import Candidate
 from .parsefilter import SyntheticExample
 
 SQUAD_VERSION = "1.1"
+
+# The errnos of an ``os.stat`` failure that ``Path.exists()`` reads as "absent".
+_ABSENT_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
 
 # Encodes as json.dumps(value, ensure_ascii=False, allow_nan=False) does,
 # without building a new encoder per call. Every artifact is strict JSON: a
@@ -97,22 +102,34 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     the same target; two processes must not write one target at once.
 
     The temporary is opened like any ``open(path, "w")`` file, so the
-    artifact gets the same permission bits. A symlinked ``path`` is resolved
-    first, so the link is kept and its target replaced. If the block raises,
-    the temporary is deleted and the target is left as it was. An OSError of
-    the file itself (opening, a write that names no file, the rename) is
-    raised again naming ``path``, not the temporary.
+    artifact gets the same permission bits. A symlinked ``path`` (dangling,
+    or even a loop) is resolved first, so the link is kept and its target
+    replaced; a path through a symlinked directory needs no resolving, as
+    its temporary lands in the same directory either way. If the block
+    raises, the temporary is deleted and the target is left as it was. An
+    OSError of the file itself (opening, a write that names no file, the
+    rename) is raised again naming ``path``, not the temporary.
 
-    An existing ``path`` that is neither a regular file nor a directory, such
-    as a FIFO or ``/dev/stdout``, cannot be renamed over and is written in
-    place. A directory gets a temporary like a file, so the failure comes at
-    the rename, after the block has run.
+    One ``os.stat`` of ``path`` makes the choice; the errors that
+    ``Path.exists()`` ignores mean that ``path`` is absent. An existing
+    ``path`` that is neither a regular file nor a directory, such as a FIFO
+    or ``/dev/stdout``, cannot be renamed over and is written in place. A
+    directory gets a temporary like a file, beside its resolved path, so the
+    failure comes at the rename, after the block has run. A regular or absent
+    ``path`` that is not a symlink costs one more ``lstat`` and no resolving.
     """
     target = Path(path)
-    if target.exists() and not (target.is_file() or target.is_dir()):
+    try:
+        mode = os.stat(target).st_mode
+    except OSError as exc:
+        if exc.errno not in _ABSENT_ERRNOS:
+            raise
+        mode = 0
+    if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
         temporary = target
     else:
-        target = Path(os.path.realpath(target))
+        if stat.S_ISDIR(mode) or os.path.islink(target):
+            target = Path(os.path.realpath(target))
         temporary = target.with_name(f".{target.name}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:

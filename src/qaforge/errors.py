@@ -1,13 +1,15 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping for the CLI: ConfigurationError -> 1 (usage),
-DataError -> 2 (bad inputs), TransportError -> 3 (remote service).
+DataError -> 2 (bad inputs), TransportError -> 3 (remote service),
+Interrupted -> 128 + the signal's number (130 for SIGINT, 143 for SIGTERM).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import signal
 from typing import Any
 
 
@@ -79,6 +81,19 @@ def json_error_reason(exc: ValueError | RecursionError) -> str:
 
 class QAForgeError(Exception):
     """Base class for all package errors."""
+
+
+class Interrupted(KeyboardInterrupt):
+    """SIGINT or SIGTERM stopped the process; ``signum`` names the signal.
+
+    A KeyboardInterrupt, so no ``except Exception`` takes it for a failure
+    of the code it interrupted, and ``run_pipeline`` treats it as it treats
+    Ctrl-C without the CLI's handlers.
+    """
+
+    def __init__(self, signum: int):
+        super().__init__(f"interrupted by {signal.Signals(signum).name}")
+        self.signum = signum
 
 
 class ConfigurationError(QAForgeError):

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby, islice, repeat
+from itertools import accumulate, chain, groupby
 from typing import Any, NamedTuple
 
 from .corpus import language_code
@@ -295,25 +295,42 @@ class ReferenceBackend:
 
         Within a context the probability rises strictly with the count (for
         counts below 2**52), and every uncounted symbol shares the lowest. So
-        the counted symbols come first: one C sort by count, then a
-        lexicographic sort of each tie group the first ``k`` reach. Each is
+        one loop takes the counted symbols first, in one C sort by count, and
+        sorts each tie group lexicographically as it reaches it. Each is
         emitted once per place it holds among the emittable symbols, found by
         one vocabulary set lookup: none outside the vocabulary, two for a word
-        spelled like EOS_TOKEN. The uncounted ones follow in lexicographic
-        order. The ``k`` kept share one denominator.
+        spelled like EOS_TOKEN. The loop stops at the ``k``-th symbol. The
+        uncounted ones follow in lexicographic order, read from the sorted
+        symbols only until ``k`` are kept. The ``k`` kept share one
+        denominator.
         """
         counter = self.counts.get(context, {})
+        denominator = self._context_totals.get(context, 0) + len(self.vocabulary) + 1
+        symbols: list[str] = []
+        probs: list[float] = []
         count_of = counter.__getitem__
         vocabulary = self._vocabulary_set
-        ties = groupby(sorted(counter, key=count_of, reverse=True), count_of)
-        counted = chain.from_iterable(
-            repeat(s, (s in vocabulary) + (s == EOS_TOKEN))
-            for s in chain.from_iterable(sorted(group) for _, group in ties)
-        )
-        uncounted = (symbol for symbol in self._lexicographic if symbol not in counter)
-        symbols = list(islice(chain(counted, uncounted), k))
-        denominator = self._context_totals.get(context, 0) + len(self.vocabulary) + 1
-        return symbols, [(counter.get(s, 0) + 1.0) / denominator for s in symbols]
+        for count, tied in groupby(sorted(counter, key=count_of, reverse=True), count_of):
+            prob = (count + 1.0) / denominator
+            for symbol in sorted(tied):
+                if symbol in vocabulary:
+                    symbols.append(symbol)
+                    probs.append(prob)
+                if symbol == EOS_TOKEN:
+                    symbols.append(symbol)
+                    probs.append(prob)
+                if len(symbols) >= k:
+                    # A word spelled like EOS_TOKEN may take the k-th place twice.
+                    del symbols[k:], probs[k:]
+                    return symbols, probs
+        prob = 1.0 / denominator
+        for symbol in self._lexicographic:
+            if symbol not in counter:
+                symbols.append(symbol)
+                probs.append(prob)
+                if len(symbols) == k:
+                    break
+        return symbols, probs
 
 
 def train_reference(

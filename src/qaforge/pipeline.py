@@ -43,7 +43,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, closing, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
@@ -361,6 +361,25 @@ def _marker(passage: Passage) -> str:
     )
 
 
+def _markers(lines: Iterable[bytes], offset: int) -> Iterator[tuple[int, int, dict[str, Any]]]:
+    """Each marker among journal ``lines`` that start at byte ``offset``: its start, end and record.
+
+    A marker is a line that decodes to a JSON object with a
+    ``passage_sha256``. A line without its newline, torn by an interrupted
+    write, ends the scan.
+    """
+    for line in lines:
+        if not line.endswith(b"\n"):
+            return
+        start, offset = offset, offset + len(line)
+        try:
+            record = load_json(line)
+        except JSON_ERRORS:
+            continue
+        if isinstance(record, dict) and "passage_sha256" in record:
+            yield start, offset, record
+
+
 # Version of the journal layout below; a journal in another layout is
 # refused on resume. Journals without a "format" key are layout 1: one JSON
 # line of candidates per passage, keyed by passage id alone.
@@ -387,14 +406,13 @@ class _CheckpointJournal:
     passage with the same id and digest whose rows are all its candidates.
 
     ``blocks`` indexes the blocks found complete when the journal was
-    opened; the blocks this run appends are remembered by passage id alone.
-    It has no lock: only ``run_pipeline``'s calling thread uses it.
+    opened; ``journaled_ids`` finds those this run appends in the file. It
+    has no lock: only ``run_pipeline``'s calling thread uses it.
     """
 
     def __init__(self, path: Path, fingerprint: dict[str, Any], resume: bool):
         self.path = path
         self.blocks: dict[str, _Block] = {}
-        self._recorded: set[str] = set()
         self._reader: BinaryIO | None = None
         header = {"format": JOURNAL_FORMAT, "fingerprint": fingerprint}
         resuming = resume and path.exists()
@@ -421,21 +439,13 @@ class _CheckpointJournal:
         handle = self._reader
         first = handle.readline()
         self._check_header(first, header)
-        kept = offset = len(first)
-        for line in handle:
-            if not line.endswith(b"\n"):
-                break
-            offset += len(line)
-            try:
-                record = load_json(line)
-            except JSON_ERRORS:
-                continue
-            if isinstance(record, dict) and "passage_sha256" in record:
-                if isinstance(record.get("passage_id"), str):
-                    rows_end = offset - len(line)
-                    block = _Block(record["passage_sha256"], kept, rows_end - kept)
-                    self.blocks[record["passage_id"]] = block
-                kept = offset
+        kept = len(first)
+        for start, end, record in _markers(handle, kept):
+            if isinstance(record.get("passage_id"), str):
+                self.blocks[record["passage_id"]] = _Block(
+                    record["passage_sha256"], kept, start - kept
+                )
+            kept = end
         os.truncate(self.path, kept)
 
     def _check_header(self, line: bytes, header: dict[str, Any]) -> None:
@@ -487,11 +497,19 @@ class _CheckpointJournal:
     def record(self, passage: Passage, rows: str) -> None:
         """Append ``rows`` (``candidate_rows`` of ``passage``) and the marker completing them."""
         self._write(rows.encode("utf-8"), _marker(passage).encode("utf-8"))
-        self._recorded.add(passage.id)
 
     def journaled_ids(self) -> list[str]:
-        """Every passage id with a complete block, loaded or appended, in ascending order."""
-        return sorted(self.blocks.keys() | self._recorded)
+        """Every passage id with a complete marker line, in ascending order; call after ``close``.
+
+        The ids are read back from the file, so an interrupt that lands just
+        after a block's write cannot leave its id out.
+        """
+        with open(self.path, "rb") as handle:
+            markers = _markers(handle, len(handle.readline()))
+            return sorted({
+                record["passage_id"] for _, _, record in markers
+                if isinstance(record.get("passage_id"), str)
+            })
 
     def close(self, *, discard: bool) -> None:
         self._handle.close()
@@ -605,7 +623,9 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     passage ids is written and PipelineError raised; rerunning with
     ``resume`` set skips regeneration for completed passages whose text and
     language are unchanged, and produces the same artifacts an uninterrupted
-    run would. The journal records
+    run would. A KeyboardInterrupt (Ctrl-C; under the CLI, SIGINT or SIGTERM)
+    writes the same checkpoint, in stage ``"interrupted"``, and is raised
+    again. The journal records
     ``resume_fingerprint(config)``; a resume under a different one (other
     generation settings, seed, training corpus or endpoint) raises
     ConfigurationError before anything is generated or written. Ingest and
@@ -679,11 +699,15 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
             raise
         except Exception as exc:
             raise PipelineError("emit", exc) from exc
-    except PipelineError as exc:
+    except (PipelineError, KeyboardInterrupt) as exc:
         journal.close(discard=False)
-        meta: dict[str, Any] = {"stage": exc.stage}
-        if exc.failed_passage_id is not None:
-            meta["failed_passage_id"] = exc.failed_passage_id
+        meta: dict[str, Any] = {}
+        if isinstance(exc, PipelineError):
+            meta["stage"] = exc.stage
+            if exc.failed_passage_id is not None:
+                meta["failed_passage_id"] = exc.failed_passage_id
+        else:
+            meta["stage"] = "interrupted"
         meta["completed_passage_ids"] = journal.journaled_ids()
         write_json(checkpoint_meta, meta)
         raise
@@ -707,7 +731,8 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         elapsed_seconds=time.monotonic() - started,
         outputs=outputs,
     )
-    write_json(outputs["report"], asdict(report), indent=2)
+    # vars(): the fields in order, as asdict gives them, without its deep copy.
+    write_json(outputs["report"], vars(report), indent=2)
     if counts["kept"] == 0:
         logger.warning("run kept 0 examples: %s", _zero_kept_reason(report))
     return report

@@ -6,6 +6,8 @@ import json
 import logging
 import os
 import re
+import stat
+import threading
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -1570,6 +1572,81 @@ class TestUnwritableOutput:
         errors = self._error_lines(capsys)
         assert len(errors) == 1 and str(out_dir / "dataset.json") in errors[0]
         assert not [name for name in os.listdir(out_dir) if name.endswith(".tmp")]
+
+
+class TestOutputPaths:
+    """Outputs reached through symlinks, or under a file: what ``atomic_write`` leaves."""
+
+    @staticmethod
+    def _ingest(workspace, output: Path) -> int:
+        return run_cli("ingest", "--input", str(workspace / "passages.jsonl"),
+                       "--output", str(output))
+
+    @classmethod
+    def _expected(cls, workspace) -> str:
+        """What ``ingest`` writes to a plain path."""
+        plain = workspace / "plain" / "kept.jsonl"
+        plain.parent.mkdir(exist_ok=True)
+        assert cls._ingest(workspace, plain) == 0
+        return plain.read_text("utf-8")
+
+    def test_symlinked_parent_directory(self, workspace, capsys):
+        (workspace / "real").mkdir()
+        (workspace / "linked").symlink_to(workspace / "real")
+        assert self._ingest(workspace, workspace / "linked" / "kept.jsonl") == 0
+        assert (workspace / "linked").is_symlink()
+        assert os.listdir(workspace / "real") == ["kept.jsonl"]
+        assert (workspace / "real" / "kept.jsonl").read_text("utf-8") == self._expected(workspace)
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_dangling_symlink_keeps_the_link_and_creates_its_target(
+        self, workspace, capsys, absolute
+    ):
+        (workspace / "runs").mkdir()
+        link = workspace / "latest.jsonl"
+        link.symlink_to(workspace / "runs" / "kept.jsonl" if absolute else "runs/kept.jsonl")
+        assert self._ingest(workspace, link) == 0
+        assert link.is_symlink()
+        assert os.listdir(workspace / "runs") == ["kept.jsonl"]
+        assert link.read_text("utf-8") == self._expected(workspace)
+
+    def test_symlink_loop_is_replaced_by_the_file(self, workspace, capsys):
+        (workspace / "a").symlink_to(workspace / "b")
+        (workspace / "b").symlink_to(workspace / "a")
+        assert self._ingest(workspace, workspace / "a") == 0
+        assert not (workspace / "a").is_symlink()
+        assert (workspace / "a").read_text("utf-8") == self._expected(workspace)
+        assert os.readlink(workspace / "b") == str(workspace / "a")
+        assert not list(workspace.glob(".*.tmp"))
+
+    def test_path_under_a_regular_file_exit_data(self, workspace, capsys):
+        (workspace / "taken").write_text("a file\n", encoding="utf-8")
+        assert self._ingest(workspace, workspace / "taken" / "kept.jsonl") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: [Errno 20] Not a directory: ")
+        assert str(workspace / "taken") in errors[0]
+        assert (workspace / "taken").read_text("utf-8") == "a file\n"
+
+    def test_symlink_to_a_fifo_is_written_in_place(self, workspace, capsys):
+        fifo = workspace / "pipe"
+        os.mkfifo(fifo)
+        (workspace / "link").symlink_to(fifo)
+        received = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert self._ingest(workspace, workspace / "link") == 0
+        reader.join(timeout=10)
+        assert received == [self._expected(workspace)]
+        assert (workspace / "link").is_symlink()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert not list(workspace.glob(".*.tmp"))
 
 
 class TestResumeRefused:

@@ -485,6 +485,31 @@ class TestArtifactWriter:
         assert real.read_text("utf-8") == '{"kept": 3}\n'
         assert sorted(os.listdir(tmp_path / "runs")) == ["stats.json"]
 
+    @pytest.mark.parametrize("present", [False, True])
+    def test_regular_target_costs_two_stats_and_no_resolving(
+        self, tmp_path, monkeypatch, present
+    ):
+        target = tmp_path / "report.json"
+        if present:
+            target.write_text("{}\n", encoding="utf-8")
+        calls = []
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("stat", "lstat"):
+            monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+        monkeypatch.setattr(os.path, "realpath", counted("realpath", os.path.realpath))
+        write_json(target, {"kept": 3})
+        monkeypatch.undo()
+        assert "realpath" not in calls
+        assert len(calls) <= 2, calls
+        assert target.read_text("utf-8") == '{"kept": 3}\n'
+        assert os.listdir(tmp_path) == ["report.json"]
+
     def test_fifo_target_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)

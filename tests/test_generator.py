@@ -257,6 +257,31 @@ def _big_model(extra_counts=(), extra_word=None, all_count_one=False):
     return vocabulary, successors
 
 
+class _CountingReads:
+    """A sequence to iterate that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items = items
+        self.read = 0
+
+    def __iter__(self):
+        for item in self.items:
+            self.read += 1
+            yield item
+
+
+# Successor counts of one context of a 20,000-word model, few enough that the
+# uncounted fill supplies most of the k symbols.
+_FILL_CASES = {
+    "untrained": None,
+    "first-words": {"w00000": 2, "w00001": 1, "w00002": 1},
+    "last-word": {"w19999": 3},
+    "outside-vocabulary": {"zz-unseen": 4, "w00003": 1},
+    "eos": {EOS_TOKEN: 5, "w00000": 1},
+    "thirty-early-words": {f"w{i:05d}": 1 + i % 3 for i in range(0, 60, 2)},
+}
+
+
 # Cases of the 5,000-word model; each extra count, 10, ranks first at every k.
 _BIG_MODEL_CASES = {
     "counts-1-to-9": {},
@@ -316,6 +341,20 @@ class TestTopK:
             emitted += (symbol in vocabulary) + (symbol == EOS_TOKEN)
         assert max(lookups.calls.values(), default=0) <= 1
         assert set(lookups.calls) <= set(consumed)
+        assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
+
+    @pytest.mark.parametrize("k", [1, 10, 40])
+    @pytest.mark.parametrize("case", sorted(_FILL_CASES))
+    def test_uncounted_fill_reads_at_most_k_and_the_counted(self, case, k):
+        context = ("w00000", "w00001")
+        successors = _FILL_CASES[case]
+        counts = {} if successors is None else {context: Counter(successors)}
+        backend = ReferenceBackend(3, [f"w{i:05d}" for i in range(20000)], counts)
+        reads = _CountingReads(backend._lexicographic)
+        backend._lexicographic = reads
+        symbols, probs = backend._top_k(context, k)
+        assert reads.read <= k + len(successors or ())
+        backend._lexicographic = reads.items
         assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
 
     def test_cache_is_bounded_by_the_trained_model(self, toy_corpus):

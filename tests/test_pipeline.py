@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from conftest import make_passages, make_training_corpus, write_passage_file, write_training_file
 from qaforge.corpus import Passage
 from qaforge.dataset import read_squad
-from qaforge.errors import ConfigurationError, PipelineError, TransportError
-from qaforge import pipeline
+from qaforge.errors import ConfigurationError, Interrupted, PipelineError, TransportError
+from qaforge import cli, pipeline
 from qaforge.generator import Candidate, GenerationRequest
 from qaforge.pipeline import (
     PipelineConfig,
@@ -563,6 +563,36 @@ class TestJournalReadHandle:
         assert all(handle.closed for _, _, handle in opened)
 
 
+class TestJournalDecoding:
+    def test_reopening_indexes_every_block_and_reads_back_its_ids(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        passages = [Passage.build(f"p{index:02d}", f"passage {index}", "en") for index in range(30)]
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=False)
+        for index, passage in enumerate(passages):
+            rows = [Candidate(f"question q{index} answer {index}", -1.0 - index)] * 3
+            journal.record(passage, candidate_rows(passage.id, rows))
+        journal.close(discard=False)
+        resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
+        resumed.close(discard=False)
+        assert list(resumed.blocks) == [passage.id for passage in passages]
+        assert resumed.journaled_ids() == [passage.id for passage in passages]
+
+    def test_a_journal_written_by_an_earlier_release_resumes(self, tmp_path, fixtures_dir):
+        # journal_five_blocks.jsonl: this config's run, stopped after 5
+        # passages, written by run_pipeline before _markers scanned journals.
+        config = make_config(tmp_path, "resumed", seed=1, num_samples=4, keep_per_passage=4)
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir()
+        (out_dir / "checkpoint.jsonl").write_bytes(
+            (fixtures_dir / "journal_five_blocks.jsonl").read_bytes()
+        )
+        backend = _Counting(build_backend(config))
+        resumed = run_pipeline(replace(config, resume=True), backend=backend)
+        once = run_pipeline(replace(config, output_dir=str(tmp_path / "once")))
+        assert (resumed.journal_hits, len(backend.passages)) == (5, 5)
+        assert same_artifacts(resumed, once)
+
+
 class TestEmitFailure:
     def test_failure_after_generation_keeps_journal_for_resume(self, tmp_path):
         baseline = run_pipeline(make_config(tmp_path, "baseline"))
@@ -753,6 +783,105 @@ class TestNoTemporaryLeftBehind:
         resumed = run_pipeline(replace(config, resume=True))
         assert list(out_dir.glob("*.tmp")) == []
         assert same_artifacts(resumed, baseline)
+
+
+class TestSignals:
+    @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)])
+    def test_a_signal_ends_the_run_with_a_checkpoint_and_no_temporary(
+        self, tmp_path, signum, code
+    ):
+        write_passage_file(tmp_path / "passages.jsonl", make_passages(count=600))
+        baseline = run_pipeline(make_config(tmp_path, "baseline", sample_n=None))
+        config = make_config(tmp_path, "stopped", sample_n=None)
+        config_path = tmp_path / "stopped.json"
+        config_path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+        out_dir = Path(config.output_dir)
+        journal = out_dir / "checkpoint.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        argv = [sys.executable, "-m", "qaforge.cli", "run", "--config", str(config_path)]
+        with subprocess.Popen(
+            argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+        ) as process:
+            try:
+                deadline = time.monotonic() + 60
+                # Sent once the first journal block is complete.
+                while not (journal.exists() and b'"passage_sha256"' in journal.read_bytes()):
+                    assert process.poll() is None, "the run finished before the signal"
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                process.send_signal(signum)
+                _, err = process.communicate(timeout=60)
+            finally:
+                process.kill()
+        assert process.returncode == code
+        text = err.decode("utf-8")
+        assert "Traceback" not in text
+        errors = [line for line in text.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: interrupted by {signal.Signals(signum).name}"]
+        checkpoint = json.loads((out_dir / "checkpoint.json").read_text("utf-8"))
+        markers = [json.loads(line)["passage_id"] for line in journal.read_bytes().splitlines()
+                   if b'"passage_sha256"' in line]
+        assert checkpoint == {"stage": "interrupted", "completed_passage_ids": markers}
+        assert markers != []
+        assert list(out_dir.glob("*.tmp")) == []
+        resumed = run_pipeline(replace(config, resume=True))
+        assert resumed.journal_hits == len(markers)
+        assert same_artifacts(resumed, baseline)
+
+    def test_main_in_another_thread_leaves_the_handlers(self, tmp_path):
+        write_passage_file(tmp_path / "passages.jsonl", make_passages(count=3))
+        before = [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)]
+        codes = []
+        argv = ["ingest", "--input", str(tmp_path / "passages.jsonl"),
+                "--output", str(tmp_path / "kept.jsonl")]
+        thread = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+        thread.start()
+        thread.join(timeout=60)
+        assert codes == [0]
+        assert [signal.getsignal(signum) for signum in (signal.SIGINT, signal.SIGTERM)] == before
+
+    def test_a_signal_stops_the_worker_pool(self, tmp_path):
+        write_passage_file(tmp_path / "passages.jsonl", make_passages(count=300))
+        config = make_config(tmp_path, "stopped", sample_n=None, workers=2,
+                             num_samples=4, keep_per_passage=4)
+        backend = _SignallingBackend(at=20)
+        previous = signal.signal(signal.SIGTERM, cli._interrupt)
+        try:
+            with pytest.raises(Interrupted):
+                run_pipeline(config, backend=backend)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        calls = backend.calls
+        time.sleep(0.1)
+        # The pool ran none of what was queued behind the signal.
+        assert backend.calls == calls < 300
+        out_dir = Path(config.output_dir)
+        checkpoint = json.loads((out_dir / "checkpoint.json").read_text("utf-8"))
+        assert checkpoint["stage"] == "interrupted"
+        assert list(out_dir.glob("*.tmp")) == []
+        resumed = run_pipeline(replace(config, resume=True), backend=_QuotingBackend())
+        once = run_pipeline(replace(config, output_dir=str(tmp_path / "once")),
+                            backend=_QuotingBackend())
+        assert resumed.journal_hits == len(checkpoint["completed_passage_ids"])
+        assert same_artifacts(resumed, once)
+
+
+class _SignallingBackend:
+    """``_QuotingBackend``'s candidates, 5 ms per call; sends SIGTERM to this process at call ``at``."""
+
+    def __init__(self, at: int):
+        self.at = at
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, request, seed=0):
+        with self._lock:
+            self.calls += 1
+            calls = self.calls
+        if calls == self.at:
+            os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(0.005)
+        return _QuotingBackend().generate(request, seed)
 
 
 def same_artifacts(first: PipelineReport, second: PipelineReport) -> bool:
