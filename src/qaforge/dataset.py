@@ -51,6 +51,8 @@ SQUAD_VERSION = "1.1"
 
 # The errnos of an ``os.stat`` failure that ``Path.exists()`` reads as "absent".
 _ABSENT_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+# The errnos of deleting a temporary that was never created.
+_NO_TEMPORARY_ERRNOS = frozenset((errno.ENOENT, errno.ENOTDIR))
 
 # Encodes as json.dumps(value, ensure_ascii=False, allow_nan=False) does,
 # without building a new encoder per call. Every artifact is strict JSON: a
@@ -138,7 +140,11 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
             os.replace(temporary, target)
     except BaseException as exc:
         if temporary != target:
-            temporary.unlink(missing_ok=True)
+            try:
+                temporary.unlink()
+            except OSError as cleanup:
+                if cleanup.errno not in _NO_TEMPORARY_ERRNOS:
+                    raise
         if isinstance(exc, OSError) and exc.filename in (None, str(temporary)):
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -9,7 +9,9 @@ through the same interface (see ``remote``).
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import heapq
 import math
 import random
 from collections import Counter
@@ -133,6 +135,13 @@ def _shift_context(context: tuple[str, ...], token: str, order: int) -> tuple[st
     return (context + (token,))[-(order - 1):]
 
 
+# How many emittable symbols, in lexicographic order, construction keeps for
+# the uncounted fill. A fill runs only when fewer than k counted symbols are
+# emittable, and reads at most k plus the counted symbols. In a fitted model
+# every counted symbol is emittable, so a fill reads fewer than 2k symbols.
+_PREFIX_SYMBOLS = 64
+
+
 class ReferenceBackend:
     """Add-one-smoothed word n-gram generator conditioned on a passage window.
 
@@ -166,7 +175,11 @@ class ReferenceBackend:
 
     ``counts`` maps each trained context to its successors' counts, plain
     dicts or Counters. Construction sums each context's counts once and
-    sorts the vocabulary once.
+    keeps the vocabulary as a set, with only the first few emittable symbols
+    in lexicographic order: all that an uncounted fill reads at a small k. A
+    fill that may read past them replaces them with the whole order, once.
+    ``vocabulary``, the sorted tuple, is built at its first read; decoding
+    and scoring never read it.
     """
 
     def __init__(
@@ -179,23 +192,30 @@ class ReferenceBackend:
         self.order = order
         # The set answers whether a counted symbol is emittable in one lookup.
         self._vocabulary_set = set(vocabulary)
-        self.vocabulary = tuple(sorted(self._vocabulary_set))
+        self._vocabulary_size = len(self._vocabulary_set)
         self.counts = counts
-        # Every emittable symbol in lexicographic order: EOS goes where it sorts.
-        eos_at = bisect.bisect_left(self.vocabulary, EOS_TOKEN)
-        self._lexicographic = self.vocabulary[:eos_at] + (EOS_TOKEN,) + self.vocabulary[eos_at:]
+        # The first emittable symbols in lexicographic order, EOS where it
+        # sorts (twice if a word is spelled like it), found without a sort.
+        self._lexicographic_prefix = tuple(heapq.nsmallest(
+            _PREFIX_SYMBOLS, chain(self._vocabulary_set, (EOS_TOKEN,))
+        ))
         self._context_totals = {ctx: sum(c.values()) for ctx, c in counts.items()}
         # k -> {trained context or None: table}. Every untrained context has
         # total 0 and so the same ranking: it shares the table under None,
         # which bounds the cache by the model.
         self._top_k_cache: dict[int, dict[tuple[str, ...] | None, tuple]] = {}
 
+    @functools.cached_property
+    def vocabulary(self) -> tuple[str, ...]:
+        """The vocabulary in sorted order, built at its first read."""
+        return tuple(sorted(self._vocabulary_set))
+
     def probability(self, context: tuple[str, ...], token: str) -> float:
         """Add-one-smoothed conditional probability of one token (or EOS_TOKEN) after a context."""
         successors = self.counts.get(context)
         count = successors.get(token, 0) if successors is not None else 0
         total = self._context_totals.get(context, 0)
-        return (count + 1.0) / (total + len(self.vocabulary) + 1)
+        return (count + 1.0) / (total + self._vocabulary_size + 1)
 
     def score_sequence(self, passage: str, target: str) -> float:
         """Sum of conditional token log-probabilities of ``target`` given ``passage``.
@@ -300,12 +320,13 @@ class ReferenceBackend:
         emitted once per place it holds among the emittable symbols, found by
         one vocabulary set lookup: none outside the vocabulary, two for a word
         spelled like EOS_TOKEN. The loop stops at the ``k``-th symbol. The
-        uncounted ones follow in lexicographic order, read from the sorted
-        symbols only until ``k`` are kept. The ``k`` kept share one
-        denominator.
+        uncounted ones follow in lexicographic order until ``k`` are kept: at
+        most ``k`` plus the counted symbols are read, from the prefix kept at
+        construction, or from the whole order if the prefix may be too short.
+        The ``k`` kept share one denominator.
         """
         counter = self.counts.get(context, {})
-        denominator = self._context_totals.get(context, 0) + len(self.vocabulary) + 1
+        denominator = self._context_totals.get(context, 0) + self._vocabulary_size + 1
         symbols: list[str] = []
         probs: list[float] = []
         count_of = counter.__getitem__
@@ -324,7 +345,14 @@ class ReferenceBackend:
                     del symbols[k:], probs[k:]
                     return symbols, probs
         prob = 1.0 / denominator
-        for symbol in self._lexicographic:
+        lexicographic = self._lexicographic_prefix
+        if len(lexicographic) < min(k + len(counter), self._vocabulary_size + 1):
+            # The fill may read past a partial prefix: keep the whole order
+            # instead, once. Racing threads store equal tuples.
+            lexicographic = self._lexicographic_prefix = tuple(
+                sorted(chain(self._vocabulary_set, (EOS_TOKEN,)))
+            )
+        for symbol in lexicographic:
             if symbol not in counter:
                 symbols.append(symbol)
                 probs.append(prob)
@@ -346,7 +374,8 @@ def train_reference(
     token sequence (padded passage window, target tokens, end of sequence),
     one C count of every order-``order`` n-gram of those sequences, one pass
     over the distinct n-grams grouping them by context, one sum per context,
-    and one sort of the vocabulary. An order below 1 is a ConfigurationError,
+    and one partial selection of the first symbols in lexicographic order;
+    the vocabulary is not sorted. An order below 1 is a ConfigurationError,
     raised before the corpus is read.
     """
     check_order(order)
@@ -375,5 +404,5 @@ def train_reference(
             counts[context] = {ngram[-1]: count}
         else:
             successors[ngram[-1]] = count
-    del ngrams  # freed before the vocabulary sort allocates
+    del ngrams  # freed before the backend copies the vocabulary and sums each context
     return ReferenceBackend(order, vocabulary, counts)

@@ -1629,6 +1629,15 @@ class TestOutputPaths:
         assert str(workspace / "taken") in errors[0]
         assert (workspace / "taken").read_text("utf-8") == "a file\n"
 
+    def test_path_under_a_regular_file_names_the_target(self, workspace, capsys, monkeypatch):
+        # The temporary is never created, so deleting it fails with ENOTDIR too.
+        (workspace / "taken").write_text("a file\n", encoding="utf-8")
+        monkeypatch.chdir(workspace)
+        assert self._ingest(workspace, Path("taken") / "kept.jsonl") == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: [Errno 20] Not a directory: 'taken/kept.jsonl'"]
+
     def test_symlink_to_a_fifo_is_written_in_place(self, workspace, capsys):
         fifo = workspace / "pipe"
         os.mkfifo(fifo)

@@ -18,6 +18,7 @@ from conftest import make_training_corpus
 from qaforge.errors import ConfigurationError
 from qaforge.generator import (
     EOS_TOKEN,
+    _PREFIX_SYMBOLS,
     Candidate,
     GenerationRequest,
     ReferenceBackend,
@@ -264,6 +265,9 @@ class _CountingReads:
         self.items = items
         self.read = 0
 
+    def __len__(self):
+        return len(self.items)
+
     def __iter__(self):
         for item in self.items:
             self.read += 1
@@ -350,12 +354,28 @@ class TestTopK:
         successors = _FILL_CASES[case]
         counts = {} if successors is None else {context: Counter(successors)}
         backend = ReferenceBackend(3, [f"w{i:05d}" for i in range(20000)], counts)
-        reads = _CountingReads(backend._lexicographic)
-        backend._lexicographic = reads
+        # A fill that may read past the prefix replaces it unread.
+        reads = _CountingReads(backend._lexicographic_prefix)
+        backend._lexicographic_prefix = reads
         symbols, probs = backend._top_k(context, k)
         assert reads.read <= k + len(successors or ())
-        backend._lexicographic = reads.items
         assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
+
+    @pytest.mark.parametrize("k", [_PREFIX_SYMBOLS - 3, _PREFIX_SYMBOLS - 2, 100])
+    @pytest.mark.parametrize("word_spelled_eos", [False, True])
+    def test_fill_past_the_prefix_reads_the_whole_order(self, word_spelled_eos, k):
+        context = ("w00000", "w00001")
+        successors = Counter({"w00002": 2, "w00040": 1, EOS_TOKEN: 3})
+        vocabulary = [f"w{i:05d}" for i in range(20000)] + [EOS_TOKEN] * word_spelled_eos
+        backend = ReferenceBackend(3, vocabulary, {context: successors})
+        partial = len(backend._lexicographic_prefix)
+        assert partial == _PREFIX_SYMBOLS
+        symbols, probs = backend._top_k(context, k)
+        assert list(zip(symbols, probs)) == full_ranking(backend, context)[:k]
+        # Past the prefix only when k and the counted symbols exceed it.
+        expected = partial if k + len(successors) <= partial else len(vocabulary) + 1
+        assert len(backend._lexicographic_prefix) == expected
+        assert backend._top_k(context, k) == (symbols, probs)
 
     def test_cache_is_bounded_by_the_trained_model(self, toy_corpus):
         backend = train_reference(toy_corpus, order=3)

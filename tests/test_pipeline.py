@@ -24,7 +24,7 @@ from qaforge.corpus import Passage
 from qaforge.dataset import read_squad
 from qaforge.errors import ConfigurationError, Interrupted, PipelineError, TransportError
 from qaforge import cli, pipeline
-from qaforge.generator import Candidate, GenerationRequest
+from qaforge.generator import Candidate, GenerationRequest, format_target
 from qaforge.pipeline import (
     PipelineConfig,
     PipelineReport,
@@ -1075,6 +1075,36 @@ class TestRunMemory:
         large = traced_bytes_above_passages(tmp_path, 2000)
         added_candidates = (2000 - 200) * CANDIDATES_PER_PASSAGE
         assert large - small < added_candidates * BYTES_PER_ADDED_CANDIDATE, (small, large)
+
+
+class TestBigVocabularyRun:
+    def test_no_run_sorts_the_vocabulary(self, tmp_path, monkeypatch):
+        # 625 training passages of 32 distinct words each: 20,000 words.
+        words = [f"w{i:05d}" for i in range(20000)]
+        corpus = [
+            (" ".join(words[start:start + 32]), f"what is {words[start]}", words[start + 1])
+            for start in range(0, len(words), 32)
+        ]
+        write_training_file(tmp_path / "train.jsonl", corpus)
+        # The run's passages end on trained contexts.
+        passages = [Passage.build(f"p{i:03d}", corpus[i][0], "en") for i in range(12)]
+        write_passage_file(tmp_path / "passages.jsonl", passages)
+        fit = pipeline.build_backend
+        fitted = []
+
+        def build_backend(config):
+            fitted.append(fit(config))
+            return fitted[-1]
+
+        monkeypatch.setattr(pipeline, "build_backend", build_backend)
+        report = run_pipeline(make_config(tmp_path))
+        assert report.counts["generated"] == 10 * 20
+        [backend] = fitted
+        assert backend.score_sequence(corpus[0][0], format_target("what is", "w00001")) < 0
+        assert "vocabulary" not in backend.__dict__
+        assert len(backend._lexicographic_prefix) < len(backend._vocabulary_set) + 1
+        assert backend.vocabulary == tuple(sorted(backend._vocabulary_set))
+        assert len(backend.vocabulary) >= 20000
 
 
 @pytest.fixture(scope="module")
