@@ -261,28 +261,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _integer_counts(value: Any) -> bool:
-    return isinstance(value, dict) and all(type(count) is int for count in value.values())
-
-
 def cmd_stats(args) -> int:
-    payload = _read_json(args.report)
-    counts = payload.get("counts") if isinstance(payload, dict) else None
-    if not _integer_counts(counts):
-        raise DataError(f"{args.report}: 'counts' must be an object of integer counts")
-    for key in ("record_errors", "journal_hits"):
-        if key in payload and type(payload[key]) is not int:
-            raise DataError(f"{args.report}: {key!r} must be an integer")
-    parse_failures = payload.get("parse_failures", {})
-    if not _integer_counts(parse_failures):
-        raise DataError(f"{args.report}: 'parse_failures' must be an object of integer counts")
-    print(stats_summary(PipelineReport(counts=counts)))
-    if "record_errors" in payload:
-        print(f"record errors: {payload['record_errors']}")
-    for part, count in sorted(parse_failures.items()):
-        print(f"parse failure {part}: {count}")
-    if "journal_hits" in payload:
-        print(f"journal hits: {payload['journal_hits']}")
+    print(stats_summary(PipelineReport.from_record(_read_json(args.report), args.report)))
     return EXIT_OK
 
 

@@ -47,7 +47,10 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
 from pathlib import Path
-from typing import Any, BinaryIO, NamedTuple, NoReturn, TypeVar, get_args, get_type_hints
+from types import UnionType
+from typing import (
+    Any, BinaryIO, NamedTuple, NoReturn, TypeVar, get_args, get_origin, get_type_hints
+)
 
 from .corpus import (
     Passage, RecordError, check_length_bounds, check_sample_size, filter_by_length,
@@ -85,6 +88,14 @@ CANDIDATE_STAGES = ("generated", "parsed", "extractive", "deduped", "kept")
 _SECTION_STARTS = {PASSAGE_STAGES[0], CANDIDATE_STAGES[0]}
 
 
+def _field_types(cls) -> dict[str, tuple[type, ...]]:
+    """The types each field of ``cls`` accepts, e.g. ``(int, NoneType)`` for ``int | None``."""
+    return {
+        name: get_args(hint) if get_origin(hint) is UnionType else (hint,)
+        for name, hint in get_type_hints(cls).items()
+    }
+
+
 @dataclass
 class PipelineConfig:
     """Every knob of one pipeline run; loadable from a flat JSON document."""
@@ -109,10 +120,7 @@ class PipelineConfig:
     workers: int = 1
     resume: bool = False
 
-    @classmethod
-    def field_types(cls) -> dict[str, tuple[type, ...]]:
-        """The value types each key accepts, e.g. ``(int, NoneType)`` for ``int | None``."""
-        return {name: get_args(hint) or (hint,) for name, hint in get_type_hints(cls).items()}
+    field_types = classmethod(_field_types)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, Any]) -> "PipelineConfig":
@@ -168,17 +176,68 @@ class PipelineConfig:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
+# How ``from_record`` words each field type. Every int of a report is a count.
+_TYPE_NAMES = {
+    int: "an integer >= 0",
+    float: "a float",
+    dict[str, int]: "an object of integer counts >= 0",
+    dict[str, str]: "an object of strings",
+}
+
+
+def _has_type(value: Any, kind: Any) -> bool:
+    """Whether JSON ``value`` is a ``kind`` as ``_TYPE_NAMES`` words it; types match exactly."""
+    if get_origin(kind) is dict:
+        return type(value) is dict and all(_has_type(v, get_args(kind)[1]) for v in value.values())
+    return type(value) is kind and (kind is not int or value >= 0)
+
+
 @dataclass
 class PipelineReport:
-    """Per-stage counts plus run metadata for one pipeline execution."""
+    """Per-stage counts plus run metadata for one pipeline execution: ``report.json``.
+
+    A field other than ``counts`` may be None (unset, as in an older report).
+    """
 
     counts: dict[str, int] = field(default_factory=dict)
-    record_errors: int = 0
-    parse_failures: dict[str, int] = field(default_factory=dict)
+    record_errors: int | None = None
+    parse_failures: dict[str, int] | None = None
     # Passages whose candidates were read from the journal, not generated.
-    journal_hits: int = 0
-    elapsed_seconds: float = 0.0
-    outputs: dict[str, str] = field(default_factory=dict)
+    journal_hits: int | None = None
+    elapsed_seconds: float | None = None
+    outputs: dict[str, str] | None = None
+
+    @classmethod
+    def from_record(cls, payload: Any, source: str | Path) -> "PipelineReport":
+        """The report a decoded ``report.json`` holds, checked; DataError names ``source``.
+
+        ``counts``, and each other field present, must have its annotated type
+        (``_has_type``). Then each section of ``counts`` must narrow in stage
+        order, and ``parse_failures`` must sum to ``generated - parsed``.
+        """
+        record = payload if isinstance(payload, dict) else {}
+        types = _field_types(cls)
+        for name, (kind, *_) in types.items():
+            if (name in record or name == "counts") and not _has_type(record.get(name), kind):
+                raise DataError(f"{source}: {name!r} must be {_TYPE_NAMES[kind]}")
+        report = cls(**{name: record[name] for name in types if name in record})
+        counts, failures = report.counts, report.parse_failures
+        for section in (PASSAGE_STAGES, CANDIDATE_STAGES):
+            steps = [(name, counts[name]) for name in section if name in counts]
+            for (wider, before), (name, count) in zip(steps, steps[1:]):
+                if count > before:
+                    raise DataError(f"{source}: {name!r} ({count}) exceeds {wider!r} ({before})")
+        if failures is not None and {"generated", "parsed"} <= counts.keys():
+            total, unparsed = sum(failures.values()), counts["generated"] - counts["parsed"]
+            if total != unparsed:
+                raise DataError(
+                    f"{source}: 'parse_failures' sum to {total}, generated - parsed is {unparsed}"
+                )
+        return report
+
+    def to_record(self) -> dict[str, Any]:
+        """``report.json``'s object: the fields in order, each that is None left out."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 def _reject(path: str | Path, error: RecordError) -> NoReturn:
@@ -715,14 +774,8 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     journal.close(discard=True)
     checkpoint_meta.unlink(missing_ok=True)
 
-    counts = {
-        **passage_counts,
-        "generated": totals.candidates,
-        "parsed": totals.parsed,
-        "extractive": totals.extractive,
-        "deduped": totals.deduped,
-        "kept": totals.kept,
-    }
+    # FilterStats's first fields are the candidate stages' counts, in order.
+    counts = {**passage_counts, **dict(zip(CANDIDATE_STAGES, vars(totals).values()))}
     report = PipelineReport(
         counts=counts,
         record_errors=record_errors,
@@ -731,8 +784,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
         elapsed_seconds=time.monotonic() - started,
         outputs=outputs,
     )
-    # vars(): the fields in order, as asdict gives them, without its deep copy.
-    write_json(outputs["report"], vars(report), indent=2)
+    write_json(outputs["report"], report.to_record(), indent=2)
     if counts["kept"] == 0:
         logger.warning("run kept 0 examples: %s", _zero_kept_reason(report))
     return report
@@ -766,14 +818,21 @@ def _zero_kept_reason(report: PipelineReport) -> str:
 
 
 def stats_summary(report: PipelineReport) -> str:
-    """Human-readable funnel table with per-stage drop percentages.
+    """Human-readable funnel table with per-stage drop percentages, then the other counts.
 
     Passage stages and candidate stages are separate funnels (one passage
     fans out to many candidates), so drop percentages reset at the
-    ``generated`` row.
+    ``generated`` row. Record errors, parse failures by part and journal
+    hits follow, each only when the report holds it.
     """
     lines = [f"{'stage':<12} {'count':>10} {'drop':>8}"]
     for name, value, previous in _funnel_steps(report.counts):
         drop = f"{100.0 * (previous - value) / previous:.1f}%" if previous else "-"
         lines.append(f"{name:<12} {value:>10} {drop:>8}")
+    if report.record_errors is not None:
+        lines.append(f"record errors: {report.record_errors}")
+    for part, count in sorted((report.parse_failures or {}).items()):
+        lines.append(f"parse failure {part}: {count}")
+    if report.journal_hits is not None:
+        lines.append(f"journal hits: {report.journal_hits}")
     return "\n".join(lines)

@@ -793,6 +793,8 @@ class TestRunCommand:
             ("journal_hits", 2.0, "an integer"),
             ("journal_hits", True, "an integer"),
             ("journal_hits", None, "an integer"),
+            ("elapsed_seconds", "1.5", "a float"),
+            ("outputs", {"dataset": 1}, "an object of strings"),
         ],
     )
     def test_stats_report_with_a_wrong_typed_field_exits_data(
@@ -804,6 +806,42 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {report}: '{field}' must be {expected}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"counts": {"ingested": -1}}, "'counts' must be an object of integer counts >= 0"),
+            (
+                {"counts": {"ingested": 3, "length_kept": 5}},
+                "'length_kept' (5) exceeds 'ingested' (3)",
+            ),
+            (
+                {"counts": {"generated": 9, "parsed": 6}, "parse_failures": {"answer": 2}},
+                "'parse_failures' sum to 2, generated - parsed is 3",
+            ),
+        ],
+        ids=["negative-count", "widening-section", "parse-failure-sum"],
+    )
+    def test_stats_report_with_a_broken_funnel_exits_data(self, tmp_path, capsys, payload, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("stats", "--report", str(report)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {report}: {message}\n"
+        assert captured.out == ""
+
+    def test_run_prints_the_stats_of_its_report_then_the_dataset(self, workspace, capsys):
+        out_dir = workspace / "run_out"
+        assert run_cli(
+            "run", "--input", str(workspace / "passages.jsonl"), "--output-dir", str(out_dir),
+            "--train-corpus", str(workspace / "train.jsonl"), "--seed", "5",
+            "--max-output-tokens", "24", "--target-language", "de",
+        ) == 0
+        printed = capsys.readouterr().out
+        assert run_cli("stats", "--report", str(out_dir / "report.json")) == 0
+        stats = capsys.readouterr().out
+        assert "parse failure" in stats
+        assert printed == f"{stats}dataset: {out_dir / 'dataset.json'}\n"
 
     def test_stats_of_a_run_prints_its_parse_failures_and_journal_hits(self, workspace, capsys):
         out_dir = workspace / "stats_out"

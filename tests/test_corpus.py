@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qaforge.corpus import (
     Passage,
+    check_length_bounds,
     count_tokens,
     filter_by_length,
     parse_passage_stream,
@@ -87,6 +88,12 @@ class TestFilterByLength:
     def test_invalid_bounds_raise_before_iteration(self, bounds):
         with pytest.raises(ConfigurationError):
             filter_by_length([], *bounds)
+
+    def test_equal_bounds_keep_exactly_that_length(self):
+        # 0 < min_tokens <= max_tokens: equal bounds are allowed.
+        check_length_bounds(12, 12)
+        passages = [_passage(f"p{n}", n) for n in (11, 12, 13)]
+        assert [p.id for p in filter_by_length(passages, 12, 12)] == ["p12"]
 
     def test_idempotent(self):
         passages = [_passage(f"p{i}", i + 1) for i in range(40)]

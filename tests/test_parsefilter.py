@@ -15,6 +15,7 @@ from qaforge.errors import ConfigurationError, QAForgeError
 from qaforge.generator import Candidate, format_target
 from qaforge.parsefilter import (
     FilterConfig,
+    FilterStats,
     SyntheticExample,
     _split_candidate,
     run_filter_pipeline,
@@ -376,6 +377,17 @@ class TestRunFilterPipeline:
         _, stats = run_filter_pipeline(passage, candidates, FilterConfig())
         assert stats.candidates >= stats.parsed >= stats.extractive
         assert stats.extractive >= stats.deduped >= stats.kept
+
+    def test_merge_into_empty_stats_gives_back_the_counts(self):
+        # run_pipeline's totals start as FilterStats(): a default above 0, or a
+        # part's first count merged onto anything but 0, skews report.json.
+        stats = FilterStats(
+            candidates=9, parsed=6, extractive=5, deduped=4, kept=3,
+            parse_failures={"answer": 1, "question_marker": 2},
+        )
+        totals = FilterStats()
+        totals.merge(stats)
+        assert totals == stats
 
 
 def oracle_filter(passage: Passage, candidates: list[Candidate], config: FilterConfig):

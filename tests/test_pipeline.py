@@ -999,6 +999,31 @@ class TestJournalHits:
             assert recorded["journal_hits"] == report.journal_hits
 
 
+class TestReportRoundTrip:
+    @pytest.mark.parametrize("run", ["parse-failures", "resume"])
+    def test_report_json_reads_back_as_the_returned_report(self, tmp_path, run):
+        if run == "resume":
+            report = run_pipeline(replace(interrupted_run(tmp_path), resume=True))
+            assert report.journal_hits > 0
+        else:
+            report = run_pipeline(make_config(tmp_path))
+            assert report.parse_failures
+        path = report.outputs["report"]
+        recorded = json.loads(Path(path).read_text("utf-8"))
+        assert PipelineReport.from_record(recorded, path) == report
+        assert list(recorded) == [
+            "counts", "record_errors", "parse_failures", "journal_hits", "elapsed_seconds", "outputs"
+        ]
+        assert list(recorded["counts"]) == [
+            "ingested", "length_kept", "sampled", "generated", "parsed", "extractive", "deduped",
+            "kept",
+        ]
+        examples = Path(report.outputs["examples"]).read_text("utf-8").splitlines()
+        dataset = read_squad(Path(report.outputs["dataset"]).read_bytes()).dataset
+        qas = [qa for article in dataset.articles for p in article.paragraphs for qa in p.qas]
+        assert report.counts["kept"] == len(examples) == len(qas) > 0
+
+
 class TestJournalLookupFailure:
     def test_a_lookup_that_raises_fails_as_generate_naming_the_passage(
         self, tmp_path, monkeypatch
