@@ -51,10 +51,11 @@ from .metrics import (
 from .generator import Candidate
 from .parsefilter import FilterConfig, FilterStats, SyntheticExample, run_filter_pipeline
 from .pipeline import (
-    _FINGERPRINT_KEYS,
+    GENERATION_KNOBS,
     PipelineConfig,
     PipelineReport,
     build_backend,
+    funnel_report,
     generate_passage,
     ingest,
     read_passage_groups,
@@ -154,7 +155,7 @@ def cmd_filter(args) -> int:
             if kept:
                 handle.write(emit_passage(passage, kept)[0])
     if args.stats:
-        write_json(args.stats, totals.to_record())
+        write_json(args.stats, funnel_report(totals, {}).to_record(), indent=2)
     print(f"kept {totals.kept} of {totals.candidates} candidates -> {args.output}")
     return EXIT_OK
 
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = subparsers.add_parser("generate", help="sample candidates for each passage")
-    keys = ("input", *_FINGERPRINT_KEYS, "train_corpus", "endpoint", "seed")
+    keys = ("input", "backend", "order", *GENERATION_KNOBS, "train_corpus", "endpoint", "seed")
     _add_config_flags(p, keys, required=("input",))
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)

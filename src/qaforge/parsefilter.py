@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 from .corpus import Passage
@@ -116,9 +116,6 @@ class FilterStats:
         self.kept += other.kept
         for part, count in other.parse_failures.items():
             self.parse_failures[part] = self.parse_failures.get(part, 0) + count
-
-    def to_record(self) -> dict:
-        return {**asdict(self), "parse_failures": dict(sorted(self.parse_failures.items()))}
 
 
 def _dedup_keep_best(drafts: list[tuple]) -> list[tuple]:

@@ -42,7 +42,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, closing, nullcontext
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import groupby
@@ -86,6 +86,11 @@ logger = logging.getLogger(__name__)
 PASSAGE_STAGES = ("ingested", "length_kept", "sampled")
 CANDIDATE_STAGES = ("generated", "parsed", "extractive", "deduped", "kept")
 _SECTION_STARTS = {PASSAGE_STAGES[0], CANDIDATE_STAGES[0]}
+
+# The generation knobs, each a config key: GenerationRequest's fields but the per-passage two.
+GENERATION_KNOBS = tuple(
+    f.name for f in fields(GenerationRequest) if f.name not in ("passage", "language")
+)
 
 
 def _field_types(cls) -> dict[str, tuple[type, ...]]:
@@ -150,12 +155,7 @@ class PipelineConfig:
         """The generation request every passage fills in, checked before any I/O."""
         try:
             return GenerationRequest(
-                passage="",
-                language="",
-                num_samples=self.num_samples,
-                top_k=self.top_k,
-                max_output_tokens=self.max_output_tokens,
-                target_language=self.target_language,
+                passage="", language="", **{name: getattr(self, name) for name in GENERATION_KNOBS}
             )
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -371,23 +371,17 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
     return sampled, counts, len(record_errors)
 
 
-# The settings that decide a passage's journal entry. Ingest and filter
-# settings are left out: the entry depends only on the passage, these, the
-# resolved seed and the backend's identity.
-_FINGERPRINT_KEYS = (
-    "backend", "order", "num_samples", "top_k", "max_output_tokens", "target_language"
-)
-
-
 def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
     """What a journal's entries were generated under; a resume must match it.
 
-    The backend's identity is the sha256 of the training-corpus bytes for
+    It holds ``backend``, ``order``, the request template's ``GENERATION_KNOBS``
+    (``target_language`` as the code the backend is sent), the resolved seed,
+    and the backend's identity: the sha256 of the training-corpus bytes for
     ``reference``, or the resolved endpoint for ``remote``.
     """
-    fingerprint = {key: getattr(config, key) for key in _FINGERPRINT_KEYS}
-    # The language code the backend is sent, not its spelling in the config.
-    fingerprint["target_language"] = config.request_template().target_language
+    request = config.request_template()
+    fingerprint = {"backend": config.backend, "order": config.order}
+    fingerprint.update((name, getattr(request, name)) for name in GENERATION_KNOBS)
     fingerprint["seed"] = config.resolved_seed()
     if config.backend == "remote":
         fingerprint["endpoint"] = resolve_endpoint(config.endpoint)
@@ -539,11 +533,8 @@ class _CheckpointJournal:
         block = self.blocks.get(passage.id)
         if block is None or block.digest != passage_digest(passage):
             return None
-        # Until close, lookups share the handle ``_load`` read; after it, each opens its own.
-        reader = self._reader
-        with open(self.path, "rb") if reader.closed else nullcontext(reader) as handle:
-            handle.seek(block.offset)
-            data = handle.read(block.length)
+        self._reader.seek(block.offset)
+        data = self._reader.read(block.length)
         try:
             records = [load_json(row) for row in data.split(b"\n")[:-1]]
             candidates = [Candidate.from_record(record) for record in records]
@@ -774,20 +765,30 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     journal.close(discard=True)
     checkpoint_meta.unlink(missing_ok=True)
 
-    # FilterStats's first fields are the candidate stages' counts, in order.
-    counts = {**passage_counts, **dict(zip(CANDIDATE_STAGES, vars(totals).values()))}
-    report = PipelineReport(
-        counts=counts,
-        record_errors=record_errors,
-        parse_failures=dict(sorted(totals.parse_failures.items())),
-        journal_hits=journal_hits,
-        elapsed_seconds=time.monotonic() - started,
-        outputs=outputs,
+    report = funnel_report(
+        totals, passage_counts, record_errors=record_errors, journal_hits=journal_hits,
+        elapsed_seconds=time.monotonic() - started, outputs=outputs,
     )
     write_json(outputs["report"], report.to_record(), indent=2)
-    if counts["kept"] == 0:
+    if report.counts["kept"] == 0:
         logger.warning("run kept 0 examples: %s", _zero_kept_reason(report))
     return report
+
+
+def funnel_report(
+    stats: FilterStats, passage_counts: Mapping[str, int], **other: Any
+) -> PipelineReport:
+    """``passage_counts``, then ``stats``'s candidate funnel and parse failures, as a report.
+
+    A candidate stage is counted by the FilterStats attribute of its name, but
+    ``generated`` by ``candidates``. ``other`` sets the report's other fields.
+    """
+    counts = {
+        stage: getattr(stats, "candidates" if stage == "generated" else stage)
+        for stage in CANDIDATE_STAGES
+    }
+    parse_failures = dict(sorted(stats.parse_failures.items()))
+    return PipelineReport({**passage_counts, **counts}, parse_failures=parse_failures, **other)
 
 
 def _funnel_steps(counts: dict[str, int]) -> Iterator[tuple[str, int, int | None]]:

@@ -23,7 +23,7 @@ from qaforge.errors import ConfigurationError
 from qaforge.metrics import bleu, load_profile_table
 from qaforge.parsefilter import FilterConfig
 from qaforge.pipeline import (
-    _FINGERPRINT_KEYS,
+    CANDIDATE_STAGES,
     PipelineConfig,
     PipelineReport,
     resume_fingerprint,
@@ -166,8 +166,8 @@ class TestStageCommands:
         )
         assert code == 0
         stats_payload = json.loads(stats.read_text("utf-8"))
-        assert stats_payload["candidates"] == 240
-        assert stats_payload["kept"] >= 1
+        assert stats_payload["counts"]["generated"] == 240
+        assert stats_payload["counts"]["kept"] >= 1
 
         dataset = workspace / "dataset.json"
         code = run_cli(
@@ -441,6 +441,22 @@ class TestEvalCommand:
         assert reason in captured.err
         assert captured.out == ""
 
+    def test_duplicate_qa_id_exit_data(self, tmp_path, capsys):
+        qa = {"id": "q1", "question": "?", "answers": [{"text": "alpha", "answer_start": 0}]}
+        paragraph = {"context": "alpha", "qas": [qa, qa]}
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(
+            json.dumps({"version": "1.1", "data": [{"title": "t", "paragraphs": [paragraph]}]}),
+            encoding="utf-8",
+        )
+        predictions = tmp_path / "predictions.json"
+        predictions.write_text('{"q1": "alpha"}', encoding="utf-8")
+        code = run_cli("eval", "--dataset", str(dataset), "--predictions", str(predictions))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: duplicate qa id in dataset: q1" in captured.err.splitlines()
+        assert captured.out == ""
+
     def test_mlqa_mode_applies_language_rules(self, fixtures_dir, tmp_path, capsys):
         document = json.loads(
             (fixtures_dir / "metric_oracle_dataset.json").read_text("utf-8")
@@ -668,6 +684,25 @@ class TestRunCommand:
             "--seed", "1",
         )
         assert code == 3
+        assert len(script.bodies) == 1
+
+    def test_remote_response_without_candidates_exit_transport(self, workspace, serve, capsys):
+        script = _Script([(200, {})])
+        code = run_cli(
+            "run",
+            "--input", str(workspace / "passages.jsonl"),
+            "--output-dir", str(workspace / "remote_out"),
+            "--backend", "remote",
+            "--endpoint", serve(script),
+            "--sample-n", "2",
+            "--seed", "1",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "generator response missing 'candidates' array" in errors[0]
+        # A protocol error is not retried.
         assert len(script.bodies) == 1
 
     def test_runs_are_byte_identical_across_processes(self, workspace):
@@ -989,7 +1024,10 @@ class TestMalformedRecords:
 # The config keys each stage subcommand reads, and so takes a flag for.
 STAGE_KEYS = {
     "ingest": ("input", "language", "min_tokens", "max_tokens", "sample_n", "seed"),
-    "generate": ("input", *_FINGERPRINT_KEYS, "train_corpus", "endpoint", "seed"),
+    "generate": (
+        "input", "backend", "order", "num_samples", "top_k", "max_output_tokens",
+        "target_language", "train_corpus", "endpoint", "seed",
+    ),
     "filter": ("input", *(f.name for f in fields(FilterConfig))),
     "emit": ("input",),
 }
@@ -1157,6 +1195,48 @@ class TestStagedChainMatchesRun:
         assert (staged / "examples.jsonl").read_text("utf-8")
         for name in ("passages.jsonl", "candidates.jsonl", "examples.jsonl", "dataset.json"):
             assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_filter_stats_is_the_candidate_part_of_the_run_report(self, workspace, capsys):
+        passages = str(workspace / "passages.jsonl")
+        train = str(workspace / "train.jsonl")
+        knobs = ["--train-corpus", train, "--num-samples", "12", "--max-output-tokens", "24",
+                 "--target-language", "de", "--seed", "11"]
+        staged = workspace / "staged"
+        staged.mkdir()
+        assert run_cli(
+            "ingest", "--input", passages, "--sample-n", "6", "--seed", "11",
+            "--output", str(staged / "passages.jsonl"),
+        ) == 0
+        assert run_cli(
+            "generate", "--input", str(staged / "passages.jsonl"), *knobs,
+            "--output", str(staged / "candidates.jsonl"),
+        ) == 0
+        filter_stats = staged / "filter_stats.json"
+        assert run_cli(
+            "filter", "--candidates", str(staged / "candidates.jsonl"),
+            "--input", str(staged / "passages.jsonl"), "--stats", str(filter_stats),
+            "--output", str(staged / "examples.jsonl"),
+        ) == 0
+        run_dir = workspace / "run"
+        capsys.readouterr()
+        assert run_cli(
+            "run", "--input", passages, "--output-dir", str(run_dir), "--sample-n", "6", *knobs,
+        ) == 0
+        run_lines = capsys.readouterr().out.splitlines()
+
+        report = json.loads((run_dir / "report.json").read_text("utf-8"))
+        payload = json.loads(filter_stats.read_text("utf-8"))
+        assert payload == {
+            "counts": {stage: report["counts"][stage] for stage in CANDIDATE_STAGES},
+            "parse_failures": report["parse_failures"],
+        }
+        assert sum(payload["parse_failures"].values()) > 0
+        # stats prints the run's table header, candidate rows and parse failures.
+        assert run_cli("stats", "--report", str(filter_stats)) == 0
+        assert capsys.readouterr().out.splitlines() == [run_lines[0]] + [
+            line for line in run_lines
+            if line.split()[0] in CANDIDATE_STAGES or line.startswith("parse failure ")
+        ]
 
 
 def traced_stage_peak(workspace, command: str, rows_per_passage: int) -> int:

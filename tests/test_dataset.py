@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -234,6 +235,11 @@ class TestReadSquad:
         payload = (fixtures_dir / "squad_dev_style.json").read_bytes()[:200]
         with pytest.raises(SquadParseError):
             read_squad(payload)
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "binary-handle"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, wrap):
+        with pytest.raises(SquadParseError, match="^document is not valid utf-8: "):
+            read_squad(wrap(b'{"version": "1.1", "data": ["\xff"]}'))
 
     def test_integer_past_the_digit_limit_is_a_parse_error(self):
         with pytest.raises(SquadParseError, match="not valid JSON"):

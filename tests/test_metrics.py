@@ -268,6 +268,17 @@ class TestEvaluateDataset:
         assert report.exact_match == 50.0
         assert report.per_example["q2"].em == 0
 
+    def test_document_with_no_entries_scores_zero(self):
+        dataset = read_squad('{"version": "1.1", "data": []}').dataset
+        report = evaluate_dataset({}, dataset, SQUAD_EN)
+        assert (report.exact_match, report.f1, report.total) == (0.0, 0.0, 0)
+        assert report.per_example == {}
+
+    def test_duplicate_qa_id_is_a_data_error(self):
+        dataset = _dataset([("q1", "?", ["alpha"]), ("q1", "?", ["beta"])])
+        with pytest.raises(DataError, match="^duplicate qa id in dataset: q1$"):
+            evaluate_dataset({"q1": "alpha"}, dataset, SQUAD_EN)
+
     def test_max_over_golds(self):
         dataset = _dataset([("q1", "?", ["completely different", "alpha beta"])])
         report = evaluate_dataset({"q1": "alpha beta"}, dataset, SQUAD_EN)

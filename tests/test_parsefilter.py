@@ -4,7 +4,7 @@ import random
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,7 +486,7 @@ class TestFilterMatchesParseCandidate:
         examples, stats = run_filter_pipeline(passage, candidates, config)
         expected_examples, expected_counts = oracle_filter(passage, candidates, config)
         assert examples == expected_examples
-        assert stats.to_record() == {
+        assert asdict(stats) == {
             **expected_counts,
             "parse_failures": dict(sorted(expected_counts["parse_failures"].items())),
         }

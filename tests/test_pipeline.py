@@ -26,6 +26,7 @@ from qaforge.errors import ConfigurationError, Interrupted, PipelineError, Trans
 from qaforge import cli, pipeline
 from qaforge.generator import Candidate, GenerationRequest, format_target
 from qaforge.pipeline import (
+    GENERATION_KNOBS,
     PipelineConfig,
     PipelineReport,
     _AHEAD_PER_WORKER,
@@ -455,11 +456,11 @@ class TestResumeJournal:
         journal.close(discard=False)
 
         resumed = _CheckpointJournal(path, FINGERPRINT, resume=True)
-        resumed.close(discard=False)
-        assert resumed.journaled_ids() == ["a", "c"]
         assert resumed.lookup(PASSAGE_A) == [Candidate("question q answer a", -1.0)]
         assert resumed.lookup(PASSAGE_B) is None
         assert resumed.lookup(PASSAGE_C) == [Candidate("question q answer c", -2.0)]
+        resumed.close(discard=False)
+        assert resumed.journaled_ids() == ["a", "c"]
 
     def test_torn_line_ending_inside_a_character_is_cut(self, tmp_path):
         path = tmp_path / "checkpoint.jsonl"
@@ -471,9 +472,9 @@ class TestResumeJournal:
             + torn
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
+        assert journal.lookup(PASSAGE_A) == [Candidate("question é", -1.0)]
         journal.close(discard=False)
         assert journal.journaled_ids() == ["a"]
-        assert journal.lookup(PASSAGE_A) == [Candidate("question é", -1.0)]
         assert path.read_bytes().endswith(b"\n")
 
     def test_integer_past_the_digit_limit_line_is_skipped(self, tmp_path):
@@ -485,13 +486,39 @@ class TestResumeJournal:
             encoding="utf-8",
         )
         journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
+        assert journal.lookup(PASSAGE_A) == [Candidate("question q answer a", -1.0)]
+        assert journal.lookup(PASSAGE_B) is None
         journal.close(discard=False)
         # Both blocks are complete, but only a's rows are all candidates of it.
         assert journal.journaled_ids() == ["a", "b"]
-        assert journal.lookup(PASSAGE_A) == [Candidate("question q answer a", -1.0)]
-        assert journal.lookup(PASSAGE_B) is None
+
+    def test_block_whose_rows_name_another_passage_is_not_reused(self, tmp_path):
+        path = tmp_path / "checkpoint.jsonl"
+        other = {"passage_id": "b", **CANDIDATE_RECORD}
+        path.write_text(HEADER + json.dumps(other) + "\n" + marker(PASSAGE_A), encoding="utf-8")
+        journal = _CheckpointJournal(path, FINGERPRINT, resume=True)
+        assert journal.lookup(PASSAGE_A) is None
+        journal.close(discard=False)
+        assert journal.journaled_ids() == ["a"]
 
     def test_block_with_an_invalid_row_is_generated_again(self, tmp_path):
+        # The second block's second row is not a candidate.
+        self.resume_with_second_block_edited(tmp_path, lambda block, _: block[1].update(text=5))
+
+    def test_block_whose_rows_name_another_passage_is_generated_again(self, tmp_path):
+        def rename(block, other_id):
+            for row in block:
+                row["passage_id"] = other_id
+
+        self.resume_with_second_block_edited(tmp_path, rename)
+
+    @staticmethod
+    def resume_with_second_block_edited(tmp_path, edit) -> None:
+        """Resume from a baseline run's journal whose second block had ``edit(rows, first_id)``.
+
+        Every other block is valid; only the edited block's passage is
+        generated again, and the artifacts equal the baseline's.
+        """
         baseline = run_pipeline(make_config(tmp_path, "baseline"))
         passages = [
             Passage(**json.loads(line))
@@ -502,9 +529,8 @@ class TestResumeJournal:
             row = json.loads(line)
             rows.setdefault(row["passage_id"], []).append(row)
         config = make_config(tmp_path, "resumed", resume=True)
-        # The second block's second row is not a candidate; every other block is valid.
-        corrupt = sorted(rows)[1]
-        rows[corrupt][1]["text"] = 5
+        first, corrupt = sorted(rows)[:2]
+        edit(rows[corrupt], first)
         journal = json.dumps({"format": 2, "fingerprint": resume_fingerprint(config)}) + "\n"
         for passage in sorted(passages, key=lambda passage: passage.id):
             journal += "".join(json.dumps(row) + "\n" for row in rows[passage.id])
@@ -651,6 +677,16 @@ def checkpoint_bytes(config: PipelineConfig) -> dict[str, bytes]:
 
 
 class TestResumeFingerprint:
+    @pytest.mark.parametrize("knob", GENERATION_KNOBS)
+    def test_each_generation_knob_reaches_the_request_and_the_fingerprint(self, tmp_path, knob):
+        config = make_config(tmp_path)
+        value = getattr(config, knob)
+        changed = replace(config, **{knob: "de" if value is None else value + 1})
+        request = changed.request_template()
+        assert request != config.request_template()
+        assert resume_fingerprint(changed) != resume_fingerprint(config)
+        assert resume_fingerprint(changed)[knob] == getattr(request, knob)
+
     @pytest.mark.parametrize(
         "change",
         [

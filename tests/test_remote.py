@@ -195,6 +195,13 @@ class TestFailurePaths:
         assert not isinstance(exc.value, ProtocolError)
         assert len(script.bodies) == 1
 
+    def test_response_without_candidates_is_not_retried(self, serve):
+        script = _Script([(200, {}), (200, _ok_payload())])
+        client = RemoteGeneratorClient(serve(script))
+        with pytest.raises(ProtocolError, match="missing 'candidates' array"):
+            client.generate(_request())
+        assert len(script.bodies) == 1
+
     @pytest.mark.parametrize(
         "lm_score",
         [math.nan, math.inf, -math.inf, -(10**400)],
