@@ -179,8 +179,17 @@ class ReferenceBackend:
     in lexicographic order: all that an uncounted fill reads at a small k. A
     fill that may read past them replaces them with the whole order, once.
     ``vocabulary``, the sorted tuple, is built at its first read; decoding
-    and scoring never read it.
+    and scoring never read it. A ``vocabulary`` given as a set is kept, not
+    copied: from then on the backend owns it, and the caller must not change
+    it (``train_reference`` hands over the set its fit built). Any other
+    iterable is copied into a new set.
+
+    ``corpus_sha256`` is the sha256 of the training-corpus bytes the model
+    was fit on, when ``pipeline.build_backend`` fit it from a file, and None
+    for a backend built in memory.
     """
+
+    corpus_sha256: str | None = None
 
     def __init__(
         self,
@@ -191,7 +200,7 @@ class ReferenceBackend:
         check_order(order)
         self.order = order
         # The set answers whether a counted symbol is emittable in one lookup.
-        self._vocabulary_set = set(vocabulary)
+        self._vocabulary_set = vocabulary if isinstance(vocabulary, set) else set(vocabulary)
         self._vocabulary_size = len(self._vocabulary_set)
         self.counts = counts
         # The first emittable symbols in lexicographic order, EOS where it
@@ -404,5 +413,5 @@ def train_reference(
             counts[context] = {ngram[-1]: count}
         else:
             successors[ngram[-1]] = count
-    del ngrams  # freed before the backend copies the vocabulary and sums each context
+    del ngrams  # freed before the backend sums each context
     return ReferenceBackend(order, vocabulary, counts)

@@ -35,6 +35,7 @@ Every artifact is written through ``dataset.atomic_write``.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
 import threading
@@ -245,16 +246,19 @@ def _reject(path: str | Path, error: RecordError) -> NoReturn:
     raise DataError(f"{path}:{error.line_number}: {error.message}")
 
 
-def read_jsonl(path: str | Path, parse: Callable[[Any], T]) -> Iterator[tuple[int, T]]:
+def read_jsonl(
+    path: str | Path, parse: Callable[[Any], T], data: bytes | None = None
+) -> Iterator[tuple[int, T]]:
     """The line number and ``parse(record)`` of each non-blank line of a JSONL file, in order.
 
-    Lines are read by ``jsonl_records``. An unreadable file, a line it reports,
-    or a record that ``parse`` rejects with DataError raises DataError naming
-    the path and line.
+    Lines are read by ``jsonl_records`` from ``data``, the file's bytes when
+    the caller has read them, or else from the file. An unreadable file, a
+    line it reports, or a record that ``parse`` rejects with DataError raises
+    DataError naming the path and line.
     """
     reject = partial(_reject, path)
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb") if data is None else io.BytesIO(data) as handle:
             for line_number, record in jsonl_records(handle, reject):
                 try:
                     yield line_number, parse(record)
@@ -307,8 +311,20 @@ def read_passage_groups(
         yield passages[passage_id], [row for _, (_, row) in numbered], [n for n, _ in numbered]
 
 
-def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
-    """Load (passage, question, answer) string triples from a JSONL file."""
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of the file at ``path``; DataError names it if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_training_corpus(path: str | Path) -> tuple[list[tuple[str, str, str]], str]:
+    """The (passage, question, answer) string triples of a JSONL file, and its sha256.
+
+    The file is read once: the triples are parsed from the bytes that are
+    hashed, so the digest is that of the triples returned.
+    """
 
     def parse(record: Any) -> tuple[str, str, str]:
         if type(record) is dict:
@@ -327,13 +343,28 @@ def read_training_corpus(path: str | Path) -> list[tuple[str, str, str]]:
             "record needs string passage/question/answer, the question and answer non-blank"
         )
 
-    return [triple for _, triple in read_jsonl(path, parse)]
+    data = _read_bytes(path)
+    triples = [triple for _, triple in read_jsonl(path, parse, data)]
+    return triples, hashlib.sha256(data).hexdigest()
 
 
-def build_backend(config: PipelineConfig):
+def build_backend(config: PipelineConfig) -> ReferenceBackend | RemoteGeneratorClient:
+    """The generator ``config`` names, ready to generate.
+
+    ``remote`` gives a client of ``config.endpoint`` with ``config.workers``
+    pooled connections; the caller closes it. ``reference`` reads
+    ``config.train_corpus`` once, parses its triples and hashes its bytes, and
+    fits a ReferenceBackend of ``config.order`` on the triples; the bytes are
+    let go before the fit. The backend's ``corpus_sha256`` is that digest, so
+    ``resume_fingerprint`` records the bytes the model was fit on without
+    reading the file again.
+    """
     if config.backend == "remote":
         return RemoteGeneratorClient(config.endpoint, connections=config.workers)
-    return train_reference(read_training_corpus(config.train_corpus), order=config.order)
+    triples, digest = read_training_corpus(config.train_corpus)
+    backend = train_reference(triples, order=config.order)
+    backend.corpus_sha256 = digest
+    return backend
 
 
 def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
@@ -371,13 +402,17 @@ def ingest(config: PipelineConfig) -> tuple[list[Passage], dict[str, int], int]:
     return sampled, counts, len(record_errors)
 
 
-def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
+def resume_fingerprint(config: PipelineConfig, backend=None) -> dict[str, Any]:
     """What a journal's entries were generated under; a resume must match it.
 
     It holds ``backend``, ``order``, the request template's ``GENERATION_KNOBS``
     (``target_language`` as the code the backend is sent), the resolved seed,
-    and the backend's identity: the sha256 of the training-corpus bytes for
-    ``reference``, or the resolved endpoint for ``remote``.
+    and the backend's identity: for ``remote``, the resolved endpoint; for
+    ``reference``, ``train_corpus_sha256``. That is ``backend.corpus_sha256``
+    when the backend has one (``build_backend`` records the digest of the
+    bytes it fit on), and nothing is read; otherwise, as for a backend
+    ``train_reference`` fit in memory or a wrapper that only generates, it is
+    the sha256 of ``config.train_corpus`` as read now.
     """
     request = config.request_template()
     fingerprint = {"backend": config.backend, "order": config.order}
@@ -386,11 +421,10 @@ def resume_fingerprint(config: PipelineConfig) -> dict[str, Any]:
     if config.backend == "remote":
         fingerprint["endpoint"] = resolve_endpoint(config.endpoint)
     else:
-        try:
-            corpus = Path(config.train_corpus).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {config.train_corpus}: {exc}") from exc
-        fingerprint["train_corpus_sha256"] = hashlib.sha256(corpus).hexdigest()
+        digest = getattr(backend, "corpus_sha256", None)
+        if digest is None:
+            digest = hashlib.sha256(_read_bytes(config.train_corpus)).hexdigest()
+        fingerprint["train_corpus_sha256"] = digest
     return fingerprint
 
 
@@ -675,11 +709,12 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     language are unchanged, and produces the same artifacts an uninterrupted
     run would. A KeyboardInterrupt (Ctrl-C; under the CLI, SIGINT or SIGTERM)
     writes the same checkpoint, in stage ``"interrupted"``, and is raised
-    again. The journal records
-    ``resume_fingerprint(config)``; a resume under a different one (other
-    generation settings, seed, training corpus or endpoint) raises
-    ConfigurationError before anything is generated or written. Ingest and
-    filter settings may change across a resume.
+    again. The journal records ``resume_fingerprint(config, backend)``
+    (for a fitted backend, the digest of the corpus bytes it was fit on); a
+    resume under a different one (other generation settings, seed, training
+    corpus or endpoint) raises ConfigurationError before anything is
+    generated or written. Ingest and filter settings may change across a
+    resume.
     """
     config.validate()
     request = config.request_template()
@@ -701,7 +736,7 @@ def run_pipeline(config: PipelineConfig, backend=None) -> PipelineReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_meta = out_dir / "checkpoint.json"
     journal = _CheckpointJournal(
-        out_dir / "checkpoint.jsonl", resume_fingerprint(config), resume=config.resume
+        out_dir / "checkpoint.jsonl", resume_fingerprint(config, backend), resume=config.resume
     )
     outputs = {
         "passages": str(out_dir / "passages.jsonl"),

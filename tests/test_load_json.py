@@ -178,7 +178,8 @@ class TestDecodeCost:
             {"passage": f"passage {index}", "question": "what?", "answer": f"{index}"}
             for index in range(200)
         ])
-        assert (len(read_training_corpus(path)), loads_calls) == (200, [])
+        triples, _ = read_training_corpus(path)
+        assert (len(triples), loads_calls) == (200, [])
 
     def test_each_invalid_line_calls_json_loads_once(self, tmp_path, loads_calls):
         records = [{"id": f"p{index:03d}", "text": "a b", "language": "en"} for index in range(8)]

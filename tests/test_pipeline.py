@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
 import json
 import math
 import os
@@ -676,6 +679,17 @@ def checkpoint_bytes(config: PipelineConfig) -> dict[str, bytes]:
     return {name: (out_dir / name).read_bytes() for name in ("checkpoint.jsonl", "checkpoint.json")}
 
 
+def journal_fingerprint(config: PipelineConfig, backend) -> dict:
+    """The fingerprint a run with ``backend`` journals; its emit fails, so the journal is kept."""
+    dataset = Path(config.output_dir) / "dataset.json"
+    dataset.mkdir(parents=True)
+    with pytest.raises(PipelineError):
+        run_pipeline(config, backend=backend)
+    dataset.rmdir()
+    header = (Path(config.output_dir) / "checkpoint.jsonl").read_bytes().split(b"\n", 1)[0]
+    return json.loads(header)["fingerprint"]
+
+
 class TestResumeFingerprint:
     @pytest.mark.parametrize("knob", GENERATION_KNOBS)
     def test_each_generation_knob_reaches_the_request_and_the_fingerprint(self, tmp_path, knob):
@@ -726,6 +740,31 @@ class TestResumeFingerprint:
             run_pipeline(replace(config, resume=True), backend=_NoBackend())
         assert checkpoint_bytes(config) == before
 
+    def test_the_journal_records_the_corpus_the_backend_was_fit_on(self, tmp_path, capsys):
+        # Once the header hashed the file as it was when the run opened the
+        # journal: a corpus replaced after the fit was recorded, and a resume
+        # with a model fit on it reused the first model's candidates.
+        config = make_config(tmp_path)
+        corpus = Path(config.train_corpus)
+        fit_on_a, sha256_a = build_backend(config), hashlib.sha256(corpus.read_bytes()).hexdigest()
+        write_training_file(corpus, make_training_corpus(seed=12))
+        assert journal_fingerprint(config, fit_on_a)["train_corpus_sha256"] == sha256_a
+
+        before = checkpoint_bytes(config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config_path), "--resume"]) == 1
+        assert "train_corpus_sha256" in capsys.readouterr().err
+        assert checkpoint_bytes(config) == before
+        assert not (Path(config.output_dir) / "dataset.json").exists()
+
+    def test_a_backend_that_only_generates_is_fingerprinted_from_the_file(self, tmp_path):
+        # As the benchmark's traced proxy does, the wrapper hides the fitted
+        # backend's digest, so the header hashes config.train_corpus.
+        config = make_config(tmp_path)
+        fingerprint = journal_fingerprint(config, _Counting(build_backend(config)))
+        assert fingerprint == resume_fingerprint(config)
+
     def test_endpoint_is_compared_as_resolved(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QAFORGE_GENERATOR_URL", "http://127.0.0.1:9/")
         config = interrupted_run(tmp_path, backend="remote", train_corpus=None)
@@ -768,6 +807,26 @@ class TestResumeFingerprint:
             Path(resumed.outputs["dataset"]).read_bytes()
             == Path(uninterrupted.outputs["dataset"]).read_bytes()
         )
+
+
+class TestTrainingCorpusRead:
+    def test_a_run_opens_the_training_corpus_once(self, tmp_path, monkeypatch):
+        # Once the fit read the file and the journal header read it again to hash it.
+        config = make_config(tmp_path)
+        opened = []
+
+        def recording(open_file):
+            def open_and_record(file, *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and os.fspath(file) == config.train_corpus:
+                    opened.append(file)
+                return open_file(file, *args, **kwargs)
+            return open_and_record
+
+        # Path.read_bytes opens through io.open, the other readers through open.
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(io, "open", recording(io.open))
+        run_pipeline(config)
+        assert len(opened) == 1
 
 
 ARTIFACTS = {
