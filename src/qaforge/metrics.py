@@ -15,9 +15,9 @@ import re
 import string
 import unicodedata
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -52,10 +52,22 @@ class _UnicodePunctuation(dict):
         return kept
 
 
-# punctuation_class -> ``str.translate`` table deleting that punctuation.
-_PUNCTUATION_TABLES = {
-    "ascii": str.maketrans("", "", string.punctuation),
-    "unicode": _UnicodePunctuation(),
+_UNICODE_PUNCTUATION = _UnicodePunctuation()
+_ASCII_CATEGORY_P = "".join(c for c in string.punctuation if unicodedata.category(c)[0] == "P")
+_delete_ascii_category_p = partial(re.compile(f"[{re.escape(_ASCII_CATEGORY_P)}]").sub, "")
+
+
+def _delete_unicode_punctuation(text: str) -> str:
+    """``text`` without category P*: by one compiled class if it is ASCII, else by the table."""
+    if text.isascii():
+        return _delete_ascii_category_p(text)
+    return text.translate(_UNICODE_PUNCTUATION)
+
+
+# punctuation_class -> the function deleting that punctuation from a string.
+_PUNCTUATION_DELETERS = {
+    "ascii": partial(re.compile("[" + re.escape(string.punctuation) + "]").sub, ""),
+    "unicode": _delete_unicode_punctuation,
 }
 # segmentation -> tokenizer of a string.
 _SEGMENTERS = {
@@ -70,8 +82,9 @@ class NormalizationProfile:
 
     ``punctuation_class`` is ``ascii`` or ``unicode`` and ``segmentation`` is
     ``whitespace`` or ``per-character-mixed``; any other value is a
-    ``ConfigurationError``. The article pattern is compiled once per
-    profile, at first use.
+    ``ConfigurationError``, as is an article that can never match: one that
+    is empty, changes when lowercased, or holds a character its punctuation
+    class deletes.
     """
 
     mode: str
@@ -82,7 +95,7 @@ class NormalizationProfile:
 
     def __post_init__(self) -> None:
         for name, allowed in (
-            ("punctuation_class", _PUNCTUATION_TABLES),
+            ("punctuation_class", _PUNCTUATION_DELETERS),
             ("segmentation", _SEGMENTERS),
         ):
             value = getattr(self, name)
@@ -91,13 +104,17 @@ class NormalizationProfile:
                     f"{self.mode} profile for language {self.language!r}: unknown {name} "
                     f"{value!r}; expected one of {', '.join(map(repr, allowed))}"
                 )
-
-    @cached_property
-    def _article_pattern(self) -> re.Pattern | None:
-        if not self.articles:
-            return None
-        alternatives = "|".join(re.escape(a) for a in sorted(self.articles))
-        return re.compile(rf"\b(?:{alternatives})\b")
+        # Answers are lowercased and lose punctuation before articles are
+        # matched, so an article must survive both: test all at once.
+        delete_punctuation = _PUNCTUATION_DELETERS[self.punctuation_class]
+        spelled = "".join(self.articles)
+        if "" in self.articles or delete_punctuation(spelled.lower()) != spelled:
+            article = min(a for a in self.articles if not a or delete_punctuation(a.lower()) != a)
+            raise ConfigurationError(
+                f"{self.mode} profile for language {self.language!r}: article {article!r} "
+                f"can never match: it is empty, not lowercase, or holds "
+                f"{self.punctuation_class} punctuation"
+            )
 
 
 def load_profile_table(path: str | Path | None = None) -> dict:
@@ -172,14 +189,6 @@ def make_profile(
     )
 
 
-def _normalized_words(text: str, profile: NormalizationProfile) -> list[str]:
-    """Lowercase, strip punctuation, drop standalone articles, split on whitespace."""
-    text = text.lower().translate(_PUNCTUATION_TABLES[profile.punctuation_class])
-    if profile._article_pattern is not None:
-        text = profile._article_pattern.sub(" ", text)
-    return text.split()
-
-
 def tokenize_for_f1(text: str, profile: NormalizationProfile) -> list[str]:
     """Token sequence of ``text`` under the profile's segmentation.
 
@@ -189,58 +198,29 @@ def tokenize_for_f1(text: str, profile: NormalizationProfile) -> list[str]:
     return _SEGMENTERS[profile.segmentation](text)
 
 
-def _normalized_tokens(text: str, profile: NormalizationProfile) -> tuple[list[str], list[str]]:
-    """The answer's normalized words and its F1 tokens.
+def _normalizer(profile: NormalizationProfile) -> Callable[[str], tuple[list[str], list[str]]]:
+    """The function taking an answer to its normalized words and its F1 tokens.
 
-    Two answers normalize to the same string iff their words are equal.
-    Under whitespace segmentation the words are the tokens, the same list;
-    otherwise the tokens segment the normalized string.
+    Two answers normalize to the same string iff their words are equal. Under
+    whitespace segmentation the words are the tokens, the same list;
+    otherwise the tokens segment the words joined by single spaces. The
+    article pattern is compiled here, at first use (``re`` caches it).
     """
-    words = _normalized_words(text, profile)
-    if profile.segmentation == SEGMENTATION_WHITESPACE:
-        return words, words
-    return words, mixed_segment(" ".join(words))
+    delete_punctuation = _PUNCTUATION_DELETERS[profile.punctuation_class]
+    alternatives = "|".join(re.escape(a) for a in sorted(profile.articles))
+    delete_articles = (
+        partial(re.compile(rf"\b(?:{alternatives})\b").sub, " ") if profile.articles else None
+    )
+    mixed = profile.segmentation == SEGMENTATION_MIXED
 
+    def normalize(text: str) -> tuple[list[str], list[str]]:
+        text = delete_punctuation(text.lower())
+        if delete_articles is not None:
+            text = delete_articles(text)
+        words = text.split()
+        return words, mixed_segment(" ".join(words)) if mixed else words
 
-def _token_f1(
-    prediction_counts: dict[str, int], prediction_length: int, gold_tokens: list[str]
-) -> float:
-    """Multiset token-overlap F1 of a prediction, given as its token counts, with one gold.
-
-    The overlap is counted by walking the gold tokens against a copy of the
-    prediction's counts, taking one from a token's count at each match: the
-    same integer as ``sum((Counter(prediction_tokens) & Counter(gold_tokens)).values())``.
-    """
-    if not prediction_length and not gold_tokens:
-        return 1.0
-    if not prediction_length or not gold_tokens:
-        return 0.0
-    remaining = prediction_counts.copy()
-    num_same = 0
-    for token in gold_tokens:
-        count = remaining.get(token)
-        if count:
-            remaining[token] = count - 1
-            num_same += 1
-    if num_same == 0:
-        return 0.0
-    precision = num_same / prediction_length
-    recall = num_same / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
-def _best_f1(prediction_tokens: list[str], gold_token_lists: Iterable[list[str]]) -> float:
-    """Max over the golds' token lists of their F1 with the prediction's tokens."""
-    prediction_counts: dict[str, int] = {}
-    for token in prediction_tokens:
-        prediction_counts[token] = prediction_counts.get(token, 0) + 1
-    prediction_length = len(prediction_tokens)
-    best = 0.0
-    for gold_tokens in gold_token_lists:
-        score = _token_f1(prediction_counts, prediction_length, gold_tokens)
-        if score > best:
-            best = score
-    return best
+    return normalize
 
 
 @dataclass
@@ -278,6 +258,7 @@ def evaluate_dataset(
     fails listing the missing ids, unless ``missing_as_zero`` scores the
     absent ones as 0 instead.
     """
+    normalize = _normalizer(profile)
     per_example: dict[str, ExampleScore] = {}
     missing: list[str] = []
     for qa in dataset.iter_qas():
@@ -289,13 +270,32 @@ def evaluate_dataset(
             missing.append(qa.id)
             per_example[qa.id] = ExampleScore(em=0, f1=0.0)
             continue
-        prediction = _normalized_tokens(predictions[qa.id], profile)
-        golds = [_normalized_tokens(answer.text, profile) for answer in qa.answers]
-        # The tokens follow from the words, so two (words, tokens) pairs are
-        # equal iff the words are: iff the normalized strings are.
-        per_example[qa.id] = ExampleScore(
-            int(prediction in golds), _best_f1(prediction[1], [tokens for _, tokens in golds])
-        )
+        words, tokens = normalize(predictions[qa.id])
+        counts: dict[str, int] = {}
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        em, best = 0, 0.0
+        for answer in qa.answers:
+            gold_words, gold_tokens = normalize(answer.text)
+            if gold_words == words:
+                # Equal tokens too (both empty included): F1 1.0, which no gold exceeds.
+                em, best = 1, 1.0
+                break
+            # Each gold walks a copy of the prediction's token counts, taking one
+            # from a token's count at each match (none when a side is empty): the
+            # same integer as ``sum((Counter(tokens) & Counter(gold_tokens)).values())``.
+            remaining = counts.copy()
+            num_same = 0
+            for token in gold_tokens:
+                count = remaining.get(token)
+                if count:
+                    remaining[token] = count - 1
+                    num_same += 1
+            if num_same:
+                precision = num_same / len(tokens)
+                recall = num_same / len(gold_tokens)
+                best = max(best, 2 * precision * recall / (precision + recall))
+        per_example[qa.id] = ExampleScore(em, best)
     if missing and not missing_as_zero:
         raise MissingPredictionsError(missing)
     total = len(per_example)

@@ -408,14 +408,16 @@ def resume_fingerprint(config: PipelineConfig, backend=None) -> dict[str, Any]:
     It holds ``backend``, ``order``, the request template's ``GENERATION_KNOBS``
     (``target_language`` as the code the backend is sent), the resolved seed,
     and the backend's identity: for ``remote``, the resolved endpoint; for
-    ``reference``, ``train_corpus_sha256``. That is ``backend.corpus_sha256``
+    ``reference``, ``train_corpus_sha256``. ``order`` is ``backend.order`` when
+    the backend has one, else ``config.order`` (the remote client, a wrapper
+    that only generates). ``train_corpus_sha256`` is ``backend.corpus_sha256``
     when the backend has one (``build_backend`` records the digest of the
     bytes it fit on), and nothing is read; otherwise, as for a backend
     ``train_reference`` fit in memory or a wrapper that only generates, it is
     the sha256 of ``config.train_corpus`` as read now.
     """
     request = config.request_template()
-    fingerprint = {"backend": config.backend, "order": config.order}
+    fingerprint = {"backend": config.backend, "order": getattr(backend, "order", config.order)}
     fingerprint.update((name, getattr(request, name)) for name in GENERATION_KNOBS)
     fingerprint["seed"] = config.resolved_seed()
     if config.backend == "remote":

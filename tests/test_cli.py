@@ -1536,6 +1536,38 @@ class TestProfileConfig:
         assert captured.out == ""
         assert f"{field} {value!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "punctuation_class, article",
+        [("unicode", ""), ("unicode", "l'"), ("unicode", "l’"), ("ascii", "a$"),
+         ("unicode", "The")],
+        ids=["empty", "apostrophe", "non-ascii-apostrophe", "ascii-symbol", "uppercase"],
+    )
+    def test_article_that_can_never_match_exit_usage(
+        self, tmp_path, capsys, punctuation_class, article
+    ):
+        # Once accepted with exit 0: "" split "ab$cd" into "ab", "$", "cd"
+        # under unicode, and an article holding punctuation its class deletes,
+        # or an uppercase letter, never matched, since answers are lowercased
+        # and lose punctuation before articles are matched.
+        entry = {"language": "fr", "articles": ["le", article],
+                 "punctuation_class": punctuation_class}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text('{"version": "1.1", "data": [{"title": 1}]}', encoding="utf-8")
+        code = run_cli(
+            "eval",
+            "--dataset", str(dataset),
+            "--predictions", str(tmp_path / "absent-predictions.json"),
+            "--mode", "mlqa",
+            "--language", "fr",
+            "--profile-config", str(path),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"profile for language 'fr': article {article!r} can never match" in captured.err
+
     def test_table_language_is_compared_as_a_code(self, fixtures_dir, tmp_path, capsys):
         # Once compared as written: a table spelling "ZH" left zh to whitespace
         # segmentation, and F1 on these fixtures fell from 87.18 to 55.93 with exit 0.

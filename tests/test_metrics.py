@@ -25,7 +25,7 @@ from qaforge.dataset import (
 from qaforge.errors import ConfigurationError, DataError, MissingPredictionsError
 from qaforge.metrics import (
     NormalizationProfile,
-    _normalized_words,
+    _normalizer,
     bleu,
     evaluate_dataset,
     load_profile_table,
@@ -48,7 +48,7 @@ simple_text = st.text(
 
 def normalize_answer(text: str, profile: NormalizationProfile) -> str:
     """The normalized string of ``text``: its normalized words joined by single spaces."""
-    return " ".join(_normalized_words(text, profile))
+    return " ".join(_normalizer(profile)(text)[0])
 
 
 def _single_qa_dataset(golds: list[str]) -> SquadDataset:
@@ -425,7 +425,7 @@ class TestProfileValues:
         # building it for all of Unicode at import would cost every start.
         code = (
             "import qaforge.metrics as m; "
-            "print(len(m._PUNCTUATION_TABLES['unicode']))"
+            "print(len(m._UNICODE_PUNCTUATION))"
         )
         # Pytest's pythonpath setting does not reach a subprocess.
         env = dict(os.environ)
@@ -551,6 +551,50 @@ class TestNormalizeEqualsReference:
         assert normalize_answer(text, profile) == expected
         # Again, now that every code point of the text is in the table.
         assert normalize_answer(text, profile) == expected
+
+
+# Scores one all-ASCII entry under the shipped en profile, then one with a
+# non-ASCII answer, printing the unicode table's size after each.
+SCORE_ASCII_THEN_NOT = """
+import qaforge.metrics as m
+from qaforge.dataset import SquadAnswer, SquadArticle, SquadDataset, SquadParagraph, SquadQA
+
+def score(prediction, golds):
+    answers = [SquadAnswer(text=gold, answer_start=0) for gold in golds]
+    qa = SquadQA(id="q", question="?", answers=answers)
+    article = SquadArticle(title="t", paragraphs=[SquadParagraph(context="", qas=[qa])])
+    m.evaluate_dataset({"q": prediction}, SquadDataset(version="1.1", articles=[article]), profile)
+
+profile = m.make_profile("mlqa", "en")
+every_ascii = "".join(map(chr, range(128)))
+score(every_ascii, ["The (a-b) island.", every_ascii])
+print(len(m._UNICODE_PUNCTUATION))
+score("caf\\u00e9.", ["caf\\u00e9"])
+print(len(m._UNICODE_PUNCTUATION))
+"""
+
+
+class TestPunctuationClasses:
+    @pytest.mark.parametrize("punctuation_class", ["ascii", "unicode"])
+    def test_each_ascii_character_equals_per_character_rule(self, punctuation_class):
+        profile = NormalizationProfile("mlqa", "xx", frozenset(), punctuation_class, "whitespace")
+        texts = [text for c in map(chr, range(128)) for text in (c, f"a{c}b")]
+        mismatches = [
+            text for text in texts
+            if normalize_answer(text, profile) != reference_normalize(text, profile)
+        ]
+        assert mismatches == []
+
+    def test_ascii_answers_classify_no_code_point(self):
+        # Under unicode, an all-ASCII answer goes through the compiled class;
+        # only an answer with a non-ASCII character is looked up in the table.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", SCORE_ASCII_THEN_NOT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.split() == ["0", "5"]
 
 
 TWENTY_SYMBOLS = [f"w{i}" for i in range(20)]

@@ -758,6 +758,21 @@ class TestResumeFingerprint:
         assert checkpoint_bytes(config) == before
         assert not (Path(config.output_dir) / "dataset.json").exists()
 
+    def test_the_journal_records_the_order_of_the_backend(self, tmp_path, capsys):
+        # Once the header recorded config.order: a journal written by an
+        # order-2 model under a config of order 3 read "order: 3", and a
+        # resume with an order-3 model reused the order-2 candidates.
+        config = make_config(tmp_path, order=3)
+        assert journal_fingerprint(config, build_backend(replace(config, order=2)))["order"] == 2
+
+        before = checkpoint_bytes(config)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+        assert cli.main(["run", "--config", str(config_path), "--resume"]) == 1
+        assert "order" in capsys.readouterr().err
+        assert checkpoint_bytes(config) == before
+        assert not (Path(config.output_dir) / "dataset.json").exists()
+
     def test_a_backend_that_only_generates_is_fingerprinted_from_the_file(self, tmp_path):
         # As the benchmark's traced proxy does, the wrapper hides the fitted
         # backend's digest, so the header hashes config.train_corpus.
